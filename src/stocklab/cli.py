@@ -18,8 +18,6 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import __version__
 from .core import (
     BaseStock,
@@ -211,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True, help="JSON experiment config")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--seed", type=int, default=None, help="override config seed")
-    exp.add_argument("--threads", type=int, default=1,
-                     help="worker threads (results are scheduling-independent)")
     return parser
 
 
@@ -417,8 +413,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(f"--config {args.config}: invalid JSON ({exc})") from exc
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.threads != 1:
-        cfg = replace(cfg, threads=args.threads)
     records = run_experiment(cfg)
     paths = emit_results(records, args.out, cfg)
     for path in paths:

@@ -10,6 +10,7 @@ L+1 .. T+L and averaged over T.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
@@ -115,6 +116,8 @@ class DemandSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("demands must be finite numbers")
         if any(v < 0 for v in self.values):
             raise ValueError("demands must be nonnegative")
 
@@ -205,6 +208,15 @@ class NonStationary:
 
 
 Policy = Union[BaseStock, SsPolicy, NonStationary]
+
+
+def demand_matrix(data: Dataset, p: SystemParams) -> np.ndarray:
+    """Demands as an (N, T + L) array; raises ValueError on any other width."""
+    if data.n_periods != p.horizon:
+        raise ValueError(
+            f"dataset has {data.n_periods} periods per sequence, expected T + L = {p.horizon}"
+        )
+    return data.as_matrix()
 
 
 @dataclass(frozen=True)
@@ -316,35 +328,6 @@ def simulate(
     )
 
 
-def base_stock_loss(
-    S: float, d: DemandSequence | Sequence[float], p: SystemParams
-) -> float:
-    """Closed-form time-averaged loss of the base-stock policy with level S.
-
-    Requires ``S >= 0 >= x1`` so that the position is replenished to S every
-    period; then the level after replenishment in period t is
-    ``S - (d^{t-L} + ... + d^{t-1})`` and an order of size ``d^{t-1}`` is
-    placed in every period t >= 2.
-    """
-    demands = d.values if isinstance(d, DemandSequence) else tuple(float(v) for v in d)
-    n = p.horizon
-    if len(demands) != n:
-        raise ValueError(f"demand length {len(demands)} != T + L = {n}")
-    if S < 0:
-        raise ValueError("base-stock level must be nonnegative")
-
-    dm = np.asarray(demands)
-    window = np.concatenate([[0.0], np.cumsum(dm)])
-    total = 0.0
-    for t in range(p.L + 1, n + 1):
-        lead = window[t] - window[t - p.L - 1]
-        total += unit_cost(S - lead, p)
-        order = S - p.x1 if t - p.L == 1 else dm[t - p.L - 2]
-        if order > ORDER_EPS:
-            total += p.K
-    return total / p.T
-
-
 @dataclass(frozen=True)
 class ReorderSchedule:
     """Periods in 1..T at which a reorder-point policy places an order."""
@@ -412,7 +395,9 @@ def read_demands_csv(path: str) -> Dataset:
     """Read a dataset written by :func:`write_demands_csv`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty; expected a t1..tn header and rows")
         n = len(header)
         expected = [f"t{j}" for j in range(1, n + 1)]
         if header != expected:

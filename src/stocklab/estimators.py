@@ -15,45 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ORDER_EPS, BudgetError, Dataset, SystemParams
+from .core import BudgetError, Dataset, SystemParams, demand_matrix
 from .demand import DemandModel, draw, make_rng, marginal_pmfs, support_atoms
 from .evaluate import (
-    _expected_cost_of_level,
-    lead_demand_sums,
-    lead_pmf,
+    base_stock_kinks,
+    base_stock_loss_matrix,
+    exact_base_stock_levels,
+    exact_base_stock_risk,
     ss_losses_grid,
     st_losses,
 )
-
-
-def base_stock_loss_matrix(
-    levels: np.ndarray, D: np.ndarray, p: SystemParams
-) -> np.ndarray:
-    """Exact loss matrix ell(level, path), shape (n_levels, N)."""
-    lv = np.asarray(levels, dtype=float)
-    sums = lead_demand_sums(D, p.L)
-    out = np.empty((len(lv), D.shape[0]))
-    for i in range(D.shape[0]):
-        a = np.sort(sums[i])
-        prefix = np.concatenate([[0.0], np.cumsum(a)])
-        k = np.searchsorted(a, lv, side="left")
-        hold = p.h * (lv * k - prefix[k])
-        back = p.b * ((prefix[-1] - prefix[k]) - lv * (len(a) - k))
-        out[:, i] = (hold + back) / p.T
-    if p.K > 0:
-        charges = (D[:, : p.T - 1] > ORDER_EPS).sum(axis=1).astype(float)
-        out += (p.K / p.T) * charges[None, :]
-        out += (p.K / p.T) * (lv[:, None] - p.x1 > ORDER_EPS)
-    return out
-
-
-def base_stock_kinks(D: np.ndarray, p: SystemParams, extra: Sequence[float] = ()) -> np.ndarray:
-    """Candidate levels: every lead-demand sum in range plus the endpoints."""
-    hi = p.level_cap()
-    sums = lead_demand_sums(D, p.L).ravel()
-    cands = np.concatenate([sums, [0.0, hi], np.asarray(list(extra), dtype=float)])
-    cands = cands[(cands >= 0.0) & (cands <= hi)]
-    return np.unique(cands)
 
 
 @dataclass(frozen=True)
@@ -89,7 +60,7 @@ def rademacher_estimate(
                 "only the base-stock supremum is built in; pass loss_matrix "
                 "for other classes"
             )
-        D = data.as_matrix()
+        D = demand_matrix(data, p)
         loss_matrix = base_stock_loss_matrix(base_stock_kinks(D, p), D, p)
     else:
         loss_matrix = np.asarray(loss_matrix, dtype=float)
@@ -121,33 +92,6 @@ class GeReport:
     exact_sup: bool
 
 
-def _base_stock_true_curve(
-    cands: np.ndarray, model: DemandModel, p: SystemParams, eval_samples: int,
-    seed: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """True risk of each candidate level, plus any extra kinks it implies."""
-    atoms = support_atoms(model)
-    if atoms is not None:
-        kinks = base_stock_kinks(atoms, p)
-        matrix = base_stock_loss_matrix(cands, atoms, p)
-        return matrix.mean(axis=1), kinks
-    pmfs = marginal_pmfs(model)
-    if pmfs is not None:
-        total = np.zeros(len(cands))
-        for t in range(1, p.T + 1):
-            total += _expected_cost_of_level(cands, lead_pmf(pmfs, t, p.L), p)
-        if p.K > 0:
-            charged = sum(1.0 - pmfs[t - 2][0] for t in range(2, p.T + 1))
-            total += p.K * (charged + (cands - p.x1 > ORDER_EPS))
-        umax = max(len(f) for f in pmfs) - 1
-        kinks = np.arange(0.0, min((p.L + 1) * umax, p.level_cap()) + 1.0)
-        return total / p.T, kinks
-    D_eval = draw(model, eval_samples, seed).as_matrix()
-    kinks = base_stock_kinks(D_eval, p)
-    matrix = base_stock_loss_matrix(cands, D_eval, p)
-    return matrix.mean(axis=1), kinks
-
-
 def ge_estimate(
     model: DemandModel,
     n_train: int,
@@ -170,19 +114,21 @@ def ge_estimate(
         raise ValueError("reps must be >= 1")
     values = []
     exact = policy_class == "base-stock"
+    atoms = support_atoms(model)
+    pmfs = marginal_pmfs(model) if atoms is None and exact else None
     for rep in range(reps):
-        data = draw(model, n_train, (seed, rep, 0))
-        D = data.as_matrix()
+        D = draw(model, n_train, (seed, rep, 0)).as_matrix()
+        D_eval = atoms
+        if D_eval is None and pmfs is None:
+            D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
         if policy_class == "base-stock":
-            base = base_stock_kinks(D, p)
-            true_risks, extra = _base_stock_true_curve(
-                base, model, p, eval_samples, (seed, rep, 1)
-            )
-            cands = np.unique(np.concatenate([base, extra]))
-            if len(cands) != len(base):
-                true_risks, _ = _base_stock_true_curve(
-                    cands, model, p, eval_samples, (seed, rep, 1)
-                )
+            # every kink of the true and the empirical risk curve is a candidate
+            if pmfs is not None:
+                cands = np.union1d(base_stock_kinks(D, p), exact_base_stock_levels(pmfs, p))
+                true_risks = exact_base_stock_risk(cands, pmfs, p)
+            else:
+                cands = np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
+                true_risks = base_stock_loss_matrix(cands, D_eval, p).mean(axis=1)
             emp = base_stock_loss_matrix(cands, D, p).mean(axis=1)
             values.append(float((true_risks - emp).max()))
         elif policy_class == "ss":
@@ -195,7 +141,6 @@ def ge_estimate(
             if len(s_vals) > grid_budget:
                 raise BudgetError("(s, S) grid exceeds budget")
             emp = ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)
-            D_eval = _eval_paths(model, eval_samples, (seed, rep, 1))
             true_risks = ss_losses_grid(s_vals, S_vals, D_eval, p).mean(axis=1)
             values.append(float((true_risks - emp).max()))
         elif policy_class == "st":
@@ -203,7 +148,6 @@ def ge_estimate(
             axis = np.arange(0.0, hi + grid_step / 2, grid_step)
             if len(axis) ** p.horizon > grid_budget:
                 raise BudgetError("per-period grid exceeds budget")
-            D_eval = _eval_paths(model, eval_samples, (seed, rep, 1))
             best = -math.inf
             for combo in itertools.product(axis, repeat=p.horizon):
                 lv = np.asarray(combo)
@@ -222,13 +166,6 @@ def ge_estimate(
         values=tuple(float(v) for v in arr),
         exact_sup=exact,
     )
-
-
-def _eval_paths(model: DemandModel, eval_samples: int, seed: tuple[int, ...]) -> np.ndarray:
-    atoms = support_atoms(model)
-    if atoms is not None:
-        return np.asarray(atoms, dtype=float)
-    return draw(model, eval_samples, seed).as_matrix()
 
 
 def regression_slope(x: Sequence[float], y: Sequence[float]) -> float:

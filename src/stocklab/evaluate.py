@@ -19,13 +19,20 @@ from .core import (
     ORDER_EPS,
     BaseStock,
     Dataset,
+    DemandSequence,
     NonStationary,
     Policy,
     SsPolicy,
     SystemParams,
+    demand_matrix,
     simulate,
 )
 from .demand import DemandModel, draw, marginal_pmfs, support_atoms
+
+
+# Cells (paths x levels) per sorted-prefix kernel call in base_stock_loss_matrix;
+# blocks of paths keep the kernel's temporaries to a few times this size.
+_BLOCK_CELLS = 1 << 20
 
 
 def cost_array(x: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -44,15 +51,95 @@ def lead_demand_sums(D: np.ndarray, L: int) -> np.ndarray:
     return csum[:, L + 1 :] - csum[:, : D.shape[1] - L]
 
 
-def base_stock_losses(S: float, D: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Loss of the level-S base-stock policy on every row of D, shape (N,)."""
-    lead = lead_demand_sums(D, p.L)
-    total = cost_array(S - lead, p).sum(axis=1)
+def sorted_prefix_costs(levels: np.ndarray, a: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Exact sum_j c(level - a[i, j]) for every row i and level, shape (n_rows, n_levels).
+
+    With a row sorted, the k entries below a level cost h (k level - their
+    prefix sum) and the other m - k cost b (their sum - (m - k) level).
+    """
+    lv = np.asarray(levels, dtype=float)
+    rows = np.sort(np.asarray(a, dtype=float), axis=1)
+    n, m = rows.shape
+    prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(rows, axis=1)], axis=1)
+    order = np.argsort(lv, kind="stable")
+    # entry a[i, j] lies below exactly the sorted levels from index pos on
+    pos = np.searchsorted(lv[order], rows, side="right")
+    pos += (len(lv) + 1) * np.arange(n)[:, None]
+    counts = np.bincount(pos.ravel(), minlength=n * (len(lv) + 1)).reshape(n, -1)
+    k = np.empty((n, len(lv)), dtype=np.intp)
+    k[:, order] = np.cumsum(counts, axis=1)[:, :-1]
+    below = np.take_along_axis(prefix, k, axis=1)
+    hold = p.h * (lv * k - below)
+    back = p.b * ((prefix[:, -1:] - below) - lv * (m - k))
+    return hold + back
+
+
+def _base_stock_charges(
+    lv: np.ndarray, D: np.ndarray, p: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Charged base-stock orders: per path, one for each positive demand in
+    periods 1 .. T-1; per level, whether the period-1 order S - x1 is positive."""
+    return (D[:, : p.T - 1] > ORDER_EPS).sum(axis=1), lv - p.x1 > ORDER_EPS
+
+
+def base_stock_loss_matrix(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Exact loss ell(level, path) of base-stock levels, shape (n_levels, N).
+
+    Requires ``S >= 0 >= x1`` so that the position is replenished to S every
+    period; then the level at the end of each charged period t is S minus
+    the demand of periods t-L .. t.
+    """
+    lv = np.asarray(levels, dtype=float)
+    sums = lead_demand_sums(D, p.L)
+    out = np.empty((len(lv), len(sums)))
+    step = max(1, _BLOCK_CELLS // max(len(lv), 1))
+    for i in range(0, len(sums), step):
+        out[:, i : i + step] = sorted_prefix_costs(lv, sums[i : i + step], p).T / p.T
     if p.K > 0:
-        charges = (D[:, : p.T - 1] > ORDER_EPS).sum(axis=1).astype(float)
-        charges += 1.0 if S - p.x1 > ORDER_EPS else 0.0
-        total += p.K * charges
-    return total / p.T
+        charges, first = _base_stock_charges(lv, D, p)
+        out += (p.K / p.T) * charges.astype(float)[None, :]
+        out += (p.K / p.T) * first[:, None]
+    return out
+
+
+def base_stock_risk_curve(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Empirical risk of each base-stock level on the paths of D, shape (n_levels,).
+
+    The lead-time demand sums of all paths are pooled into one row, so the
+    curve costs one sort however many paths there are.
+    """
+    lv = np.asarray(levels, dtype=float)
+    scale = D.shape[0] * p.T
+    risks = sorted_prefix_costs(lv, lead_demand_sums(D, p.L).reshape(1, -1), p)[0] / scale
+    if p.K > 0:
+        charges, first = _base_stock_charges(lv, D, p)
+        risks = risks + p.K * float(charges.sum()) / scale
+        risks = risks + (p.K / p.T) * first
+    return risks
+
+
+def base_stock_kinks(D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Every lead-demand sum in [0, cap] plus the endpoints: the kinks of the
+    piecewise-linear empirical risk, where its minimum and suprema lie."""
+    hi = p.level_cap()
+    cands = np.concatenate([lead_demand_sums(D, p.L).ravel(), [0.0, hi]])
+    return np.unique(cands[(cands >= 0.0) & (cands <= hi)])
+
+
+def base_stock_loss(S: float, d: DemandSequence | Sequence[float], p: SystemParams) -> float:
+    """Time-averaged loss of the base-stock policy with level S on one path.
+
+    Requires ``S >= 0 >= x1`` so that the position is replenished to S every
+    period; then the level after replenishment in period t is
+    ``S - (d^{t-L} + ... + d^{t-1})`` and an order of size ``d^{t-1}`` is
+    placed in every period t >= 2.
+    """
+    demands = np.asarray(d.values if isinstance(d, DemandSequence) else d, dtype=float)
+    if len(demands) != p.horizon:
+        raise ValueError(f"demand length {len(demands)} != T + L = {p.horizon}")
+    if S < 0:
+        raise ValueError("base-stock level must be nonnegative")
+    return float(base_stock_loss_matrix([S], demands[None, :], p)[0, 0])
 
 
 def st_losses(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -106,7 +193,7 @@ def policy_losses(policy: Policy, D: np.ndarray, p: SystemParams) -> np.ndarray:
     """Per-path losses of a single policy, shape (N,)."""
     if isinstance(policy, BaseStock):
         if p.x1 <= 0:
-            return base_stock_losses(policy.S, D, p)
+            return base_stock_loss_matrix([policy.S], D, p)[0]
         # positive initial stock breaks the order-every-period closed form
         return st_losses(np.full(p.horizon, policy.S), D, p)
     if isinstance(policy, SsPolicy):
@@ -120,7 +207,7 @@ def policy_losses(policy: Policy, D: np.ndarray, p: SystemParams) -> np.ndarray:
 
 def dataset_risk(policy: Policy, data: Dataset, p: SystemParams) -> float:
     """Empirical risk: mean loss of the policy over the dataset."""
-    return float(policy_losses(policy, data.as_matrix(), p).mean())
+    return float(policy_losses(policy, demand_matrix(data, p), p).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +230,37 @@ def _expected_cost_of_level(level: np.ndarray | float, pmf: np.ndarray, p: Syste
     return cost_array(diffs, p) @ pmf
 
 
-def exact_base_stock_risk(S: float, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
-    """Exact expected loss of a base-stock policy (requires S >= 0 >= x1)."""
-    total = 0.0
+def exact_base_stock_risk(
+    S: float | np.ndarray, pmfs: Sequence[np.ndarray], p: SystemParams
+) -> float | np.ndarray:
+    """Exact expected loss of base-stock levels (requires S >= 0 >= x1).
+
+    ``S`` may be one level, for which a float is returned, or an array of
+    levels, for which the array of their risks is returned.  Each level's
+    terms are added period by period in the same order either way.
+    """
+    lv = np.atleast_1d(np.asarray(S, dtype=float))
+    total = np.zeros(len(lv))
     for t in range(1, p.T + 1):
-        total += float(_expected_cost_of_level(S, lead_pmf(pmfs, t, p.L), p)[0])
+        total += _expected_cost_of_level(lv, lead_pmf(pmfs, t, p.L), p)
         if p.K > 0:
             if t == 1:
-                total += p.K if S - p.x1 > ORDER_EPS else 0.0
+                total += p.K * (lv - p.x1 > ORDER_EPS)
             else:
                 total += p.K * (1.0 - pmfs[t - 2][0])
-    return total / p.T
+    risks = total / p.T
+    return float(risks[0]) if np.ndim(S) == 0 else risks
+
+
+def exact_base_stock_levels(pmfs: Sequence[np.ndarray], p: SystemParams) -> np.ndarray:
+    """Every kink of the exact base-stock risk curve in [0, cap], plus the cap.
+
+    Lead-time demand is integer and at most (L + 1) times the largest
+    per-period demand, so the curve is linear between those integers.
+    """
+    umax = max(len(f) for f in pmfs) - 1
+    cands = np.arange(0.0, min((p.L + 1) * umax, p.level_cap()) + 1.0)
+    return np.unique(np.append(cands, p.level_cap()))
 
 
 def exact_ss_risk(policy: SsPolicy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
@@ -251,6 +358,28 @@ def exact_st_risk(
                 new[:-k] += fk * post[k:]
         weights = new
     return total / p.T
+
+
+def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPolicy, float]:
+    """Exact best integer (s, S) policy within the class bounds, and its risk.
+
+    Scores every integer pair with :func:`exact_ss_risk`, S outer and s
+    inner; ties break toward the smaller risk, then the smaller gap S - s,
+    then the smaller S.
+    """
+    lo, hi, _ = p.ss_bounds()
+    s_lo, s_hi = math.ceil(lo), math.floor(hi)
+    best = None
+    for S in range(max(s_lo, 0), s_hi + 1):
+        for s in range(s_lo, S + 1):
+            risk = exact_ss_risk(SsPolicy(float(s), float(S)), pmfs, p)
+            key = (risk, S - s, S)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        raise ValueError("empty integer (s, S) grid")
+    risk, delta, S = best
+    return SsPolicy(float(S - delta), float(S)), risk
 
 
 def exact_risk(

@@ -6,14 +6,14 @@ aggregates per-instance means into unweighted cross-instance means, and
 returns metric records ready for CSV/SVG emission.  Risks are evaluated
 exactly whenever the demand model admits it (finite support or independent
 integer marginals); otherwise a shared Monte-Carlo evaluation set is drawn
-per instance.  The evaluation mode is recorded in run metadata.
+per instance.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,9 @@ from .demand import (
     support_atoms,
 )
 from .evaluate import (
+    best_integer_ss,
+    exact_base_stock_levels,
+    exact_base_stock_risk,
     exact_risk,
     finite_support_risk,
     policy_losses,
@@ -95,7 +98,6 @@ class ExperimentConfig:
     eval_mode: str = "auto"  # auto | mc
     st_restarts: int = 8
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -209,16 +211,18 @@ def _fit(policy_class: str, data: Dataset, p: SystemParams, cfg: ExperimentConfi
 
 
 class _Evaluator:
-    """Risk-under-the-true-model evaluator with a shared fallback sample."""
+    """Risk-under-the-true-model evaluator with a shared fallback sample,
+    drawn the first time a policy has no exact risk."""
 
     def __init__(self, model: DemandModel, p: SystemParams, cfg: ExperimentConfig,
                  seed_key: tuple[int, ...]):
         self.p = p
+        self.model = model
+        self.eval_samples = cfg.eval_samples
+        self.seed_key = seed_key
         self.atoms = support_atoms(model) if cfg.eval_mode == "auto" else None
         self.pmfs = marginal_pmfs(model) if cfg.eval_mode == "auto" else None
         self.eval_paths = None
-        if self.atoms is None:
-            self.eval_paths = draw(model, cfg.eval_samples, seed_key).as_matrix()
         self.mode = "finite-support" if self.atoms is not None else (
             "exact-or-mc" if self.pmfs is not None else "mc"
         )
@@ -230,6 +234,8 @@ class _Evaluator:
             value = exact_risk(policy, self.pmfs, self.p)
             if value is not None:
                 return value
+        if self.eval_paths is None:
+            self.eval_paths = draw(self.model, self.eval_samples, self.seed_key).as_matrix()
         return float(policy_losses(policy, self.eval_paths, self.p).mean())
 
 
@@ -251,24 +257,12 @@ def _best_in_class(
             levels = tuple(float(v) for v in sol.order_up_to) + (0.0,) * p.L
             return NonStationary(levels), sol.risk
         if policy_class == "base-stock":
-            umax = max(len(f) for f in pmfs) - 1
-            cands = np.arange(0.0, min((p.L + 1) * umax, p.level_cap()) + 1.0)
-            cands = np.unique(np.append(cands, p.level_cap()))
-            risks = [exact_risk(BaseStock(float(S)), pmfs, p) for S in cands]
+            cands = exact_base_stock_levels(pmfs, p)
+            risks = exact_base_stock_risk(cands, pmfs, p)
             j = int(np.argmin(risks))
             return BaseStock(float(cands[j])), float(risks[j])
         if policy_class == "ss":
-            lo, hi, _ = p.ss_bounds()
-            best = None
-            for S in range(max(math.ceil(lo), 0), math.floor(hi) + 1):
-                for s in range(math.ceil(lo), S + 1):
-                    risk = exact_risk(SsPolicy(float(s), float(S)), pmfs, p)
-                    key = (risk, S - s, S)
-                    if best is None or key < best:
-                        best = key
-            assert best is not None
-            risk, delta, S = best
-            return SsPolicy(float(S - delta), float(S)), risk
+            return best_integer_ss(pmfs, p)
         if policy_class == "eoq":
             mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
             gap = math.sqrt(2.0 * p.K * mu * (p.h + p.b) / (p.h * p.b))

@@ -25,10 +25,19 @@ from .core import (
     SsPolicy,
     SystemParams,
     delta_breakpoints,
+    demand_matrix,
     reorder_schedule,
 )
 from .demand import make_rng
-from .evaluate import dataset_risk, lead_demand_sums, ss_losses_grid, st_losses
+from .evaluate import (
+    base_stock_kinks,
+    base_stock_risk_curve,
+    dataset_risk,
+    lead_demand_sums,
+    sorted_prefix_costs,
+    ss_losses_grid,
+    st_losses,
+)
 
 
 @dataclass(frozen=True)
@@ -57,32 +66,6 @@ class StOptions:
 # ---------------------------------------------------------------------------
 
 
-class _PiecewiseLinearRisk:
-    """Evaluates sum_j c(S - a_j) / scale exactly at many S via prefix sums."""
-
-    def __init__(self, kink_sums: np.ndarray, p: SystemParams, scale: float):
-        self.sorted = np.sort(np.asarray(kink_sums, dtype=float))
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.sorted)])
-        self.p = p
-        self.scale = scale
-
-    def __call__(self, levels: np.ndarray) -> np.ndarray:
-        lv = np.atleast_1d(np.asarray(levels, dtype=float))
-        k = np.searchsorted(self.sorted, lv, side="left")
-        total = self.prefix[-1]
-        m = len(self.sorted)
-        holding = self.p.h * (lv * k - self.prefix[k])
-        backlog = self.p.b * ((total - self.prefix[k]) - lv * (m - k))
-        return (holding + backlog) / self.scale
-
-
-def _base_stock_fixed_charges(D: np.ndarray, p: SystemParams) -> float:
-    """Per-policy-independent part of the fixed-cost charges (periods >= 2)."""
-    if p.K == 0:
-        return 0.0
-    return p.K * float((D[:, : p.T - 1] > ORDER_EPS).sum()) / (D.shape[0] * p.T)
-
-
 def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     """Exact global minimizer of the empirical risk over levels in [0, H].
 
@@ -90,15 +73,9 @@ def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     lead-time demand sums, so it is evaluated at every kink in range plus
     the interval endpoints; ties go to the smallest level.
     """
-    D = data.as_matrix()
-    hi = p.level_cap()
-    sums = lead_demand_sums(D, p.L).ravel()
-    cands = np.unique(np.concatenate([sums[(sums >= 0) & (sums <= hi)], [0.0, hi]]))
-    risk_fn = _PiecewiseLinearRisk(sums, p, D.shape[0] * p.T)
-    risks = risk_fn(cands) + _base_stock_fixed_charges(D, p)
-    if p.K > 0:
-        risks = risks + (p.K / p.T) * (cands - p.x1 > ORDER_EPS)
-    best = int(np.argmin(risks))
+    D = demand_matrix(data, p)
+    cands = base_stock_kinks(D, p)
+    best = int(np.argmin(base_stock_risk_curve(cands, D, p)))
     policy = BaseStock(float(cands[best]))
     return FitResult(
         policy=policy,
@@ -135,7 +112,7 @@ def fit_level_fixed_gap(data: Dataset, p: SystemParams, delta: float) -> FitResu
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    D = data.as_matrix()
+    D = demand_matrix(data, p)
     hi = p.level_cap() + delta
     cands = [np.array([0.0, hi])]
     for row in D:
@@ -166,7 +143,7 @@ def square_root_gap(data: Dataset, p: SystemParams) -> float:
     """Cost-balancing order gap sqrt(2 K mean-demand (h+b) / (h b))."""
     if p.h <= 0 or p.b <= 0:
         raise ValueError("square-root gap requires h > 0 and b > 0")
-    mu = float(data.as_matrix().mean())
+    mu = float(demand_matrix(data, p).mean())
     return math.sqrt(2.0 * p.K * mu * (p.h + p.b) / (p.h * p.b))
 
 
@@ -218,7 +195,7 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     lo, hi, capped = p.ss_bounds()
     if p.x1 > lo:
         raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
-    D = data.as_matrix()
+    D = demand_matrix(data, p)
 
     if mode == "integer-grid":
         if not np.all(D == np.rint(D)):
@@ -267,7 +244,6 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     n_cands = 0
     for a, b, rep in intervals:
         windows, n_orders = _ss_interval_windows(D, p, rep)
-        risk_fn = _PiecewiseLinearRisk(windows, p, scale)
         cands = np.unique(
             np.concatenate([windows, [0.0, hi, min(max(lo + a + 1e-9, 0.0), hi)]])
         )
@@ -278,7 +254,7 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
         if not len(cands):
             continue
         n_cands += len(cands)
-        risks = risk_fn(cands)
+        risks = sorted_prefix_costs(cands, windows[None, :], p)[0] / scale
         if p.K > 0:
             if rep == 0.0:
                 per_period = float((D[:, : p.T - 1] > ORDER_EPS).sum())
@@ -391,7 +367,7 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     if p.K != 0:
         raise ValueError("per-period-level fitting requires K = 0")
     opts = opts or StOptions()
-    D = data.as_matrix()
+    D = demand_matrix(data, p)
     n, horizon = D.shape
     cap = p.level_cap()
     pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
@@ -465,20 +441,14 @@ def grid_oracle(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    D = data.as_matrix()
+    D = demand_matrix(data, p)
 
     if policy_class == "base-stock":
         hi = p.level_cap()
         grid = np.arange(0.0, hi + step / 2, step)
         if len(grid) > budget:
             raise BudgetError("base-stock grid exceeds budget")
-        risk_fn = _PiecewiseLinearRisk(
-            lead_demand_sums(D, p.L).ravel(), p, D.shape[0] * p.T
-        )
-        risks = risk_fn(grid) + _base_stock_fixed_charges(D, p)
-        if p.K > 0:
-            risks = risks + (p.K / p.T) * (grid - p.x1 > ORDER_EPS)
-        best = int(np.argmin(risks))
+        best = int(np.argmin(base_stock_risk_curve(grid, D, p)))
         policy: Policy = BaseStock(float(grid[best]))
         count = len(grid)
     elif policy_class == "ss":

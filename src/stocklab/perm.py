@@ -22,11 +22,11 @@ from .core import (
     Dataset,
     NonStationary,
     Policy,
-    SsPolicy,
     SystemParams,
 )
 from .demand import make_rng
 from .evaluate import (
+    best_integer_ss,
     cost_array,
     exact_risk,
     lead_pmf,
@@ -228,15 +228,6 @@ def solve_dp(pmfs: Sequence[np.ndarray], p: SystemParams) -> DpSolution:
     )
 
 
-def optimal_dp(pmfs: Sequence[np.ndarray], p: SystemParams) -> DpSolution:
-    """Exact minimum expected average loss over all policies.
-
-    Thin wrapper over :func:`solve_dp`; accepts the per-period pmfs of the
-    true demand process (see :func:`stocklab.demand.marginal_pmfs`).
-    """
-    return solve_dp(pmfs, p)
-
-
 # ---------------------------------------------------------------------------
 # product-ERM fitting and risk
 # ---------------------------------------------------------------------------
@@ -301,21 +292,10 @@ def perm_fit(
                 "fitting a stationary (s, S) policy against non-stationary marginals",
                 stacklevel=2,
             )
-        lo, hi, _ = p.ss_bounds()
+        lo, _, _ = p.ss_bounds()
         if p.x1 > lo:
             raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
-        s_lo, s_hi = math.ceil(lo), math.floor(hi)
-        best = None
-        for S in range(max(s_lo, 0), s_hi + 1):
-            for s in range(s_lo, S + 1):
-                risk = exact_risk(SsPolicy(float(s), float(S)), pmfs, p)
-                key = (risk, S - s, S)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            raise ValueError("empty integer (s, S) grid")
-        risk, delta, S = best
-        policy = SsPolicy(float(S - delta), float(S))
+        policy, risk = best_integer_ss(pmfs, p)
         return FitResult(
             policy=policy,
             in_sample_risk=risk,

@@ -19,7 +19,6 @@ from stocklab.core import (
     Dataset,
     NonStationary,
     SystemParams,
-    base_stock_loss,
     simulate,
 )
 from stocklab.demand import (
@@ -35,7 +34,7 @@ from stocklab.estimators import (
     rademacher_estimate,
     regression_slope,
 )
-from stocklab.evaluate import exact_base_stock_risk
+from stocklab.evaluate import base_stock_loss, exact_base_stock_risk
 from stocklab.experiments import ExperimentConfig, run_experiment
 from stocklab.fitters import erm_St, erm_base_stock, erm_sS, grid_oracle
 from stocklab.perm import build_marginals, product_partition

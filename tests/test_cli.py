@@ -74,6 +74,31 @@ class TestFit:
         assert main(["fit", "--class", "base-stock", "--data", "/nope.csv",
                      "--T", "2"]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_demand_rejected(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t1,t2\n3.0,{value}\n2.0,5.0\n")
+        assert main(["fit", "--class", "base-stock", "--data", str(path), "--T", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: demands must be finite numbers"
+
+    def test_empty_csv_rejected(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["fit", "--class", "base-stock", "--data", str(path), "--T", "2"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "is empty" in err[0]
+
+    @pytest.mark.parametrize("cls", ["base-stock", "eoq", "ss", "st"])
+    def test_width_mismatch_rejected(self, demand_csv, capsys, cls):
+        assert main(["fit", "--class", cls, "--data", demand_csv, "--T", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "error: dataset has 2 periods per sequence, expected T + L = 5"
+        )
+
 
 class TestPerm:
     def test_perm_st(self, demand_csv, capsys):
@@ -194,7 +219,7 @@ class TestHelpAudit:
         "build_marginals": ("perm", ["--data"]),
         "perm_fit": ("perm", ["--class"]),
         "product_partition": ("perm", ["--partition"]),
-        "optimal_dp": ("experiment", ["ee-vs-T"]),
+        "solve_dp": ("experiment", ["ee-vs-T"]),
         "sample_instance": ("experiment", ["--config"]),
         "draw": ("experiment", ["--config"]),
         "verify_shattering": ("shatter", ["--verify"]),

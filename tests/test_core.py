@@ -9,13 +9,13 @@ from stocklab.core import (
     NonStationary,
     SsPolicy,
     SystemParams,
-    base_stock_loss,
     delta_breakpoints,
     read_demands_csv,
     reorder_schedule,
     simulate,
     write_demands_csv,
 )
+from stocklab.evaluate import base_stock_loss
 
 
 def params(**kw):

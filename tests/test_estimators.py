@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stocklab.core import Dataset, SystemParams
+from stocklab.core import BaseStock, Dataset, SystemParams, simulate
 from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw
 from stocklab.estimators import (
     base_stock_kinks,
@@ -10,7 +10,6 @@ from stocklab.estimators import (
     rademacher_estimate,
     regression_slope,
 )
-from stocklab.evaluate import base_stock_losses
 
 
 def params(**kw):
@@ -29,7 +28,8 @@ class TestLossMatrix:
             levels = rng.uniform(0, p.level_cap(), 7)
             got = base_stock_loss_matrix(levels, D, p)
             for j, S in enumerate(levels):
-                assert got[j] == pytest.approx(base_stock_losses(S, D, p), abs=1e-10)
+                want = [simulate(BaseStock(S), row, p).avg_loss for row in D]
+                assert got[j] == pytest.approx(want, abs=1e-10)
 
     def test_kinks_cover_all_lead_sums(self):
         p = params(T=2, L=1, U=10.0)
@@ -74,6 +74,11 @@ class TestRademacher:
     def test_requires_input(self):
         with pytest.raises(ValueError):
             rademacher_estimate(draws=10)
+
+    def test_dataset_width_must_match_horizon(self):
+        data = Dataset.from_matrix([[1.0, 2.0], [3.0, 0.0]])
+        with pytest.raises(ValueError, match="expected T \\+ L = 3"):
+            rademacher_estimate(data, params(T=3), draws=10)
 
 
 class TestGeEstimate:

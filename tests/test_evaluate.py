@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stocklab.core import (
     BaseStock,
+    Dataset,
     NonStationary,
     SsPolicy,
     SystemParams,
     simulate,
 )
+from stocklab import evaluate
 from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw
 from stocklab.evaluate import (
-    base_stock_losses,
+    base_stock_loss_matrix,
+    base_stock_risk_curve,
     dataset_risk,
     enumerate_product_risk,
+    exact_base_stock_risk,
     exact_risk,
     finite_support_risk,
     lead_pmf,
@@ -22,6 +28,7 @@ from stocklab.evaluate import (
     ss_losses_grid,
     st_losses,
 )
+from stocklab.fitters import erm_base_stock
 
 
 def rand_pmf(rng, size):
@@ -38,7 +45,7 @@ class TestBatchLossesMatchSimulate:
                              K=rng.uniform(0, 4), U=9.0, x1=-rng.uniform(0, 2))
             D = rng.uniform(0, 9.0, (4, T + L))
             S = float(rng.uniform(0, p.level_cap()))
-            got = base_stock_losses(S, D, p)
+            got = policy_losses(BaseStock(S), D, p)
             want = [simulate(BaseStock(S), row, p).avg_loss for row in D]
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -94,6 +101,11 @@ class TestBatchLossesMatchSimulate:
         pol = BaseStock(5.0)
         want = np.mean([simulate(pol, s.values, p).avg_loss for s in data.sequences])
         assert dataset_risk(pol, data, p) == pytest.approx(want)
+
+    def test_dataset_risk_rejects_width_mismatch(self):
+        data = Dataset.from_matrix([[3.0, 7.0], [2.0, 5.0]])
+        with pytest.raises(ValueError, match="expected T \\+ L = 5"):
+            dataset_risk(BaseStock(5.0), data, SystemParams(T=5, U=10.0))
 
 
 class TestExactRisk:
@@ -168,3 +180,80 @@ class TestModelRisk:
         got = policy_losses(BaseStock(2.0), D, p)[0]
         want = simulate(BaseStock(2.0), D[0], p, unchecked=True).avg_loss
         assert got == pytest.approx(want)
+
+
+@st.composite
+def base_stock_cases(draw_, min_K=0.0):
+    """A system with lead time 0..2 and a matrix of fractional demands."""
+    T = draw_(st.integers(1, 5))
+    L = draw_(st.integers(0, 2))
+    p = SystemParams(
+        T=T, L=L, h=draw_(st.floats(0.0, 2.0)), b=draw_(st.floats(0.0, 2.0)),
+        K=draw_(st.floats(min_K, 5.0)), U=8.0, x1=-draw_(st.floats(0.0, 3.0)),
+    )
+    n = draw_(st.integers(1, 4))
+    # A positive demand at or below ORDER_EPS makes simulate drop that order
+    # and fold it into the next one, which can then draw a fixed charge the
+    # order-every-period closed form does not count; such dust is excluded.
+    demand = st.one_of(st.just(0.0), st.floats(1e-6, 8.0))
+    cells = draw_(st.lists(demand, min_size=n * (T + L), max_size=n * (T + L)))
+    return p, np.asarray(cells).reshape(n, T + L)
+
+
+class TestBaseStockKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(case=base_stock_cases(min_K=0.01), data=st.data())
+    def test_loss_matrix_matches_simulate(self, case, data):
+        p, D = case
+        levels = data.draw(st.lists(st.floats(0.0, p.level_cap()), min_size=1, max_size=6))
+        levels += [float(v) for v in D.ravel()[:2] if v <= p.level_cap()]
+        got = base_stock_loss_matrix(levels, D, p)
+        assert got.shape == (len(levels), len(D))
+        for j, S in enumerate(levels):
+            want = [simulate(BaseStock(S), row, p).avg_loss for row in D]
+            assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_loss_matrix_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        p = SystemParams(T=4, L=1, h=1.0, b=3.0, K=2.0, U=6.0, x1=-1.0)
+        D = rng.uniform(0.0, 6.0, (11, 5))
+        levels = rng.uniform(0.0, p.level_cap(), 7)
+        whole = base_stock_loss_matrix(levels, D, p)
+        monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 20)  # blocks of 2 paths
+        blocked = base_stock_loss_matrix(levels, D, p)
+        np.testing.assert_array_equal(blocked, whole)
+        assert blocked.flags.c_contiguous
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=base_stock_cases())
+    def test_pooled_risk_at_fit_matches_simulate(self, case):
+        p, D = case
+        fit = erm_base_stock(Dataset.from_matrix(D), p)
+        S = fit.policy.S
+        want = np.mean([simulate(BaseStock(S), row, p).avg_loss for row in D])
+        assert base_stock_risk_curve([S], D, p)[0] == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert fit.in_sample_risk == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exact_risk_curve_matches_enumeration(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 1))
+        p = SystemParams(
+            T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 2.0)),
+            K=data.draw(st.floats(0.0, 3.0)), U=3.0, x1=-float(data.draw(st.integers(0, 2))),
+        )
+        pmfs = []
+        for _ in range(T + L):
+            w = np.asarray(data.draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3)))
+            pmfs.append(w / w.sum())
+        levels = np.asarray(
+            data.draw(st.lists(st.floats(0.0, p.level_cap()), min_size=1, max_size=4))
+            + list(range(int(p.level_cap()) + 1)), dtype=float,
+        )
+        curve = exact_base_stock_risk(levels, pmfs, p)
+        assert curve.shape == levels.shape
+        for S, risk in zip(levels, curve):
+            assert risk == pytest.approx(exact_base_stock_risk(S, pmfs, p), rel=0, abs=1e-12)
+            want = enumerate_product_risk(BaseStock(S), pmfs, p)
+            assert risk == pytest.approx(want, rel=0, abs=1e-12)

@@ -1,15 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from stocklab.core import SystemParams
-from stocklab.demand import InstanceHyper
+from stocklab.core import BaseStock, NonStationary, SystemParams
+from stocklab.demand import IIDNormal, InstanceHyper, draw
 from stocklab.emit import emit_results, write_records_csv
 from stocklab.experiments import (
     ExperimentConfig,
     MetricsRecord,
     _crossing_point,
+    _Evaluator,
     run_ee_vs_T,
     run_erm_vs_perm,
     run_experiment,
@@ -75,6 +77,21 @@ class TestCrossing:
     def test_flip_must_persist(self):
         # a transient flip at 2 does not count; the persistent one at 4 does
         assert _crossing_point([1, 2, 3, 4], [0, 2, 0, 2], [1, 1, 1, 1]) == 4
+
+
+class TestEvaluator:
+    def test_monte_carlo_sample_drawn_only_on_fallback(self):
+        p = small_system()
+        model = IIDNormal(10.0, 5.0, 3)
+        cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
+        evaluator = _Evaluator(model, p, cfg, (7, 1))
+        evaluator(BaseStock(12.0))
+        evaluator(NonStationary((12.0, 11.0, 10.0)))
+        assert evaluator.eval_paths is None  # integer levels are scored exactly
+        fractional = NonStationary((12.5, 11.0, 10.0))
+        risk = evaluator(fractional)
+        np.testing.assert_array_equal(evaluator.eval_paths, draw(model, 50, (7, 1)).as_matrix())
+        assert risk == evaluator(fractional)
 
 
 class TestRunners:

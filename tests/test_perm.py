@@ -17,7 +17,6 @@ from stocklab.fitters import erm_St
 from stocklab.perm import (
     build_marginals,
     enumerate_product_sequences,
-    optimal_dp,
     perm_fit,
     perm_risk,
     perm_risk_mc,
@@ -210,14 +209,14 @@ class TestOptimalDp:
     def test_newsvendor(self):
         p = params(T=1)
         pmf = np.array([0.0, 0.5, 0.5])
-        sol = optimal_dp([pmf], p)
+        sol = solve_dp([pmf], p)
         assert sol.risk == pytest.approx(0.5)
         assert sol.order_up_to == (2,)
 
     def test_deterministic_zero_risk_without_fixed_cost(self):
         p = params(T=3)
         pmfs = [np.array([0.0, 0.0, 1.0])] * 3  # demand always 2
-        sol = optimal_dp(pmfs, p)
+        sol = solve_dp(pmfs, p)
         assert sol.risk == pytest.approx(0.0)
         assert sol.is_order_up_to
 
@@ -225,7 +224,7 @@ class TestOptimalDp:
         # deterministic demand (1, 1), K=3: a single order of 2 beats two of 1
         p = params(T=2, K=3.0, U=2.0)
         pmfs = [np.array([0.0, 1.0])] * 2
-        sol = optimal_dp(pmfs, p)
+        sol = solve_dp(pmfs, p)
         assert sol.risk == pytest.approx(2.0)
         assert not sol.is_order_up_to
 
