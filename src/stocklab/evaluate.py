@@ -360,26 +360,102 @@ def exact_st_risk(
     return total / p.T
 
 
+def exact_ss_risks(
+    s_values: np.ndarray, S_values: np.ndarray, pmfs: Sequence[np.ndarray], p: SystemParams
+) -> np.ndarray:
+    """Exact expected losses of many (s, S) policies, given as parallel arrays.
+
+    A policy with ``s >= x1`` orders up to S in period 1, after which its
+    mass lives on offsets below S that move the same way for every S with
+    the same ``ceil(S - s)``.  Those policies share one propagation per gap:
+    the per-period lead-demand pmfs are folded into one distribution over
+    offset plus lead demand, which prices every S at once.  Their risks may
+    differ from :func:`exact_ss_risk`'s in the last bits, since the terms add
+    in another order.  The other policies go through :func:`exact_ss_risk`.
+    """
+    s = np.asarray(s_values, dtype=float)
+    S = np.asarray(S_values, dtype=float)
+    if s.shape != S.shape or s.ndim != 1:
+        raise ValueError("s_values and S_values must be 1-D arrays of one length")
+    if np.any(s > S) or np.any(S < 0):
+        raise ValueError("every policy needs 0 <= S and s <= S")
+    risks = np.empty(len(S))
+    early = s >= p.x1
+    for i in np.flatnonzero(~early):
+        risks[i] = exact_ss_risk(SsPolicy(float(s[i]), float(S[i])), pmfs, p)
+    # the lattice sees a gap only through which integer offsets reach it
+    gaps = np.ceil(S - s)
+    lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
+    for gap in np.unique(gaps[early]):
+        sel = early & (gaps == gap)
+        risks[sel] = _gap_risks(int(gap), S[sel], pmfs, lps, p)
+    return risks
+
+
+def _gap_risks(
+    gap: int, S: np.ndarray, pmfs: Sequence[np.ndarray], lps: list[np.ndarray],
+    p: SystemParams,
+) -> np.ndarray:
+    """Risks of the levels S of (s, S) policies with x1 <= s and ceil(S - s) = gap."""
+    umax = max(len(f) for f in pmfs) - 1
+    size = gap + umax + 1
+    post = np.zeros(size)
+    post[0] = 1.0  # every path orders up to S in period 1
+    fold = np.zeros(size + max(len(lp) for lp in lps) - 1)
+    reorders = 0.0
+    for t in range(1, p.T + 1):
+        # an order at offset k >= gap costs K unless it is empty (k = 0)
+        reorders += post[max(gap, 1) :].sum()
+        post_now = post.copy()
+        post_now[gap:] = 0.0
+        post_now[0] += post[gap:].sum()
+        wait = np.convolve(post_now, lps[t - 1])
+        fold[: len(wait)] += wait
+        post = np.convolve(post_now, pmfs[t - 1])[:size]
+    total = _expected_cost_of_level(S, fold, p)
+    if p.K > 0:
+        total += p.K * (reorders + (S - p.x1 > ORDER_EPS))
+    return total / p.T
+
+
+def rescored_argmin(scores: np.ndarray, rescore) -> tuple[int, float]:
+    """Index and exact risk of the best candidate, from fast scores.
+
+    Candidates are listed in tie-break order.  Fast scores may differ from
+    the exact ones in the last bits, so every candidate within 1e-9 (relative)
+    of the smallest is rescored with ``rescore(index)``, and the smallest
+    (exact risk, index) wins: the same pick as scanning the exact risks.
+    """
+    scores = np.asarray(scores, dtype=float)
+    low = float(scores.min())
+    near = np.flatnonzero(scores <= low + 1e-9 * max(1.0, abs(low)))
+    risk, j = min((rescore(int(i)), int(i)) for i in near)
+    return j, risk
+
+
 def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPolicy, float]:
     """Exact best integer (s, S) policy within the class bounds, and its risk.
 
-    Scores every integer pair with :func:`exact_ss_risk`, S outer and s
-    inner; ties break toward the smaller risk, then the smaller gap S - s,
-    then the smaller S.
+    Every integer pair is scored by :func:`exact_ss_risks`, and the near-best
+    ones again by :func:`exact_ss_risk`, whose risk is returned.  Ties break
+    toward the smaller risk, then the smaller gap S - s, then the smaller S.
     """
     lo, hi, _ = p.ss_bounds()
     s_lo, s_hi = math.ceil(lo), math.floor(hi)
-    best = None
-    for S in range(max(s_lo, 0), s_hi + 1):
-        for s in range(s_lo, S + 1):
-            risk = exact_ss_risk(SsPolicy(float(s), float(S)), pmfs, p)
-            key = (risk, S - s, S)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    # listed by gap, then S: the tie-break order
+    pairs = [
+        (S - gap, S)
+        for gap in range(s_hi - s_lo + 1)
+        for S in range(max(s_lo + gap, 0), s_hi + 1)
+    ]
+    if not pairs:
         raise ValueError("empty integer (s, S) grid")
-    risk, delta, S = best
-    return SsPolicy(float(S - delta), float(S)), risk
+    s, S = np.array(pairs, dtype=float).T
+    j, risk = rescored_argmin(
+        exact_ss_risks(s, S, pmfs, p),
+        lambda i: exact_ss_risk(SsPolicy(float(s[i]), float(S[i])), pmfs, p),
+    )
+    return SsPolicy(float(s[j]), float(S[j])), risk
 
 
 def exact_risk(

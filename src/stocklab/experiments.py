@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -41,8 +42,11 @@ from .evaluate import (
     exact_base_stock_levels,
     exact_base_stock_risk,
     exact_risk,
+    exact_ss_risk,
+    exact_ss_risks,
     finite_support_risk,
     policy_losses,
+    rescored_argmin,
 )
 from .fitters import (
     FitResult,
@@ -212,7 +216,8 @@ def _fit(policy_class: str, data: Dataset, p: SystemParams, cfg: ExperimentConfi
 
 class _Evaluator:
     """Risk-under-the-true-model evaluator with a shared fallback sample,
-    drawn the first time a policy has no exact risk."""
+    drawn the first time a policy has no exact risk.  Under ``eval_mode:
+    auto`` that first fallback also issues a RuntimeWarning."""
 
     def __init__(self, model: DemandModel, p: SystemParams, cfg: ExperimentConfig,
                  seed_key: tuple[int, ...]):
@@ -220,8 +225,9 @@ class _Evaluator:
         self.model = model
         self.eval_samples = cfg.eval_samples
         self.seed_key = seed_key
-        self.atoms = support_atoms(model) if cfg.eval_mode == "auto" else None
-        self.pmfs = marginal_pmfs(model) if cfg.eval_mode == "auto" else None
+        self.auto = cfg.eval_mode == "auto"
+        self.atoms = support_atoms(model) if self.auto else None
+        self.pmfs = marginal_pmfs(model) if self.auto else None
         self.eval_paths = None
         self.mode = "finite-support" if self.atoms is not None else (
             "exact-or-mc" if self.pmfs is not None else "mc"
@@ -235,6 +241,14 @@ class _Evaluator:
             if value is not None:
                 return value
         if self.eval_paths is None:
+            if self.auto:
+                warnings.warn(
+                    f"{type(policy).__name__} policy has no exact risk under this demand "
+                    f"model; its risk is estimated from {self.eval_samples} Monte-Carlo "
+                    "paths, not exact",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             self.eval_paths = draw(self.model, self.eval_samples, self.seed_key).as_matrix()
         return float(policy_losses(policy, self.eval_paths, self.p).mean())
 
@@ -267,9 +281,11 @@ def _best_in_class(
             mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
             gap = math.sqrt(2.0 * p.K * mu * (p.h + p.b) / (p.h * p.b))
             grid = np.arange(0.0, p.level_cap() + gap + 1e-9, 0.05)
-            risks = [exact_risk(SsPolicy(float(S - gap), float(S)), pmfs, p) for S in grid]
-            j = int(np.argmin(risks))
-            return SsPolicy(float(grid[j] - gap), float(grid[j])), float(risks[j])
+            j, risk = rescored_argmin(
+                exact_ss_risks(grid - gap, grid, pmfs, p),
+                lambda i: exact_ss_risk(SsPolicy(float(grid[i] - gap), float(grid[i])), pmfs, p),
+            )
+            return SsPolicy(float(grid[j] - gap), float(grid[j])), float(risk)
     data = draw(model, cfg.best_in_class_samples, seed_key)
     fit = _fit(policy_class, data, p, cfg)
     return fit.policy, evaluator(fit.policy)

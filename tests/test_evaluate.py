@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,13 @@ from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw
 from stocklab.evaluate import (
     base_stock_loss_matrix,
     base_stock_risk_curve,
+    best_integer_ss,
     dataset_risk,
     enumerate_product_risk,
     exact_base_stock_risk,
     exact_risk,
+    exact_ss_risk,
+    exact_ss_risks,
     finite_support_risk,
     lead_pmf,
     mc_risk,
@@ -257,3 +262,87 @@ class TestBaseStockKernel:
             assert risk == pytest.approx(exact_base_stock_risk(S, pmfs, p), rel=0, abs=1e-12)
             want = enumerate_product_risk(BaseStock(S), pmfs, p)
             assert risk == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def pmf_lists(data, n, max_size):
+    """n random pmfs on 0 .. max_size - 1, some with a zero mass at 0."""
+    pmfs = []
+    for _ in range(n):
+        w = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.35, 0.7, 1.0]),
+                               min_size=1, max_size=max_size))
+        w = np.asarray(w) if sum(w) > 0 else np.ones(len(w))
+        pmfs.append(w / w.sum())
+    return pmfs
+
+
+def double_loop_best_ss(pmfs, p):
+    """Every integer pair scored by exact_ss_risk; ties by (risk, S - s, S)."""
+    lo, hi, _ = p.ss_bounds()
+    best = None
+    for S in range(max(math.ceil(lo), 0), math.floor(hi) + 1):
+        for s in range(math.ceil(lo), S + 1):
+            key = (exact_ss_risk(SsPolicy(float(s), float(S)), pmfs, p), S - s, S)
+            if best is None or key < best:
+                best = key
+    risk, gap, S = best
+    return SsPolicy(float(S - gap), float(S)), risk
+
+
+class TestExactSsSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_best_integer_ss_matches_double_loop(self, data):
+        T = data.draw(st.integers(1, 4))
+        L = data.draw(st.integers(0, 2))
+        x1 = data.draw(st.one_of(st.integers(-4, 2).map(float), st.floats(-4.0, 2.0)))
+        # Hlo < x1, so the pairs with s < x1 take the exact_ss_risk fallback
+        Hlo = float(math.floor(x1) - data.draw(st.integers(1, 3)))
+        p = SystemParams(
+            T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 3.0)),
+            K=data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))), U=3.0, x1=x1,
+            H=float(data.draw(st.integers(max(math.ceil(Hlo), 0), 6))), Hlo=Hlo,
+        )
+        pmfs = pmf_lists(data, T + L, 4)
+        policy, risk = best_integer_ss(pmfs, p)
+        want_policy, want_risk = double_loop_best_ss(pmfs, p)
+        assert policy == want_policy
+        assert risk == want_risk  # the same float, bit for bit
+
+    def test_empty_grid_rejected(self):
+        p = SystemParams(T=2, U=3.0, H=-1.0, Hlo=-2.0)
+        with pytest.raises(ValueError, match="empty"):
+            best_integer_ss([np.array([0.5, 0.5])] * 2, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_gap_curve_matches_enumeration(self, data):
+        # Parameters sit on a grid of quarters: the lattices compare S - s and
+        # x1 - s rounded, which can differ from simulate when they round to
+        # an integer (s = -1e-17, S = 1), so the differences must be exact.
+        def quarters(lo, hi):
+            return st.integers(4 * lo, 4 * hi).map(lambda k: k / 4)
+
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 1))
+        x1 = data.draw(quarters(-3, 2))
+        p = SystemParams(
+            T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 2.0)),
+            K=data.draw(st.floats(0.0, 3.0)), U=3.0, x1=x1,
+        )
+        pmfs = pmf_lists(data, T + L, 3)
+        top = max(x1, 0.0)
+        pairs = [
+            (top, top),  # gap 0; the period-1 order is empty when x1 >= 0
+            (top + 1.0, top + 1.0),  # gap 0: an order in every period with demand
+            (top + 0.5, top + 2.0),
+            (top + 0.25, top + 1.75),  # fractional gap and S
+        ]
+        for _ in range(data.draw(st.integers(0, 4))):
+            s = data.draw(quarters(-4, 5))
+            S = max(s, 0.0) + data.draw(quarters(0, 4))
+            pairs.append((s, S))
+        s_vals, S_vals = np.array(pairs).T
+        got = exact_ss_risks(s_vals, S_vals, pmfs, p)
+        for (s, S), risk in zip(pairs, got):
+            want = enumerate_product_risk(SsPolicy(s, S), pmfs, p)
+            assert risk == pytest.approx(want, rel=0, abs=1e-12), (s, S)

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stocklab.core import BaseStock, NonStationary, SystemParams
+from stocklab.core import BaseStock, Dataset, NonStationary, SystemParams
 from stocklab.demand import IIDNormal, InstanceHyper, draw
 from stocklab.emit import emit_results, write_records_csv
 from stocklab.experiments import (
@@ -17,6 +19,7 @@ from stocklab.experiments import (
     run_experiment,
     run_oos_vs_N,
 )
+from stocklab.fitters import erm_St
 
 
 def small_system(**kw):
@@ -89,9 +92,35 @@ class TestEvaluator:
         evaluator(NonStationary((12.0, 11.0, 10.0)))
         assert evaluator.eval_paths is None  # integer levels are scored exactly
         fractional = NonStationary((12.5, 11.0, 10.0))
-        risk = evaluator(fractional)
+        with pytest.warns(RuntimeWarning, match="Monte-Carlo"):
+            risk = evaluator(fractional)
         np.testing.assert_array_equal(evaluator.eval_paths, draw(model, 50, (7, 1)).as_matrix())
         assert risk == evaluator(fractional)
+
+    def test_monte_carlo_fallback_warns_once(self):
+        p = small_system()
+        model = IIDNormal(10.0, 5.0, 3)
+        D = draw(model, 10, 0).as_matrix()
+        integer_fit = erm_St(Dataset.from_matrix(D), p).policy
+        fractional_fit = erm_St(Dataset.from_matrix(D + 0.25), p).policy
+        assert all(v == int(v) for v in integer_fit.levels)
+        assert any(v != int(v) for v in fractional_fit.levels)
+        cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
+        evaluator = _Evaluator(model, p, cfg, (7, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluator(integer_fit)  # exact: no warning
+        with pytest.warns(RuntimeWarning) as caught:
+            evaluator(fractional_fit)
+            evaluator(fractional_fit)
+        assert len(caught) == 1
+        assert "NonStationary" in str(caught[0].message)
+        assert "estimated" in str(caught[0].message)
+        # Monte Carlo was asked for: no warning
+        mc = _Evaluator(model, p, replace(cfg, eval_mode="mc"), (7, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc(fractional_fit)
 
 
 class TestRunners:
