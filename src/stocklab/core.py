@@ -49,6 +49,14 @@ class SystemParams:
     Hlo: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("T", "L", "h", "b", "K", "U", "x1", "H", "Hlo"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{name} must be a number, got nan")
+        # H and Hlo may be infinite: an unbounded class is a legal bound
+        for name in ("h", "b", "K", "U", "x1"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.T < 1 or int(self.T) != self.T:
             raise ValueError(f"T must be an integer >= 1, got {self.T}")
         if self.L < 0 or int(self.L) != self.L:

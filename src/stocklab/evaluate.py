@@ -30,8 +30,9 @@ from .core import (
 from .demand import DemandModel, draw, marginal_pmfs, support_atoms
 
 
-# Cells (paths x levels) per sorted-prefix kernel call in base_stock_loss_matrix;
-# blocks of paths keep the kernel's temporaries to a few times this size.
+# Cells per kernel call: paths x levels in base_stock_loss_matrix, and
+# policies x paths x periods in the per-period grid oracle's chunks; blocks
+# keep each kernel's temporaries to a few times this size.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -142,24 +143,35 @@ def base_stock_loss(S: float, d: DemandSequence | Sequence[float], p: SystemPara
     return float(base_stock_loss_matrix([S], demands[None, :], p)[0, 0])
 
 
-def st_losses(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Loss of one per-period order-up-to policy on every row of D.
+def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Losses of many per-period order-up-to policies on every row of D.
 
-    Uses the running-max identity: the post-order position in period t is
-    max(x1, max_{t'' <= t} (S^{t''} + D[1, t''-1])) - D[1, t-1], so the level
-    after the period-t arrival is that maximum evaluated at t - L minus the
-    demand accumulated through t.
+    ``levels`` has one policy per row, shape (n_policies, T + L); the result
+    has shape (n_policies, N).  Uses the running-max identity: the post-order
+    position in period t is max(x1, max_{t'' <= t} (S^{t''} + D[1, t''-1]))
+    - D[1, t-1], so the level after the period-t arrival is that maximum
+    evaluated at t - L minus the demand accumulated through t.  Only periods
+    1 .. T order anything that arrives in time, so the last L levels are
+    never read.
     """
+    lv = np.asarray(levels, dtype=float)
     n, horizon = D.shape
+    if lv.ndim != 2 or lv.shape[1] != horizon:
+        raise ValueError(f"levels must have shape (n_policies, T + L = {horizon})")
     pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
-    scores = np.asarray(levels)[None, :] + pre[:, :horizon]
-    m = np.maximum.accumulate(np.maximum(scores, p.x1), axis=1)
-    ends = m[:, : p.T] - pre[:, p.L + 1 : horizon + 1]
-    total = cost_array(ends, p).sum(axis=1)
+    scores = lv[:, None, : p.T] + pre[None, :, : p.T]
+    m = np.maximum.accumulate(np.maximum(scores, p.x1), axis=2)
+    ends = m - pre[None, :, p.L + 1 : horizon + 1]
+    total = cost_array(ends, p).sum(axis=2)
     if p.K > 0:
-        prev = np.concatenate([np.full((n, 1), p.x1), m[:, : p.T - 1]], axis=1)
-        total += p.K * (m[:, : p.T] - prev > ORDER_EPS).sum(axis=1)
+        prev = np.concatenate([np.full((len(lv), n, 1), p.x1), m[:, :, : p.T - 1]], axis=2)
+        total += p.K * (m - prev > ORDER_EPS).sum(axis=2)
     return total / p.T
+
+
+def st_losses(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Loss of one per-period order-up-to policy on every row of D, shape (N,)."""
+    return st_losses_grid(np.asarray(levels, dtype=float)[None, :], D, p)[0]
 
 
 def ss_losses_grid(
@@ -263,6 +275,21 @@ def exact_base_stock_levels(pmfs: Sequence[np.ndarray], p: SystemParams) -> np.n
     return np.unique(np.append(cands, p.level_cap()))
 
 
+def _reorder_offsets(top: float | np.ndarray, s: float | np.ndarray) -> np.ndarray:
+    """Smallest integer k >= 0 with ``top - k <= s``, elementwise, as floats.
+
+    This is the offset at which an (s, S) policy first reorders from
+    position ``top`` on an integer demand lattice.  ``ceil(top - s)`` can be
+    one off when the difference rounds across an integer, so the candidate
+    is checked against the lattice positions themselves.
+    """
+    top = np.asarray(top, dtype=float)
+    s = np.asarray(s, dtype=float)
+    k = np.maximum(np.ceil(top - s), 0.0)
+    k = k + (top - k > s)
+    return k - ((k > 0) & (top - (k - 1) <= s))
+
+
 def exact_ss_risk(policy: SsPolicy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
     """Exact expected loss of an (s, S) policy under independent demands.
 
@@ -271,27 +298,23 @@ def exact_ss_risk(policy: SsPolicy, pmfs: Sequence[np.ndarray], p: SystemParams)
     offsets from S afterwards.  Handles fractional s and S.
     """
     umax = max(len(f) for f in pmfs) - 1
-    delta = policy.delta
-    # first-order threshold on the pre-order lattice: order once cum >= x1 - s
-    pre_thresh = p.x1 - policy.s
-    pre_size = (0 if pre_thresh <= 0 else int(math.ceil(pre_thresh))) + umax + 1
-    post_size = int(math.ceil(delta)) + umax + 1
+    pre_size = int(_reorder_offsets(p.x1, policy.s)) + umax + 1
+    post_size = int(_reorder_offsets(policy.S, policy.s)) + umax + 1
     pre = np.zeros(pre_size)
     pre[0] = 1.0
     post = np.zeros(post_size)
     pre_levels = p.x1 - np.arange(pre_size)
     post_levels = policy.S - np.arange(post_size)
     total = 0.0
-    cum_pre = np.arange(pre_size)
-    order_from_pre = cum_pre >= pre_thresh
-    cum_post = np.arange(post_size)
-    order_from_post = cum_post >= delta
+    # a state reorders when its position is at or below s, as in simulate
+    order_from_pre = pre_levels <= policy.s
+    order_from_post = post_levels <= policy.s
     for t in range(1, p.T + 1):
         moved = pre[order_from_pre].sum()
         reordered = post[order_from_post].sum()
         if p.K > 0:
             # charge only states whose order size S - position exceeds the dust
-            # threshold (at delta == 0 the lattice point 0 sits exactly at S)
+            # threshold (at s == S the lattice point 0 sits exactly at S)
             charged = pre[order_from_pre & (policy.S - pre_levels > ORDER_EPS)].sum()
             charged += post[order_from_post & (policy.S - post_levels > ORDER_EPS)].sum()
             total += p.K * charged
@@ -304,8 +327,9 @@ def exact_ss_risk(policy: SsPolicy, pmfs: Sequence[np.ndarray], p: SystemParams)
         if pre_now.any():
             total += float(_expected_cost_of_level(pre_levels, lp, p) @ pre_now)
         total += float(_expected_cost_of_level(post_levels, lp, p) @ post_now)
-        # demand transition; remaining states sit strictly below their order
-        # thresholds, so one period of demand cannot escape either lattice
+        # demand transition; remaining states sit above s, before their
+        # lattice's first reorder offset, so one period of demand cannot
+        # escape either lattice
         f = pmfs[t - 1]
         pre = np.convolve(pre_now, f)[:pre_size]
         post = np.convolve(post_now, f)[:post_size]
@@ -367,7 +391,8 @@ def exact_ss_risks(
 
     A policy with ``s >= x1`` orders up to S in period 1, after which its
     mass lives on offsets below S that move the same way for every S with
-    the same ``ceil(S - s)``.  Those policies share one propagation per gap:
+    the same first reorder offset (the smallest integer k with S - k <= s).
+    Those policies share one propagation per gap:
     the per-period lead-demand pmfs are folded into one distribution over
     offset plus lead demand, which prices every S at once.  Their risks may
     differ from :func:`exact_ss_risk`'s in the last bits, since the terms add
@@ -383,8 +408,8 @@ def exact_ss_risks(
     early = s >= p.x1
     for i in np.flatnonzero(~early):
         risks[i] = exact_ss_risk(SsPolicy(float(s[i]), float(S[i])), pmfs, p)
-    # the lattice sees a gap only through which integer offsets reach it
-    gaps = np.ceil(S - s)
+    # the lattice sees a gap only through the first offset that reorders
+    gaps = _reorder_offsets(S, s)
     lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
     for gap in np.unique(gaps[early]):
         sel = early & (gaps == gap)
@@ -396,7 +421,8 @@ def _gap_risks(
     gap: int, S: np.ndarray, pmfs: Sequence[np.ndarray], lps: list[np.ndarray],
     p: SystemParams,
 ) -> np.ndarray:
-    """Risks of the levels S of (s, S) policies with x1 <= s and ceil(S - s) = gap."""
+    """Risks of the levels S of (s, S) policies with x1 <= s and first reorder
+    offset ``gap``."""
     umax = max(len(f) for f in pmfs) - 1
     size = gap + umax + 1
     post = np.zeros(size)

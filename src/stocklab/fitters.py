@@ -30,6 +30,7 @@ from .core import (
 )
 from .demand import make_rng
 from .evaluate import (
+    _BLOCK_CELLS,
     base_stock_kinks,
     base_stock_risk_curve,
     dataset_risk,
@@ -37,6 +38,7 @@ from .evaluate import (
     sorted_prefix_costs,
     ss_losses_grid,
     st_losses,
+    st_losses_grid,
 )
 
 
@@ -438,6 +440,13 @@ def grid_oracle(
 
     ``policy_class`` is one of ``base-stock``, ``ss``, ``st``.  Raises
     BudgetError when the grid would exceed ``budget`` points.
+
+    For ``st`` the grid has ``len(axis) ** (T + L)`` points, but the last L
+    levels never reach the loss, so only the first T are enumerated, in
+    ``itertools.product`` order, and the last L stay at the grid's first
+    point.  Combinations are scored in chunks of at most ``_BLOCK_CELLS``
+    policy x path x period cells by one broadcast kernel, and the first
+    minimum wins: the same pick as scanning every point in product order.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -466,21 +475,26 @@ def grid_oracle(
         policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
         count = len(s_vals)
     elif policy_class == "st":
-        import itertools
-
         hi = p.level_cap()
         axis = np.arange(0.0, hi + step / 2, step)
-        if len(axis) ** p.horizon > budget:
-            raise BudgetError("per-period grid exceeds budget")
-        best_combo = None
-        best_risk = math.inf
-        for combo in itertools.product(axis, repeat=p.horizon):
-            risk = float(st_losses(np.asarray(combo), D, p).mean())
-            if risk < best_risk - 0.0:
-                best_risk = risk
-                best_combo = combo
-        policy = NonStationary(best_combo)
         count = len(axis) ** p.horizon
+        if count > budget:
+            raise BudgetError("per-period grid exceeds budget")
+        shape = (len(axis),) * p.T
+        n_combos = len(axis) ** p.T
+        chunk = max(1, _BLOCK_CELLS // (len(D) * p.T))
+        best_levels = None
+        best_risk = math.inf
+        for lo in range(0, n_combos, chunk):
+            codes = np.arange(lo, min(lo + chunk, n_combos))
+            levels = np.full((len(codes), p.horizon), axis[0])
+            levels[:, : p.T] = axis[np.stack(np.unravel_index(codes, shape), axis=1)]
+            risks = st_losses_grid(levels, D, p).mean(axis=1)
+            j = int(np.argmin(risks))
+            if risks[j] < best_risk:
+                best_risk = risks[j]
+                best_levels = levels[j]
+        policy = NonStationary(tuple(best_levels))
     else:
         raise ValueError(f"unknown policy class {policy_class!r}")
 

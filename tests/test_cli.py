@@ -83,6 +83,16 @@ class TestFit:
         assert captured.out == ""
         assert captured.err.strip() == "error: demands must be finite numbers"
 
+    @pytest.mark.parametrize("flag,value", [("--h", "nan"), ("--b", "inf"),
+                                            ("--K", "nan"), ("--x1", "nan")])
+    def test_non_finite_parameter_rejected(self, demand_csv, capsys, flag, value):
+        assert main(["fit", "--class", "base-stock", "--data", demand_csv,
+                     "--T", "2", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag[2:]} must be ")
+
     def test_empty_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,21 @@ class TestValidation:
             SystemParams(T=1, U=0.0)
         with pytest.raises(ValueError):
             SystemParams(T=1, h=-0.5)
+
+    @pytest.mark.parametrize("name", ["h", "b", "K", "U", "x1", "H", "Hlo"])
+    def test_nan_parameter_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            SystemParams(T=1, **{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["h", "b", "K", "U", "x1"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SystemParams(T=1, **{name: value})
+
+    def test_infinite_upper_bound_accepted(self):
+        # the shattering constructions leave the order-up-to class unbounded
+        assert SystemParams(T=2, H=math.inf, Hlo=-1.0).level_cap() == math.inf
 
     def test_policy_structure(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from stocklab.evaluate import (
     policy_losses,
     ss_losses_grid,
     st_losses,
+    st_losses_grid,
 )
 from stocklab.fitters import erm_base_stock
 
@@ -98,6 +99,42 @@ class TestBatchLossesMatchSimulate:
         got = st_losses(levels, D, p)[0]
         want = simulate(NonStationary(tuple(levels)), D[0], p, unchecked=True).avg_loss
         assert got == pytest.approx(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_st_grid_rows_match_simulate(self, data):
+        # levels and demands sit on a grid of 1/64, so no order is dust-sized
+        # and simulate drops none of them
+        def sixty_fourths(hi):
+            return st.integers(0, 64 * hi).map(lambda k: k / 64)
+
+        T = data.draw(st.integers(1, 5))
+        L = data.draw(st.integers(0, 2))
+        p = SystemParams(
+            T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 2.0)),
+            K=data.draw(st.one_of(st.just(0.0), st.floats(0.01, 4.0))), U=4.0,
+            x1=-data.draw(sixty_fourths(2)),
+        )
+        n = data.draw(st.integers(1, 4))
+        cell = st.one_of(st.integers(0, 4).map(float), sixty_fourths(4))
+        D = np.asarray(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))))
+        D = D.reshape(n, T + L)
+        n_pol = data.draw(st.integers(1, 5))
+        cap = int(p.level_cap())
+        levels = np.asarray(data.draw(st.lists(
+            sixty_fourths(cap), min_size=n_pol * (T + L), max_size=n_pol * (T + L),
+        ))).reshape(n_pol, T + L)
+        got = st_losses_grid(levels, D, p)
+        assert got.shape == (n_pol, n)
+        for row, lv in zip(got, levels):
+            np.testing.assert_array_equal(row, st_losses(lv, D, p))
+            want = [simulate(NonStationary(tuple(lv)), d, p).avg_loss for d in D]
+            assert row == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_st_grid_rejects_width_mismatch(self):
+        p = SystemParams(T=2, L=1)
+        with pytest.raises(ValueError, match="shape"):
+            st_losses_grid(np.zeros((3, 2)), np.zeros((4, 3)), p)
 
     def test_dataset_risk_matches_mean(self):
         rng = np.random.default_rng(3)
@@ -313,12 +350,22 @@ class TestExactSsSearch:
         with pytest.raises(ValueError, match="empty"):
             best_integer_ss([np.array([0.5, 0.5])] * 2, p)
 
+    def test_reorder_decided_by_position_not_rounded_gap(self):
+        # S - s rounds to 1.0, but the position S - 1 = 0 stays above s, so
+        # simulate places no second order
+        p = SystemParams(T=2, L=0, h=0.0, b=0.0, K=1.0, x1=-2.0)
+        pmfs = [np.array([0.5, 0.5]), np.array([1.0])]
+        policy = SsPolicy(-3e-17, 1.0)
+        want = enumerate_product_risk(policy, pmfs, p)
+        assert want == 0.5
+        assert exact_ss_risk(policy, pmfs, p) == want
+        assert exact_ss_risks(np.array([policy.s]), np.array([policy.S]), pmfs, p)[0] == want
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_gap_curve_matches_enumeration(self, data):
-        # Parameters sit on a grid of quarters: the lattices compare S - s and
-        # x1 - s rounded, which can differ from simulate when they round to
-        # an integer (s = -1e-17, S = 1), so the differences must be exact.
+        # x1 and S sit on a grid of quarters, so every lattice position
+        # (x1 - k, S - k) is exact and agrees with simulate's; s is any float.
         def quarters(lo, hi):
             return st.integers(4 * lo, 4 * hi).map(lambda k: k / 4)
 
@@ -338,8 +385,8 @@ class TestExactSsSearch:
             (top + 0.25, top + 1.75),  # fractional gap and S
         ]
         for _ in range(data.draw(st.integers(0, 4))):
-            s = data.draw(quarters(-4, 5))
-            S = max(s, 0.0) + data.draw(quarters(0, 4))
+            s = data.draw(st.floats(-4.0, 5.0))
+            S = math.ceil(4 * max(s, 0.0)) / 4 + data.draw(quarters(0, 4))
             pairs.append((s, S))
         s_vals, S_vals = np.array(pairs).T
         got = exact_ss_risks(s_vals, S_vals, pmfs, p)

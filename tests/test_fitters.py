@@ -1,13 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stocklab.core import (
     BaseStock,
     BudgetError,
     Dataset,
+    NonStationary,
     SystemParams,
     simulate,
 )
+from stocklab import fitters
+from stocklab.evaluate import st_losses
 
 from stocklab.fitters import (
     StOptions,
@@ -259,6 +266,25 @@ class TestErmSt:
         assert res.in_sample_risk == pytest.approx(want, abs=1e-9)
 
 
+def product_loop_st(data, step, p):
+    """grid_oracle("st") by one st_losses call per combination of all T + L
+    levels in itertools.product order; the first strict minimum wins."""
+    D = data.as_matrix()
+    axis = np.arange(0.0, p.level_cap() + step / 2, step)
+    best_combo, best_risk = None, np.inf
+    for combo in itertools.product(axis, repeat=p.horizon):
+        risk = float(st_losses(np.asarray(combo), D, p).mean())
+        if risk < best_risk:
+            best_combo, best_risk = combo, risk
+    policy = NonStationary(best_combo)
+    return fitters.FitResult(
+        policy=policy,
+        in_sample_risk=float(st_losses(policy.as_array(), D, p).mean()),
+        method="grid-oracle",
+        diagnostics={"candidate_count": len(axis) ** p.horizon, "step": step},
+    )
+
+
 class TestGridOracle:
     def test_trivial_examples(self):
         data = Dataset.from_matrix([[3.0, 7.0]])
@@ -272,6 +298,38 @@ class TestGridOracle:
         st = grid_oracle(data, "st", 1.0, p)
         base = grid_oracle(data, "base-stock", 1.0, p)
         assert st.in_sample_risk == pytest.approx(base.in_sample_risk)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_st_matches_product_loop(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        p = params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                   b=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
+                   K=data.draw(st.sampled_from([0.0, 0.5, 2.0])), U=2.0,
+                   x1=-float(data.draw(st.integers(0, 2))),
+                   H=float(data.draw(st.integers(1, 3))))
+        n = data.draw(st.integers(1, 4))
+        cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 3.0))
+        D = np.asarray(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))))
+        dataset = Dataset.from_matrix(D.reshape(n, T + L))
+        step = data.draw(st.sampled_from([0.5, 1.0]))
+        got = grid_oracle(dataset, "st", step, p)
+        want = product_loop_st(dataset, step, p)
+        assert got.policy == want.policy
+        assert got.in_sample_risk == want.in_sample_risk  # the same float
+        assert got.diagnostics == want.diagnostics
+
+    def test_st_chunks_match_one_chunk(self, monkeypatch):
+        # h = 0 makes every high enough combination tie at risk 0, so the
+        # earliest one must win across chunk boundaries
+        data = Dataset.from_matrix([[1.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.5, 1.0, 0.5]])
+        p = params(T=2, L=1, h=0.0, b=2.0, U=3.0, H=3.0)
+        whole = grid_oracle(data, "st", 0.5, p)
+        monkeypatch.setattr(fitters, "_BLOCK_CELLS", 20)  # chunks of 3 combinations
+        chunked = grid_oracle(data, "st", 0.5, p)
+        assert chunked == whole
+        assert chunked == product_loop_st(data, 0.5, p)
 
     def test_budget(self):
         data = Dataset.from_matrix([[1.0] * 8])
