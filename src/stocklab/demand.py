@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import Dataset, SystemParams
 
@@ -180,13 +179,19 @@ def draw(model: DemandModel, n: int, seed: int | tuple[int, ...]) -> Dataset:
 
 
 def truncated_normal_pmf(mu: float, sigma: float, cap: int) -> np.ndarray:
-    """Probability mass over {0, ..., cap} of a clamped-and-rounded normal."""
+    """Probability mass over {0, ..., cap} of a clamped-and-rounded normal.
+
+    The normal cdf is ``scipy.special.ndtr``, imported here so that importing
+    stocklab does not load ``scipy.stats``.
+    """
     if sigma == 0:
         pmf = np.zeros(cap + 1)
         pmf[int(np.rint(np.clip(mu, 0, cap)))] = 1.0
         return pmf
+    from scipy.special import ndtr
+
     edges = np.arange(cap + 2) - 0.5
-    cdf = norm.cdf(edges, loc=mu, scale=sigma)
+    cdf = ndtr((edges - mu) / sigma)
     pmf = np.diff(cdf)
     pmf[0] = cdf[1]
     pmf[-1] = 1.0 - cdf[-2]

@@ -8,7 +8,6 @@ classes fall back to a parameter grid and are flagged approximate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +22,8 @@ from .evaluate import (
     exact_base_stock_levels,
     exact_base_stock_risk,
     ss_losses_grid,
-    st_losses,
+    st_level_grid,
+    st_losses_grid,
 )
 
 
@@ -148,13 +148,14 @@ def ge_estimate(
             axis = np.arange(0.0, hi + grid_step / 2, grid_step)
             if len(axis) ** p.horizon > grid_budget:
                 raise BudgetError("per-period grid exceeds budget")
+            # the last L levels never reach the loss, so the first T span every gap
             best = -math.inf
-            for combo in itertools.product(axis, repeat=p.horizon):
-                lv = np.asarray(combo)
-                gap = float(
-                    st_losses(lv, D_eval, p).mean() - st_losses(lv, D, p).mean()
+            for levels in st_level_grid(axis, p, max(len(D), len(D_eval))):
+                gaps = (
+                    st_losses_grid(levels, D_eval, p).mean(axis=1)
+                    - st_losses_grid(levels, D, p).mean(axis=1)
                 )
-                best = max(best, gap)
+                best = max(best, float(gaps.max()))
             values.append(best)
         else:
             raise ValueError(f"unknown policy class {policy_class!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -169,6 +169,24 @@ def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.nda
     return total / p.T
 
 
+def st_level_grid(axis: np.ndarray, p: SystemParams, n_paths: int) -> Iterator[np.ndarray]:
+    """Every per-period policy with levels on ``axis``, in chunks for ``st_losses_grid``.
+
+    Only the first T levels reach the loss, so only they are enumerated, in
+    ``itertools.product`` order; the last L stay at ``axis[0]``.  Each chunk
+    of shape (n_policies, T + L) scores in at most ``_BLOCK_CELLS`` policy x
+    path x period cells on ``n_paths`` paths.
+    """
+    shape = (len(axis),) * p.T
+    n_combos = len(axis) ** p.T
+    chunk = max(1, _BLOCK_CELLS // (n_paths * p.T))
+    for lo in range(0, n_combos, chunk):
+        codes = np.arange(lo, min(lo + chunk, n_combos))
+        levels = np.full((len(codes), p.horizon), axis[0])
+        levels[:, : p.T] = axis[np.stack(np.unravel_index(codes, shape), axis=1)]
+        yield levels
+
+
 def st_losses(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
     """Loss of one per-period order-up-to policy on every row of D, shape (N,)."""
     return st_losses_grid(np.asarray(levels, dtype=float)[None, :], D, p)[0]
@@ -190,14 +208,27 @@ def ss_losses_grid(
     pos = np.full((n_pol, n), float(p.x1))
     total = np.zeros((n_pol, n))
     csum = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
+    # two work buffers serve every period: fresh temporaries of this size in
+    # each period are returned to the OS and faulted back in
+    work = np.empty((n_pol, n))
+    cost = np.empty((n_pol, n))
     for t in range(1, p.T + 1):
-        order = (pos <= s) & (S - pos > ORDER_EPS)
+        np.subtract(S, pos, out=work)
+        order = (pos <= s) & (work > ORDER_EPS)
         post = np.where(order, S, pos)
         lead = (csum[:, t + p.L] - csum[:, t - 1])[None, :]
-        total += cost_array(post - lead, p)
+        # total += cost_array(post - lead, p), term by term in place
+        np.subtract(post, lead, out=work)
+        np.maximum(work, 0.0, out=cost)
+        cost *= p.h
+        np.minimum(work, 0.0, out=work)
+        work *= p.b
+        cost -= work
+        total += cost
         if p.K > 0:
-            total += p.K * order
-        pos = post - D[:, t - 1][None, :]
+            np.multiply(order, p.K, out=cost)
+            total += cost
+        np.subtract(post, D[:, t - 1][None, :], out=pos)
     return total / p.T
 
 

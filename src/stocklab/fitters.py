@@ -30,13 +30,13 @@ from .core import (
 )
 from .demand import make_rng
 from .evaluate import (
-    _BLOCK_CELLS,
     base_stock_kinks,
     base_stock_risk_curve,
     dataset_risk,
     lead_demand_sums,
     sorted_prefix_costs,
     ss_losses_grid,
+    st_level_grid,
     st_losses,
     st_losses_grid,
 )
@@ -63,6 +63,14 @@ class StOptions:
     jitter: float | None = None  # default: 5% of the level cap
 
 
+def _fit_cap(p: SystemParams) -> float:
+    """The level cap H, which a fit over levels in [0, H] needs finite and >= 0."""
+    cap = p.level_cap()
+    if not 0.0 <= cap < math.inf:
+        raise ValueError(f"fitting needs a finite level cap H >= 0, got {cap}")
+    return cap
+
+
 # ---------------------------------------------------------------------------
 # stationary base-stock
 # ---------------------------------------------------------------------------
@@ -76,6 +84,7 @@ def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     the interval endpoints; ties go to the smallest level.
     """
     D = demand_matrix(data, p)
+    _fit_cap(p)
     cands = base_stock_kinks(D, p)
     best = int(np.argmin(base_stock_risk_curve(cands, D, p)))
     policy = BaseStock(float(cands[best]))
@@ -115,7 +124,7 @@ def fit_level_fixed_gap(data: Dataset, p: SystemParams, delta: float) -> FitResu
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     D = demand_matrix(data, p)
-    hi = p.level_cap() + delta
+    hi = _fit_cap(p) + delta
     cands = [np.array([0.0, hi])]
     for row in D:
         sums = _contiguous_sums(row)
@@ -297,64 +306,77 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_minimum(
-    S: np.ndarray,
+def _coordinate_minima(
+    levels: np.ndarray,
     t: int,
-    D: np.ndarray,
+    head: np.ndarray,
     pre: np.ndarray,
     p: SystemParams,
     cap: float,
-) -> float:
-    """Exact minimizer over [0, cap] of the empirical risk in coordinate t.
+) -> np.ndarray:
+    """Exact minimizer over [0, cap] of each restart's empirical risk in coordinate t.
 
-    Each charged period t̂ >= t + L contributes a piece that is flat until
-    the coordinate's score overtakes the running maximum of the other
-    levels, then follows the one-period cost; the total is piecewise linear,
-    so it is minimized by sweeping its slope-change events.
+    ``levels`` holds one restart per row, shape (R, T + L), and ``head`` each
+    restart's running maximum of S^i + D[1, i-1] over the periods i < t,
+    shape (R, N).  Each charged period t̂ >= t + L contributes a piece that
+    is flat until the coordinate's score overtakes the running maximum of
+    the other levels, then follows the one-period cost; the total is
+    piecewise linear, so it is minimized by sweeping its slope-change events.
+    Events at or beyond the cap can never be picked, so they are dropped
+    before the sort; each row's remaining events are padded at the cap with
+    zero slope change, which leaves its running sums unchanged.
     """
-    n, horizon = D.shape
-    scores = S[None, :] + pre[:, :horizon]
-    scores[:, t - 1] = -np.inf
-    run = np.maximum.accumulate(scores, axis=1)
-    G = np.maximum(run[:, t - 1 : p.T], p.x1)  # order periods j = t .. T
+    R = len(levels)
+    scale = pre.shape[0] * p.T
+    # running max over the order periods j = t .. T of x1, the earlier
+    # periods' scores and the later ones'
+    later = levels[:, None, t : p.T] + pre[None, :, t : p.T]
+    G = np.maximum.accumulate(
+        np.concatenate([np.maximum(head, p.x1)[:, :, None], later], axis=2), axis=2
+    )
     A = pre[:, t - 1][:, None]
     W = pre[:, t + p.L : p.T + p.L + 1]
-    v1 = (G - A).ravel()
-    v2 = (W - A).ravel()
-    scale = n * p.T
-
-    base = float(
-        (
-            p.h * np.maximum(np.maximum(G, A) - W, 0.0)
-            - p.b * np.minimum(np.maximum(G, A) - W, 0.0)
-        ).sum()
+    gap = np.maximum(G, A) - W
+    base = (p.h * np.maximum(gap, 0.0) - p.b * np.minimum(gap, 0.0)).reshape(R, -1).sum(
+        axis=1
     ) / scale
 
+    # every event of a path's period lies at or above its v1 = G - A, which
+    # rises along the periods, so periods from the first one whose v1 reaches
+    # the cap on every row and path hold no event that can be picked
+    v1 = G - A
+    m = int(np.searchsorted(v1.min(axis=(0, 1)), cap))
+    v1 = v1[:, :, :m].reshape(R, -1)
+    v2 = np.broadcast_to((W - A)[:, :m].ravel(), v1.shape)
+    # events: sloped v1, sloped v2, unsloped v1, each in path-major order
     sloped = v1 < v2
-    positions = np.concatenate([v1[sloped], v2[sloped], v1[~sloped]])
-    deltas = np.concatenate(
-        [
-            np.full(sloped.sum(), -p.b),
-            np.full(sloped.sum(), p.b + p.h),
-            np.full((~sloped).sum(), p.h),
-        ]
-    ) / scale
+    positions = np.concatenate([v1, v2, v1], axis=1)
+    keep = np.concatenate([sloped, sloped, ~sloped], axis=1) & (positions < cap)
+    deltas = np.repeat(np.array([-p.b, p.b + p.h, p.h]) / scale, v1.shape[1])
+    counts = keep.sum(axis=1)
+    filled = np.arange(counts.max(initial=0))[None, :] < counts[:, None]
+    pos = np.full(filled.shape, cap)
+    pos[filled] = positions[keep]
+    step = np.zeros(filled.shape)
+    step[filled] = np.broadcast_to(deltas, keep.shape)[keep]
 
-    order = np.argsort(positions, kind="stable")
-    positions = positions[order]
-    deltas = deltas[order]
-    start = int(np.searchsorted(positions, 0.0, side="right"))
-    stop = int(np.searchsorted(positions, cap, side="left"))
-    slope0 = float(deltas[:start].sum())
-    inner = positions[start:stop]
-    pts = np.concatenate([[0.0], inner, [cap]])
-    slopes = slope0 + np.concatenate([[0.0], np.cumsum(deltas[start:stop])])
-    values = base + np.concatenate([[0.0], np.cumsum(slopes * np.diff(pts))])
-    return float(pts[int(np.argmin(values))])
-
-
-def _st_risk(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> float:
-    return float(st_losses(levels, D, p).mean())
+    order = np.argsort(pos, axis=1, kind="stable")
+    rows = np.arange(R)[:, None]
+    pos = pos[rows, order]
+    step = step[rows, order]
+    start = np.minimum((pos <= 0.0).sum(axis=1), counts)
+    # the slope at 0 sums each row's first events in sorted order
+    slope0 = np.array([step[r, : start[r]].sum() for r in range(R)])
+    lead = np.arange(pos.shape[1])[None, :] < start[:, None]
+    zero = np.zeros((R, 1))
+    pts = np.concatenate([zero, np.where(lead, 0.0, pos), np.full((R, 1), cap)], axis=1)
+    slopes = slope0[:, None] + np.concatenate(
+        [zero, np.cumsum(np.where(lead, 0.0, step), axis=1)], axis=1
+    )
+    values = base[:, None] + np.concatenate(
+        [zero, np.cumsum(slopes * np.diff(pts, axis=1), axis=1)], axis=1
+    )
+    return pts[np.arange(R), np.argmin(values, axis=1)]
 
 
 def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> FitResult:
@@ -365,13 +387,19 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     restarts start from per-period critical-fractile quantiles of lead-time
     demand plus seeded uniform jitter.  Each coordinate step is an exact
     line minimization, so every sweep is monotone.
+
+    The restarts share one leading axis: every sweep runs one batched line
+    search per coordinate over the restarts still descending, and a restart
+    leaves that set at the sweep where its risk improves by less than
+    ``tol``.  The best restart is the first with the smallest final risk;
+    ``sweeps`` counts the sweeps of all restarts.
     """
     if p.K != 0:
         raise ValueError("per-period-level fitting requires K = 0")
     opts = opts or StOptions()
     D = demand_matrix(data, p)
     n, horizon = D.shape
-    cap = p.level_cap()
+    cap = _fit_cap(p)
     pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
 
     fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
@@ -386,38 +414,35 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
             np.clip(quantiles + rng.uniform(-jitter, jitter, p.T), 0.0, cap)
         )
 
-    best_levels: np.ndarray | None = None
-    best_risk = math.inf
-    converged = False
+    levels = np.zeros((len(starts), horizon))
+    levels[:, : p.T] = np.clip(starts, 0.0, cap)
+    risk = st_losses_grid(levels, D, p).mean(axis=1)
+    converged = np.zeros(len(starts), dtype=bool)
+    live = np.arange(len(starts))
     sweeps_used = 0
-    for start in starts:
-        levels = np.zeros(horizon)
-        levels[: p.T] = np.clip(start, 0.0, cap)
-        risk = _st_risk(levels, D, p)
-        ok = False
-        for sweep in range(opts.max_sweeps):
-            for t in range(1, p.T + 1):
-                levels[t - 1] = _coordinate_minimum(levels, t, D, pre, p, cap)
-            new_risk = _st_risk(levels, D, p)
-            sweeps_used += 1
-            if risk - new_risk < opts.tol:
-                risk = min(risk, new_risk)
-                ok = True
-                break
-            risk = new_risk
-        if risk < best_risk:
-            best_risk = risk
-            best_levels = levels.copy()
-            converged = ok
-    assert best_levels is not None
-    policy = NonStationary(tuple(best_levels))
+    for _ in range(opts.max_sweeps):
+        if not len(live):
+            break
+        cur = levels[live]
+        head = np.full((len(live), n), -np.inf)  # running max of periods < t
+        for t in range(1, p.T + 1):
+            cur[:, t - 1] = _coordinate_minima(cur, t, head, pre, p, cap)
+            head = np.maximum(head, cur[:, t - 1 : t] + pre[None, :, t - 1])
+        levels[live] = cur
+        new_risk = st_losses_grid(cur, D, p).mean(axis=1)
+        sweeps_used += len(live)
+        done = risk[live] - new_risk < opts.tol
+        risk[live] = np.where(done, np.minimum(risk[live], new_risk), new_risk)
+        converged[live[done]] = True
+        live = live[~done]
+    best = int(np.argmin(risk))
     return FitResult(
-        policy=policy,
-        in_sample_risk=dataset_risk(policy, data, p),
+        policy=NonStationary(tuple(levels[best])),
+        in_sample_risk=float(st_losses(levels[best], D, p).mean()),
         method="coordinate-descent",
         diagnostics={
             "restarts": len(starts),
-            "converged": converged,
+            "converged": bool(converged[best]),
             "sweeps": sweeps_used,
             "tol": opts.tol,
         },
@@ -442,18 +467,17 @@ def grid_oracle(
     BudgetError when the grid would exceed ``budget`` points.
 
     For ``st`` the grid has ``len(axis) ** (T + L)`` points, but the last L
-    levels never reach the loss, so only the first T are enumerated, in
-    ``itertools.product`` order, and the last L stay at the grid's first
-    point.  Combinations are scored in chunks of at most ``_BLOCK_CELLS``
-    policy x path x period cells by one broadcast kernel, and the first
-    minimum wins: the same pick as scanning every point in product order.
+    levels never reach the loss, so :func:`st_level_grid` enumerates the
+    first T in ``itertools.product`` order, in chunks scored by one
+    broadcast kernel each, and the first minimum wins: the same pick as
+    scanning every point in product order.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     D = demand_matrix(data, p)
 
     if policy_class == "base-stock":
-        hi = p.level_cap()
+        hi = _fit_cap(p)
         grid = np.arange(0.0, hi + step / 2, step)
         if len(grid) > budget:
             raise BudgetError("base-stock grid exceeds budget")
@@ -475,20 +499,14 @@ def grid_oracle(
         policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
         count = len(s_vals)
     elif policy_class == "st":
-        hi = p.level_cap()
+        hi = _fit_cap(p)
         axis = np.arange(0.0, hi + step / 2, step)
         count = len(axis) ** p.horizon
         if count > budget:
             raise BudgetError("per-period grid exceeds budget")
-        shape = (len(axis),) * p.T
-        n_combos = len(axis) ** p.T
-        chunk = max(1, _BLOCK_CELLS // (len(D) * p.T))
         best_levels = None
         best_risk = math.inf
-        for lo in range(0, n_combos, chunk):
-            codes = np.arange(lo, min(lo + chunk, n_combos))
-            levels = np.full((len(codes), p.horizon), axis[0])
-            levels[:, : p.T] = axis[np.stack(np.unravel_index(codes, shape), axis=1)]
+        for levels in st_level_grid(axis, p, len(D)):
             risks = st_losses_grid(levels, D, p).mean(axis=1)
             j = int(np.argmin(risks))
             if risks[j] < best_risk:

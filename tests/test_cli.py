@@ -93,6 +93,14 @@ class TestFit:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag[2:]} must be ")
 
+    @pytest.mark.parametrize("cls", ["base-stock", "eoq", "st"])
+    def test_infinite_level_cap_rejected(self, demand_csv, capsys, cls):
+        assert main(["fit", "--class", cls, "--data", demand_csv, "--T", "2",
+                     "--H", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: fitting needs a finite level cap H >= 0, got inf"
+
     def test_empty_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import stocklab
 from stocklab.core import SystemParams
 from stocklab.demand import (
     CorrelatedNormalSupport,
@@ -64,6 +71,28 @@ def test_truncated_rounded_mean_against_quadrature():
 
     sample = draw(IIDNormal(mu, sigma, 1, cap=cap), 100_000, seed=9).as_matrix()
     assert abs(sample.mean() - expected) < 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.floats(-5.0, 25.0), sigma=st.floats(1e-3, 15.0), cap=st.integers(1, 40))
+def test_pmf_matches_scipy_stats_formulation(mu, sigma, cap):
+    # the cdf formerly came from scipy.stats; the pmfs must not move by a bit
+    edges = np.arange(cap + 2) - 0.5
+    cdf = norm.cdf(edges, loc=mu, scale=sigma)
+    want = np.diff(cdf)
+    want[0] = cdf[1]
+    want[-1] = 1.0 - cdf[-2]
+    got = truncated_normal_pmf(mu, sigma, cap)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the child imports the same stocklab as this process
+    root = os.path.dirname(os.path.dirname(stocklab.__file__))
+    code = "import sys, stocklab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=root, env={**os.environ, "PYTHONPATH": root})
+    assert out.stdout.strip() == "False"
 
 
 def test_pmf_sums_to_one():

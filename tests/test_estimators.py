@@ -1,8 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stocklab import evaluate
 from stocklab.core import BaseStock, Dataset, SystemParams, simulate
-from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw
+from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw, support_atoms
+from stocklab.evaluate import st_losses
 from stocklab.estimators import (
     base_stock_kinks,
     base_stock_loss_matrix,
@@ -125,5 +132,57 @@ class TestGeEstimate:
                           eval_samples=200)
         assert not rep.exact_sup
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_st_matches_product_loop(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        p = params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                   b=data.draw(st.sampled_from([0.0, 1.0, 3.0])), U=3.0,
+                   x1=-float(data.draw(st.integers(0, 2))),
+                   H=float(data.draw(st.integers(1, 2))))
+        if data.draw(st.booleans()):
+            cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 3.0))
+            atoms = data.draw(st.lists(st.tuples(*[cell] * (T + L)), min_size=1, max_size=4))
+            model = FiniteSupport(tuple(atoms))
+        else:
+            model = IIDNormal(1.5, 1.0, T + L, cap=3.0, integerize=data.draw(st.booleans()))
+        step = data.draw(st.sampled_from([0.5, 1.0]))
+        kw = dict(policy_class="st", reps=2, eval_samples=30, grid_step=step,
+                  seed=data.draw(st.integers(0, 9)))
+        n_train = data.draw(st.integers(1, 4))
+        got = ge_estimate(model, n_train, p, **kw)
+        want = product_loop_ge_st(model, n_train, p, **kw)
+        assert [v.hex() for v in got.values] == [v.hex() for v in want]
+
+    def test_st_chunks_match_one_chunk(self, monkeypatch):
+        p = params(T=2, L=1, h=0.5, b=2.0, U=3.0, H=2.0)
+        model = IIDNormal(1.5, 1.0, 3, cap=3.0)
+        kw = dict(policy_class="st", reps=3, eval_samples=40, grid_step=0.5, seed=4)
+        whole = ge_estimate(model, 3, p, **kw)
+        # 120 cells over 40 eval paths x 2 periods: one combination per chunk
+        monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 120)
+        chunked = ge_estimate(model, 3, p, **kw)
+        assert chunked == whole
+        assert list(chunked.values) == product_loop_ge_st(model, 3, p, **kw)
+
     def test_regression_slope(self):
         assert regression_slope([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == pytest.approx(2.0)
+
+
+def product_loop_ge_st(model, n_train, p, policy_class, reps, eval_samples, grid_step, seed):
+    """ge_estimate(..., "st") by two st_losses calls per combination of all
+    T + L levels in itertools.product order."""
+    assert policy_class == "st"
+    axis = np.arange(0.0, p.level_cap() + grid_step / 2, grid_step)
+    atoms = support_atoms(model)
+    values = []
+    for rep in range(reps):
+        D = draw(model, n_train, (seed, rep, 0)).as_matrix()
+        D_eval = atoms if atoms is not None else draw(model, eval_samples, (seed, rep, 1)).as_matrix()
+        best = -math.inf
+        for combo in itertools.product(axis, repeat=p.horizon):
+            lv = np.asarray(combo)
+            best = max(best, float(st_losses(lv, D_eval, p).mean() - st_losses(lv, D, p).mean()))
+        values.append(best)
+    return values

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from stocklab.core import (
     SystemParams,
     simulate,
 )
-from stocklab import fitters
-from stocklab.evaluate import st_losses
+from stocklab import evaluate, fitters
+from stocklab.demand import make_rng
+from stocklab.evaluate import dataset_risk, lead_demand_sums, st_losses
 
 from stocklab.fitters import (
     StOptions,
@@ -258,12 +260,144 @@ class TestErmSt:
         assert a.policy == b.policy
         assert a.in_sample_risk == b.in_sample_risk
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_restart_loop(self, data):
+        T = data.draw(st.integers(1, 8))
+        L = data.draw(st.integers(0, 2))
+        U = float(data.draw(st.sampled_from([3, 8, 20])))
+        p = params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.3])),
+                   b=data.draw(st.sampled_from([0.0, 1.0, 3.0, 9.0])), U=U,
+                   x1=data.draw(st.sampled_from([0.0, -2.0, -0.25, 1.5, 4.0])),
+                   H=data.draw(st.sampled_from([None, 0.0, 2.5, 6.0])))
+        n = data.draw(st.integers(1, 6))
+        cell = st.one_of(st.integers(0, int(U)).map(float),
+                         st.integers(0, 4 * int(U)).map(lambda v: v / 4),
+                         st.floats(0.0, U))
+        D = np.asarray(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))))
+        dataset = Dataset.from_matrix(D.reshape(n, T + L))
+        opts = StOptions(restarts=data.draw(st.sampled_from([1, 3, 8])),
+                         max_sweeps=data.draw(st.sampled_from([1, 2, 100])),
+                         seed=data.draw(st.integers(0, 50)))
+        assert hexed(erm_St(dataset, p, opts)) == hexed(per_restart_erm_St(dataset, p, opts))
+
+    def test_restarts_converge_at_different_sweeps(self):
+        # the restarts leave the batch at different sweeps, and some never converge
+        rng = np.random.default_rng(12)
+        D = rng.integers(0, 21, (12, 30)).astype(float)
+        data = Dataset.from_matrix(D)
+        p = params(T=30, U=20.0)
+        for max_sweeps in (1, 2, 3, 100):
+            opts = StOptions(max_sweeps=max_sweeps, seed=3)
+            got = erm_St(data, p, opts)
+            assert hexed(got) == hexed(per_restart_erm_St(data, p, opts))
+        assert not erm_St(data, p, StOptions(max_sweeps=1, seed=3)).diagnostics["converged"]
+
+    @pytest.mark.parametrize("H", [math.inf, -1.0])
+    def test_rejects_unusable_level_cap(self, H):
+        data = Dataset.from_matrix([[3.0, 7.0]])
+        for fit in (erm_St, erm_base_stock, erm_eoq_base_stock):
+            with pytest.raises(ValueError, match="level cap"):
+                fit(data, params(H=H))
+        with pytest.raises(ValueError, match="level cap"):
+            grid_oracle(data, "st", 1.0, params(H=H))
+
     def test_risk_matches_mean_simulated_loss(self):
         data = Dataset.from_matrix([[3.0, 5.0, 1.0], [2.0, 6.0, 2.0]])
         p = params(T=3)
         res = erm_St(data, p)
         want = np.mean([simulate(res.policy, s.values, p).avg_loss for s in data.sequences])
         assert res.in_sample_risk == pytest.approx(want, abs=1e-9)
+
+
+def per_restart_coordinate_minimum(S, t, D, pre, p, cap):
+    """One restart's exact line search in coordinate t, event by event."""
+    n, horizon = D.shape
+    scores = S[None, :] + pre[:, :horizon]
+    scores[:, t - 1] = -np.inf
+    run = np.maximum.accumulate(scores, axis=1)
+    G = np.maximum(run[:, t - 1 : p.T], p.x1)
+    A = pre[:, t - 1][:, None]
+    W = pre[:, t + p.L : p.T + p.L + 1]
+    v1 = (G - A).ravel()
+    v2 = (W - A).ravel()
+    scale = n * p.T
+    base = float(
+        (
+            p.h * np.maximum(np.maximum(G, A) - W, 0.0)
+            - p.b * np.minimum(np.maximum(G, A) - W, 0.0)
+        ).sum()
+    ) / scale
+    sloped = v1 < v2
+    positions = np.concatenate([v1[sloped], v2[sloped], v1[~sloped]])
+    deltas = np.concatenate(
+        [
+            np.full(sloped.sum(), -p.b),
+            np.full(sloped.sum(), p.b + p.h),
+            np.full((~sloped).sum(), p.h),
+        ]
+    ) / scale
+    order = np.argsort(positions, kind="stable")
+    positions = positions[order]
+    deltas = deltas[order]
+    start = int(np.searchsorted(positions, 0.0, side="right"))
+    stop = int(np.searchsorted(positions, cap, side="left"))
+    slope0 = float(deltas[:start].sum())
+    inner = positions[start:stop]
+    pts = np.concatenate([[0.0], inner, [cap]])
+    slopes = slope0 + np.concatenate([[0.0], np.cumsum(deltas[start:stop])])
+    values = base + np.concatenate([[0.0], np.cumsum(slopes * np.diff(pts))])
+    return float(pts[int(np.argmin(values))])
+
+
+def per_restart_erm_St(data, p, opts):
+    """erm_St with one restart at a time and one line search per restart and
+    coordinate; the first strict minimum over restarts wins."""
+    D = data.as_matrix()
+    n, horizon = D.shape
+    cap = p.level_cap()
+    pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
+    fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
+    quantiles = np.quantile(lead_demand_sums(D, p.L), fractile, axis=0)
+    jitter = opts.jitter if opts.jitter is not None else 0.05 * cap
+    rng = make_rng(opts.seed)
+    starts = [np.full(p.T, erm_base_stock(data, p).policy.S)]
+    for _ in range(max(opts.restarts - 1, 0)):
+        starts.append(np.clip(quantiles + rng.uniform(-jitter, jitter, p.T), 0.0, cap))
+    best_levels, best_risk, converged, sweeps_used = None, np.inf, False, 0
+    for start in starts:
+        levels = np.zeros(horizon)
+        levels[: p.T] = np.clip(start, 0.0, cap)
+        risk = float(st_losses(levels, D, p).mean())
+        ok = False
+        for _ in range(opts.max_sweeps):
+            for t in range(1, p.T + 1):
+                levels[t - 1] = per_restart_coordinate_minimum(levels, t, D, pre, p, cap)
+            new_risk = float(st_losses(levels, D, p).mean())
+            sweeps_used += 1
+            if risk - new_risk < opts.tol:
+                risk = min(risk, new_risk)
+                ok = True
+                break
+            risk = new_risk
+        if risk < best_risk:
+            best_risk, best_levels, converged = risk, levels.copy(), ok
+    policy = NonStationary(tuple(best_levels))
+    return fitters.FitResult(
+        policy=policy,
+        in_sample_risk=dataset_risk(policy, data, p),
+        method="coordinate-descent",
+        diagnostics={"restarts": len(starts), "converged": converged,
+                     "sweeps": sweeps_used, "tol": opts.tol},
+    )
+
+
+def hexed(result):
+    """Levels, risk and diagnostics of a fit, floats as float.hex."""
+    def h(v):
+        return v if isinstance(v, (bool, int, str)) else float(v).hex()
+    return ([h(v) for v in result.policy.levels], h(result.in_sample_risk),
+            {k: h(v) for k, v in result.diagnostics.items()})
 
 
 def product_loop_st(data, step, p):
@@ -326,7 +460,7 @@ class TestGridOracle:
         data = Dataset.from_matrix([[1.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.5, 1.0, 0.5]])
         p = params(T=2, L=1, h=0.0, b=2.0, U=3.0, H=3.0)
         whole = grid_oracle(data, "st", 0.5, p)
-        monkeypatch.setattr(fitters, "_BLOCK_CELLS", 20)  # chunks of 3 combinations
+        monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 20)  # chunks of 3 combinations
         chunked = grid_oracle(data, "st", 0.5, p)
         assert chunked == whole
         assert chunked == product_loop_st(data, 0.5, p)
