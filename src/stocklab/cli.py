@@ -22,6 +22,7 @@ from . import __version__
 from .core import (
     BaseStock,
     BudgetError,
+    Dataset,
     NonStationary,
     Policy,
     SsPolicy,
@@ -218,6 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         demands = [float(v) for v in args.demands.split(",")]
     except ValueError as exc:
         raise ValueError(f"--demands: {exc}") from exc
+    Dataset.from_matrix([demands])  # the demand checks of a dataset
     p = _system_from_args(args, isinstance(policy, SsPolicy))
     traj = simulate(policy, demands, p, unchecked=args.unchecked)
     print(f"avgLoss {traj.avg_loss:g}")

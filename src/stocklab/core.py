@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -106,68 +106,56 @@ class SystemParams:
             capped = True
         return lo, hi, capped
 
-    def default_x1(self, policy: "Policy") -> "SystemParams":
-        """Return a copy with ``x1`` set to the class default: the reorder-point
-        lower bound for ``SsPolicy`` (so that an order is placed in period 1),
-        zero otherwise."""
-        if isinstance(policy, SsPolicy):
-            lo, _, _ = self.ss_bounds()
-            return replace(self, x1=lo)
-        return replace(self, x1=0.0)
 
-
-@dataclass(frozen=True)
-class DemandSequence:
-    """One realized demand path of length T + L."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("demands must be finite numbers")
-        if any(v < 0 for v in self.values):
-            raise ValueError("demands must be nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A list of demand sequences sharing a common length."""
+    """N demand sequences of one length T + L, as a read-only (N, T + L) array.
 
-    sequences: tuple[DemandSequence, ...]
+    The matrix is copied once into a C-contiguous float64 array that cannot
+    be written to, and validated here, in one place: every value finite and
+    nonnegative, none positive at or below ``ORDER_EPS`` (simulate drops such
+    dust orders, which the closed-form losses do not model).
+    """
+
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        seqs = tuple(
-            s if isinstance(s, DemandSequence) else DemandSequence(tuple(s))
-            for s in self.sequences
-        )
-        object.__setattr__(self, "sequences", seqs)
-        if not seqs:
+        try:
+            D = np.array(self.matrix, dtype=float, order="C")
+        except ValueError:
+            raise ValueError("demands must form an (N, T + L) array of numbers") from None
+        if D.shape[:1] == (0,):
             raise ValueError("dataset must contain at least one sequence")
-        lengths = {len(s) for s in seqs}
-        if len(lengths) != 1:
-            raise ValueError(f"all sequences must share one length, got {sorted(lengths)}")
+        if D.ndim != 2:
+            raise ValueError(f"demands must form an (N, T + L) array, got shape {D.shape}")
+        if not np.isfinite(D).all():
+            raise ValueError("demands must be finite numbers")
+        if (D < 0).any():
+            raise ValueError("demands must be nonnegative")
+        if ((D > 0) & (D <= ORDER_EPS)).any():
+            raise ValueError(f"demands must be 0 or larger than ORDER_EPS = {ORDER_EPS:g}")
+        D.flags.writeable = False
+        object.__setattr__(self, "matrix", D)
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return self.matrix.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
     @property
     def n_periods(self) -> int:
-        return len(self.sequences[0])
+        return self.matrix.shape[1]
 
     def as_matrix(self) -> np.ndarray:
-        """Demands as an (N, T+L) array."""
-        return np.asarray([s.values for s in self.sequences], dtype=float)
+        """The read-only (N, T + L) demand array itself, not a copy."""
+        return self.matrix
 
     @staticmethod
     def from_matrix(matrix: Iterable[Iterable[float]]) -> "Dataset":
-        return Dataset(tuple(DemandSequence(tuple(row)) for row in matrix))
+        return Dataset(matrix)
 
 
 @dataclass(frozen=True)
@@ -219,7 +207,7 @@ Policy = Union[BaseStock, SsPolicy, NonStationary]
 
 
 def demand_matrix(data: Dataset, p: SystemParams) -> np.ndarray:
-    """Demands as an (N, T + L) array; raises ValueError on any other width."""
+    """The (N, T + L) demand array of ``data``; raises ValueError on any other width."""
     if data.n_periods != p.horizon:
         raise ValueError(
             f"dataset has {data.n_periods} periods per sequence, expected T + L = {p.horizon}"
@@ -289,7 +277,7 @@ def _order_quantity(policy: Policy, position: float, t: int) -> float:
 
 def simulate(
     policy: Policy,
-    d: DemandSequence | Sequence[float],
+    d: Sequence[float],
     p: SystemParams,
     unchecked: bool = False,
 ) -> Trajectory:
@@ -299,7 +287,7 @@ def simulate(
     skipped; this is how deliberately out-of-bound configurations (unbounded
     order-up-to levels, positive initial stock) are simulated.
     """
-    demands = d.values if isinstance(d, DemandSequence) else tuple(float(v) for v in d)
+    demands = tuple(float(v) for v in d)
     n = p.horizon
     if len(demands) != n:
         raise ValueError(f"demand length {len(demands)} != T + L = {n}")
@@ -348,7 +336,7 @@ class ReorderSchedule:
 
 
 def reorder_schedule(
-    delta: float, d: DemandSequence | Sequence[float], p: SystemParams
+    delta: float, d: Sequence[float], p: SystemParams
 ) -> ReorderSchedule:
     """Reordering periods of any (s, S) policy with gap S - s = delta.
 
@@ -358,7 +346,7 @@ def reorder_schedule(
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    demands = d.values if isinstance(d, DemandSequence) else tuple(float(v) for v in d)
+    demands = tuple(float(v) for v in d)
     if len(demands) < p.T:
         raise ValueError(f"need at least T = {p.T} demand values")
     times = [1]
@@ -372,14 +360,14 @@ def reorder_schedule(
 
 
 def delta_breakpoints(
-    d: DemandSequence | Sequence[float], p: SystemParams
+    d: Sequence[float], p: SystemParams
 ) -> list[float]:
     """Sorted distinct sums of consecutive demands within periods 1..T-1.
 
     The reorder schedule for gap ``delta`` is constant while ``delta`` varies
     within any interval between adjacent breakpoints (closed on the right).
     """
-    demands = d.values if isinstance(d, DemandSequence) else tuple(float(v) for v in d)
+    demands = tuple(float(v) for v in d)
     vals = set()
     for i in range(min(p.T - 1, len(demands))):
         acc = 0.0
@@ -395,8 +383,9 @@ def write_demands_csv(data: Dataset, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"t{j}" for j in range(1, n + 1)])
-        for seq in data.sequences:
-            writer.writerow([repr(v) for v in seq.values])
+        # repr of Python floats: numpy 2 would print np.float64(...)
+        for row in data.as_matrix().tolist():
+            writer.writerow([repr(v) for v in row])
 
 
 def read_demands_csv(path: str) -> Dataset:
@@ -410,5 +399,7 @@ def read_demands_csv(path: str) -> Dataset:
         expected = [f"t{j}" for j in range(1, n + 1)]
         if header != expected:
             raise ValueError(f"unexpected CSV header {header!r}")
-        rows = [tuple(float(v) for v in row) for row in reader if row]
+        rows = [[float(v) for v in row] for row in reader if row]
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"{path}: every row needs {n} values, one per header column")
     return Dataset.from_matrix(rows)

@@ -125,6 +125,9 @@ class Deterministic:
 
     sequence: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        Dataset.from_matrix([self.sequence])  # the demand checks of a dataset
+
     @property
     def n_periods(self) -> int:
         return len(self.sequence)
@@ -137,9 +140,7 @@ class FiniteSupport:
     atoms: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        lengths = {len(a) for a in self.atoms}
-        if len(lengths) != 1:
-            raise ValueError("atoms must share one length")
+        Dataset.from_matrix(self.atoms)  # the demand checks of a dataset
 
     @property
     def n_periods(self) -> int:

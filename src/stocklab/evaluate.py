@@ -19,7 +19,6 @@ from .core import (
     ORDER_EPS,
     BaseStock,
     Dataset,
-    DemandSequence,
     NonStationary,
     Policy,
     SsPolicy,
@@ -127,20 +126,20 @@ def base_stock_kinks(D: np.ndarray, p: SystemParams) -> np.ndarray:
     return np.unique(cands[(cands >= 0.0) & (cands <= hi)])
 
 
-def base_stock_loss(S: float, d: DemandSequence | Sequence[float], p: SystemParams) -> float:
+def base_stock_loss(S: float, d: Sequence[float], p: SystemParams) -> float:
     """Time-averaged loss of the base-stock policy with level S on one path.
 
     Requires ``S >= 0 >= x1`` so that the position is replenished to S every
     period; then the level after replenishment in period t is
     ``S - (d^{t-L} + ... + d^{t-1})`` and an order of size ``d^{t-1}`` is
-    placed in every period t >= 2.
+    placed in every period t >= 2.  The path gets a dataset's demand checks.
     """
-    demands = np.asarray(d.values if isinstance(d, DemandSequence) else d, dtype=float)
-    if len(demands) != p.horizon:
-        raise ValueError(f"demand length {len(demands)} != T + L = {p.horizon}")
+    D = Dataset.from_matrix([d]).as_matrix()
+    if D.shape[1] != p.horizon:
+        raise ValueError(f"demand length {D.shape[1]} != T + L = {p.horizon}")
     if S < 0:
         raise ValueError("base-stock level must be nonnegative")
-    return float(base_stock_loss_matrix([S], demands[None, :], p)[0, 0])
+    return float(base_stock_loss_matrix([S], D, p)[0, 0])
 
 
 def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -281,11 +280,22 @@ def exact_base_stock_risk(
     ``S`` may be one level, for which a float is returned, or an array of
     levels, for which the array of their risks is returned.  Each level's
     terms are added period by period in the same order either way.
+
+    ``simulate`` drops a first order S - x1 of at most ``ORDER_EPS``, so such
+    a level waits at x1 until the first positive demand.
     """
     lv = np.atleast_1d(np.asarray(S, dtype=float))
+    dust = (lv - p.x1 > 0.0) & (lv - p.x1 <= ORDER_EPS)
+    waiting = 1.0  # probability that no demand came before period t
     total = np.zeros(len(lv))
     for t in range(1, p.T + 1):
-        total += _expected_cost_of_level(lv, lead_pmf(pmfs, t, p.L), p)
+        lp = lead_pmf(pmfs, t, p.L)
+        cost = _expected_cost_of_level(lv, lp, p)
+        if dust.any():
+            wait = _expected_cost_of_level(p.x1, lp, p)
+            cost = np.where(dust, (1.0 - waiting) * cost + waiting * wait, cost)
+        total += cost
+        waiting *= pmfs[t - 1][0]
         if p.K > 0:
             if t == 1:
                 total += p.K * (lv - p.x1 > ORDER_EPS)
@@ -490,6 +500,22 @@ def rescored_argmin(scores: np.ndarray, rescore) -> tuple[int, float]:
     return j, risk
 
 
+def integer_ss_pairs(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer pair lo <= s <= S <= hi with S >= 0, as float arrays (s, S).
+
+    The pairs are listed by gap S - s, then by S: the tie-break order of the
+    (s, S) searches, so the first of the smallest risks is their pick.
+    """
+    s_lo, s_hi = math.ceil(lo), math.floor(hi)
+    gap, S = np.meshgrid(
+        np.arange(s_hi - s_lo + 1), np.arange(max(s_lo, 0), s_hi + 1), indexing="ij"
+    )
+    keep = S - gap >= s_lo
+    if not keep.any():
+        raise ValueError("empty integer (s, S) grid")
+    return (S - gap)[keep].astype(float), S[keep].astype(float)
+
+
 def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPolicy, float]:
     """Exact best integer (s, S) policy within the class bounds, and its risk.
 
@@ -497,17 +523,7 @@ def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPoli
     ones again by :func:`exact_ss_risk`, whose risk is returned.  Ties break
     toward the smaller risk, then the smaller gap S - s, then the smaller S.
     """
-    lo, hi, _ = p.ss_bounds()
-    s_lo, s_hi = math.ceil(lo), math.floor(hi)
-    # listed by gap, then S: the tie-break order
-    pairs = [
-        (S - gap, S)
-        for gap in range(s_hi - s_lo + 1)
-        for S in range(max(s_lo + gap, 0), s_hi + 1)
-    ]
-    if not pairs:
-        raise ValueError("empty integer (s, S) grid")
-    s, S = np.array(pairs, dtype=float).T
+    s, S = integer_ss_pairs(*p.ss_bounds()[:2])
     j, risk = rescored_argmin(
         exact_ss_risks(s, S, pmfs, p),
         lambda i: exact_ss_risk(SsPolicy(float(s[i]), float(S[i])), pmfs, p),

@@ -33,6 +33,7 @@ from .evaluate import (
     base_stock_kinks,
     base_stock_risk_curve,
     dataset_risk,
+    integer_ss_pairs,
     lead_demand_sums,
     sorted_prefix_costs,
     ss_losses_grid,
@@ -63,12 +64,19 @@ class StOptions:
     jitter: float | None = None  # default: 5% of the level cap
 
 
-def _fit_cap(p: SystemParams) -> float:
-    """The level cap H, which a fit over levels in [0, H] needs finite and >= 0."""
-    cap = p.level_cap()
+def _fit_cap(cap: float) -> float:
+    """A level cap H, which a fit over levels in [0, H] needs finite and >= 0."""
     if not 0.0 <= cap < math.inf:
         raise ValueError(f"fitting needs a finite level cap H >= 0, got {cap}")
     return cap
+
+
+def fit_ss_bounds(p: SystemParams) -> tuple[float, float, bool]:
+    """The (s, S) bounds ``(Hlo, H, capped)``, with Hlo finite and H as :func:`_fit_cap`."""
+    lo, hi, capped = p.ss_bounds()
+    if not math.isfinite(lo):
+        raise ValueError(f"fitting needs a finite reorder-point bound Hlo, got {lo}")
+    return lo, _fit_cap(hi), capped
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     the interval endpoints; ties go to the smallest level.
     """
     D = demand_matrix(data, p)
-    _fit_cap(p)
+    _fit_cap(p.level_cap())
     cands = base_stock_kinks(D, p)
     best = int(np.argmin(base_stock_risk_curve(cands, D, p)))
     policy = BaseStock(float(cands[best]))
@@ -124,7 +132,7 @@ def fit_level_fixed_gap(data: Dataset, p: SystemParams, delta: float) -> FitResu
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     D = demand_matrix(data, p)
-    hi = _fit_cap(p) + delta
+    hi = _fit_cap(p.level_cap()) + delta
     cands = [np.array([0.0, hi])]
     for row in D:
         sums = _contiguous_sums(row)
@@ -203,7 +211,7 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     and requires integer-valued demands.  Ties break toward the smallest gap,
     then the smallest S.
     """
-    lo, hi, capped = p.ss_bounds()
+    lo, hi, capped = fit_ss_bounds(p)
     if p.x1 > lo:
         raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
     D = demand_matrix(data, p)
@@ -211,23 +219,12 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     if mode == "integer-grid":
         if not np.all(D == np.rint(D)):
             raise ValueError("integer-grid mode requires integer demands")
-        s_lo = math.ceil(lo)
-        s_hi = math.floor(hi)
-        span = s_hi - s_lo + 1
-        if span <= 0:
-            raise ValueError("empty integer (s, S) grid")
-        if span * span > 4_000_000:
+        span = math.floor(hi) - math.ceil(lo) + 1
+        if span > 0 and span * span > 4_000_000:
             raise BudgetError(f"integer grid of {span}^2 pairs exceeds budget")
-        s_grid, S_grid = np.meshgrid(
-            np.arange(s_lo, s_hi + 1, dtype=float),
-            np.arange(max(s_lo, 0), s_hi + 1, dtype=float),
-            indexing="ij",
-        )
-        keep = s_grid <= S_grid
-        s_vals, S_vals = s_grid[keep], S_grid[keep]
-        risks = ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)
-        order = np.lexsort((S_vals, S_vals - s_vals, risks))
-        k = order[0]
+        s_vals, S_vals = integer_ss_pairs(lo, hi)
+        # listed in tie-break order, so the first minimum wins
+        k = int(np.argmin(ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)))
         policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
         return FitResult(
             policy=policy,
@@ -399,7 +396,7 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     opts = opts or StOptions()
     D = demand_matrix(data, p)
     n, horizon = D.shape
-    cap = _fit_cap(p)
+    cap = _fit_cap(p.level_cap())
     pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
 
     fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
@@ -477,7 +474,7 @@ def grid_oracle(
     D = demand_matrix(data, p)
 
     if policy_class == "base-stock":
-        hi = _fit_cap(p)
+        hi = _fit_cap(p.level_cap())
         grid = np.arange(0.0, hi + step / 2, step)
         if len(grid) > budget:
             raise BudgetError("base-stock grid exceeds budget")
@@ -485,7 +482,7 @@ def grid_oracle(
         policy: Policy = BaseStock(float(grid[best]))
         count = len(grid)
     elif policy_class == "ss":
-        lo, hi, _ = p.ss_bounds()
+        lo, hi, _ = fit_ss_bounds(p)
         s_axis = np.arange(lo, hi + step / 2, step)
         S_axis = s_axis[s_axis >= 0.0]
         if len(s_axis) * len(S_axis) > budget:
@@ -499,7 +496,7 @@ def grid_oracle(
         policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
         count = len(s_vals)
     elif policy_class == "st":
-        hi = _fit_cap(p)
+        hi = _fit_cap(p.level_cap())
         axis = np.arange(0.0, hi + step / 2, step)
         count = len(axis) ** p.horizon
         if count > budget:

@@ -32,7 +32,7 @@ from .evaluate import (
     lead_pmf,
     policy_losses,
 )
-from .fitters import FitResult
+from .fitters import FitResult, fit_ss_bounds
 
 PARTITION_BUDGET = 1_000_000
 
@@ -287,14 +287,14 @@ def perm_fit(
             diagnostics={"grid": [sol.grid_lo, sol.grid_hi]},
         )
     if policy_class == "ss":
+        lo, _, _ = fit_ss_bounds(p)
+        if p.x1 > lo:
+            raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
         if not marginals.is_stationary:
             warnings.warn(
                 "fitting a stationary (s, S) policy against non-stationary marginals",
                 stacklevel=2,
             )
-        lo, _, _ = p.ss_bounds()
-        if p.x1 > lo:
-            raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
         policy, risk = best_integer_ss(pmfs, p)
         return FitResult(
             policy=policy,

@@ -102,10 +102,8 @@ def _target_values(inst: ShatterInstance, policy: Policy) -> np.ndarray:
         t = inst.target.period
         if t is None or not 1 <= t <= p.horizon:
             raise ValueError("level target needs a period in 1..T+L")
-        vals = [
-            simulate(policy, seq.values, p, unchecked=True).y[t - 1]
-            for seq in inst.dataset.sequences
-        ]
+        D = inst.dataset.as_matrix()
+        vals = [simulate(policy, row, p, unchecked=True).y[t - 1] for row in D]
         return np.asarray(vals) / inst.target.normalizer
     raise ValueError(f"unknown target kind {inst.target.kind!r}")
 
@@ -129,11 +127,7 @@ def verify_shattering(
     g = inst.gamma if gamma is None else gamma
     if not inst.unchecked:
         # surface bound violations early on a representative subset
-        simulate(
-            inst.policy_for_subset(frozenset()),
-            inst.dataset.sequences[0].values,
-            inst.params,
-        )
+        simulate(inst.policy_for_subset(frozenset()), inst.dataset.as_matrix()[0], inst.params)
     witnesses = np.asarray(inst.witnesses)
     failures = []
     collected = np.empty((2**m, m)) if collect else None

@@ -48,6 +48,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "demand length" in err
 
+    @pytest.mark.parametrize("demands,message", [
+        ("3,nan", "demands must be finite numbers"),
+        ("3,-7", "demands must be nonnegative"),
+        ("1e-12,0", "demands must be 0 or larger than ORDER_EPS = 1e-12"),
+    ])
+    def test_invalid_demands_rejected(self, capsys, demands, message):
+        assert main(["simulate", "--policy", "base-stock:5", "--demands", demands,
+                     "--T", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+
     def test_unknown_flag_rejected(self):
         assert main(["simulate", "--policy", "base-stock:5", "--demands", "1",
                      "--T", "1", "--frobnicate"]) == 1
@@ -83,6 +95,18 @@ class TestFit:
         assert captured.out == ""
         assert captured.err.strip() == "error: demands must be finite numbers"
 
+    def test_dust_demand_rejected(self, tmp_path, capsys):
+        # simulate drops a dust order, which the base-stock closed form would charge
+        path = tmp_path / "dust.csv"
+        path.write_text("t1,t2\n1e-12,0\n")
+        assert main(["fit", "--class", "base-stock", "--data", str(path), "--T", "2",
+                     "--h", "0", "--b", "1", "--K", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error: demands must be 0 or larger than ORDER_EPS = 1e-12"
+        ]
+
     @pytest.mark.parametrize("flag,value", [("--h", "nan"), ("--b", "inf"),
                                             ("--K", "nan"), ("--x1", "nan")])
     def test_non_finite_parameter_rejected(self, demand_csv, capsys, flag, value):
@@ -93,10 +117,17 @@ class TestFit:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag[2:]} must be ")
 
-    @pytest.mark.parametrize("cls", ["base-stock", "eoq", "st"])
-    def test_infinite_level_cap_rejected(self, demand_csv, capsys, cls):
-        assert main(["fit", "--class", cls, "--data", demand_csv, "--T", "2",
-                     "--H", "inf"]) == 1
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--class", "base-stock"], id="base-stock"),
+        pytest.param(["fit", "--class", "eoq"], id="eoq"),
+        pytest.param(["fit", "--class", "st"], id="st"),
+        pytest.param(["fit", "--class", "ss"], id="ss"),
+        pytest.param(["fit", "--class", "ss", "--mode", "integer-grid"], id="ss-integer-grid"),
+        pytest.param(["fit", "--class", "ss", "--grid-oracle", "1"], id="ss-grid-oracle"),
+        pytest.param(["perm", "--class", "ss"], id="perm-ss"),
+    ])
+    def test_infinite_level_cap_rejected(self, demand_csv, capsys, argv):
+        assert main(argv + ["--data", demand_csv, "--T", "2", "--H", "inf"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == "error: fitting needs a finite level cap H >= 0, got inf"

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stocklab.core import (
+    ORDER_EPS,
     BaseStock,
     Dataset,
     NonStationary,
     SsPolicy,
     SystemParams,
     delta_breakpoints,
+    demand_matrix,
     read_demands_csv,
     reorder_schedule,
     simulate,
@@ -108,6 +110,8 @@ class TestBaseStockLoss:
         p = params()
         assert base_stock_loss(7.0, (3.0, 7.0), p) == 2.0
         assert base_stock_loss(0.0, (3.0, 7.0), p) == 45.0
+        with pytest.raises(ValueError, match="ORDER_EPS"):
+            base_stock_loss(1e-12, (1e-12, 0.0), params(h=0.0, b=1.0, K=1.0))
 
     def test_matches_simulation_on_random_cases(self):
         # oracle: the step-by-step simulator
@@ -136,7 +140,8 @@ class TestBaseStockLoss:
         T = data.draw(st.integers(1, 5))
         L = data.draw(st.integers(0, 2))
         d = data.draw(
-            st.lists(st.floats(0, 10), min_size=T + L, max_size=T + L)
+            st.lists(st.floats(0, 10).filter(lambda v: v == 0.0 or v > ORDER_EPS),
+                     min_size=T + L, max_size=T + L)
         )
         p = params(T=T, L=L, h=data.draw(st.floats(0, 1)), b=data.draw(st.floats(0, 1)))
         s1 = data.draw(st.floats(0, 30))
@@ -234,6 +239,12 @@ class TestDeltaBreakpoints:
 
 
 class TestCsvRoundTrip:
+    def test_writes_float_repr(self, tmp_path):
+        # repr of Python floats; 1e-300 is dust, so 1e300 checks the exponent form
+        path = tmp_path / "demands.csv"
+        write_demands_csv(Dataset.from_matrix([[0.1, 1e300, 2.5, 20.0]]), str(path))
+        assert path.read_bytes() == b"t1,t2,t3,t4\r\n0.1,1e+300,2.5,20.0\r\n"
+
     def test_round_trip(self, tmp_path):
         data = Dataset.from_matrix([[1.5, 2.25, 0.0], [4.0, 0.125, 9.75]])
         path = tmp_path / "demands.csv"
@@ -242,6 +253,65 @@ class TestCsvRoundTrip:
         assert back == data
         header = path.read_text().splitlines()[0]
         assert header == "t1,t2,t3"
+        path.write_text("t1,t2\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="every row needs 2 values"):
+            read_demands_csv(str(path))
+
+
+class TestDataset:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_from_matrix_keeps_every_bit(self, data):
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        cell = st.one_of(st.just(0.0), st.floats(ORDER_EPS, 1e300, exclude_min=True))
+        M = np.reshape(data.draw(st.lists(cell, min_size=n * m, max_size=n * m)), (n, m))
+        if data.draw(st.booleans()):
+            M = np.asfortranarray(M)
+        got = Dataset.from_matrix(M).as_matrix()
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(M).tobytes()
+
+    def test_copies_once_and_is_read_only(self):
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        data = Dataset.from_matrix(M)
+        M[0, 0] = 9.0
+        assert data.as_matrix()[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.as_matrix()[0, 0] = 5.0
+        assert data.as_matrix() is data.as_matrix()
+        assert demand_matrix(data, params(T=2)) is data.as_matrix()
+
+    def test_shape_and_equality(self):
+        data = Dataset.from_matrix([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]])
+        assert (len(data), data.n_periods) == (2, 3)
+        assert data == Dataset.from_matrix(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]]))
+        assert data != Dataset.from_matrix([[1.0, 2.0, 0.0], [3.0, 4.0, 6.0]])
+        assert data != Dataset.from_matrix([[1.0, 2.0, 0.0]])
+        assert data != [[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]]
+
+    @pytest.mark.parametrize("matrix,message", [
+        ([[1.0, 2.0], [3.0]], "array of numbers"),
+        ([], "at least one sequence"),
+        ([1.0, 2.0], "shape"),
+        ([[1.0, math.nan]], "finite"),
+        ([[math.inf, 1.0]], "finite"),
+        ([[-math.inf]], "finite"),
+        ([[2.0, -1.0]], "nonnegative"),
+        ([[1e-12, 0.0]], "ORDER_EPS = 1e-12"),
+        ([[3.0, 5e-324]], "ORDER_EPS"),
+    ])
+    def test_rejects_invalid_demands(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_matrix(matrix)
+
+    def test_dust_rejected_where_the_closed_form_would_miss_it(self):
+        # simulate drops the dust order of period 1 and folds it into period
+        # 2's, which pays K; the closed form fitted S = 1e-12 at risk 0.0
+        p = params(T=2, h=0.0, b=1.0, K=1.0)
+        assert simulate(BaseStock(1e-12), [1e-12, 0.0], p).avg_loss == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="ORDER_EPS"):
+            Dataset.from_matrix([[1e-12, 0.0]])
+        assert len(Dataset.from_matrix([[2e-12, 0.0]])) == 1
 
 
 class TestValidation:

@@ -30,7 +30,7 @@ from stocklab.demand import (
 def test_deterministic_draw():
     data = draw(Deterministic((4.0, 3.0, 1.0)), 3, seed=0)
     assert len(data) == 3
-    assert all(s.values == (4.0, 3.0, 1.0) for s in data.sequences)
+    np.testing.assert_array_equal(data.as_matrix(), [[4.0, 3.0, 1.0]] * 3)
 
 
 def test_integerized_draws_stay_in_range():
@@ -144,6 +144,20 @@ def test_finite_support_draw():
     model = FiniteSupport(((1.0, 2.0), (3.0, 4.0)))
     data = draw(model, 500, seed=5).as_matrix()
     assert set(map(tuple, data)) <= {(1.0, 2.0), (3.0, 4.0)}
+
+
+@pytest.mark.parametrize("atom,message", [
+    ((1.0, -1.0), "nonnegative"),
+    ((1e-13, 0.0), "ORDER_EPS"),
+    ((float("nan"), 1.0), "finite"),
+])
+def test_explicit_models_check_their_demands(atom, message):
+    with pytest.raises(ValueError, match=message):
+        Deterministic(atom)
+    with pytest.raises(ValueError, match=message):
+        FiniteSupport(((1.0, 2.0), atom))
+    with pytest.raises(ValueError, match="array of numbers"):
+        FiniteSupport(((1.0, 2.0), (3.0,)))
 
 
 class TestSampleInstance:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stocklab import evaluate
-from stocklab.core import BaseStock, Dataset, SystemParams, simulate
+from stocklab.core import ORDER_EPS, BaseStock, Dataset, SystemParams, simulate
 from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw, support_atoms
 from stocklab.evaluate import st_losses
 from stocklab.estimators import (
@@ -142,7 +142,8 @@ class TestGeEstimate:
                    x1=-float(data.draw(st.integers(0, 2))),
                    H=float(data.draw(st.integers(1, 2))))
         if data.draw(st.booleans()):
-            cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 3.0))
+            cell = st.one_of(st.integers(0, 3).map(float),
+                             st.floats(0.0, 3.0).filter(lambda v: v == 0.0 or v > ORDER_EPS))
             atoms = data.draw(st.lists(st.tuples(*[cell] * (T + L)), min_size=1, max_size=4))
             model = FiniteSupport(tuple(atoms))
         else:

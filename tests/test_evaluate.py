@@ -141,7 +141,7 @@ class TestBatchLossesMatchSimulate:
         p = SystemParams(T=3, L=1, U=6.0, K=2.0)
         data = draw(IIDNormal(3.0, 1.0, 4, cap=6.0), 10, seed=0)
         pol = BaseStock(5.0)
-        want = np.mean([simulate(pol, s.values, p).avg_loss for s in data.sequences])
+        want = np.mean([simulate(pol, row, p).avg_loss for row in data.as_matrix()])
         assert dataset_risk(pol, data, p) == pytest.approx(want)
 
     def test_dataset_risk_rejects_width_mismatch(self):
@@ -236,7 +236,8 @@ def base_stock_cases(draw_, min_K=0.0):
     n = draw_(st.integers(1, 4))
     # A positive demand at or below ORDER_EPS makes simulate drop that order
     # and fold it into the next one, which can then draw a fixed charge the
-    # order-every-period closed form does not count; such dust is excluded.
+    # order-every-period closed form does not count.  A Dataset rejects such
+    # dust, so it is excluded here too.
     demand = st.one_of(st.just(0.0), st.floats(1e-6, 8.0))
     cells = draw_(st.lists(demand, min_size=n * (T + L), max_size=n * (T + L)))
     return p, np.asarray(cells).reshape(n, T + L)
@@ -254,6 +255,16 @@ class TestBaseStockKernel:
         for j, S in enumerate(levels):
             want = [simulate(BaseStock(S), row, p).avg_loss for row in D]
             assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_exact_risk_of_a_dust_first_order_matches_enumeration(self):
+        # simulate drops a first order S - x1 of at most ORDER_EPS, so the
+        # level waits at x1 until the first positive demand
+        pmfs = [np.array([0.5, 0.25, 0.25])] * 4
+        for T, L, K, x1 in [(1, 0, 0.0, 0.0), (2, 1, 1.5, 0.0), (3, 0, 2.0, -4e-13)]:
+            p = SystemParams(T=T, L=L, h=0.5, b=2.0, K=K, U=3.0, x1=x1)
+            for S in (0.0, 5e-13, 1e-12):
+                want = enumerate_product_risk(BaseStock(S), pmfs[: T + L], p)
+                assert exact_base_stock_risk(S, pmfs, p) == pytest.approx(want, rel=0, abs=1e-14)
 
     def test_loss_matrix_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(8)

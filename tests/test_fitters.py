@@ -7,18 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stocklab.core import (
+    ORDER_EPS,
     BaseStock,
     BudgetError,
     Dataset,
     NonStationary,
+    SsPolicy,
     SystemParams,
     simulate,
 )
 from stocklab import evaluate, fitters
 from stocklab.demand import make_rng
-from stocklab.evaluate import dataset_risk, lead_demand_sums, st_losses
+from stocklab.evaluate import dataset_risk, lead_demand_sums, ss_losses_grid, st_losses
+from stocklab.perm import build_marginals, perm_fit
 
 from stocklab.fitters import (
+    FitResult,
     StOptions,
     erm_St,
     erm_base_stock,
@@ -40,6 +44,11 @@ def ss_ready(p):
     """Copy of p with x1 at the reorder-point lower bound (the class default)."""
     lo, _, _ = p.ss_bounds()
     return params(T=p.T, L=p.L, h=p.h, b=p.b, K=p.K, U=p.U, H=p.H, Hlo=p.Hlo, x1=lo)
+
+
+def demand_floats(hi):
+    """Floats in [0, hi] that a Dataset accepts: 0 or above ORDER_EPS."""
+    return st.floats(0.0, hi).filter(lambda v: v == 0.0 or v > ORDER_EPS)
 
 
 def random_instance(rng, integer=False, max_T=5, max_N=5):
@@ -102,7 +111,7 @@ class TestErmBaseStock:
         for _ in range(20):
             data, p = random_instance(rng)
             res = erm_base_stock(data, p)
-            want = np.mean([simulate(res.policy, s.values, p).avg_loss for s in data.sequences])
+            want = np.mean([simulate(res.policy, row, p).avg_loss for row in data.as_matrix()])
             assert res.in_sample_risk == pytest.approx(want, abs=1e-9)
 
 
@@ -145,8 +154,6 @@ class TestErmEoq:
             delta = float(rng.uniform(0, 10))
             res = fit_level_fixed_gap(data, p, delta)
             grid = np.arange(0.0, p.level_cap() + delta + 1e-9, 1e-3)
-            from stocklab.evaluate import ss_losses_grid
-
             risks = ss_losses_grid(grid - delta, grid, data.as_matrix(), p).mean(axis=1)
             assert res.in_sample_risk <= risks.min() + 1e-3
 
@@ -190,6 +197,46 @@ class TestErmSs:
                     grid.in_sample_risk, abs=1e-9
                 )
         assert integral_cases >= 40  # integer demands mostly give integral optima
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_grid_matches_meshgrid_lexsort(self, data):
+        T = data.draw(st.integers(1, 4))
+        L = data.draw(st.integers(0, 2))
+        # zero cost rates and fractional bounds give ties and ragged grids
+        bound = st.one_of(st.none(), st.integers(-4, 8).map(float),
+                          st.integers(-16, 32).map(lambda v: v / 4))
+        H, Hlo = data.draw(bound), data.draw(bound)
+        if H is not None and Hlo is not None and Hlo > H:
+            H, Hlo = Hlo, H
+        p = ss_ready(params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                            b=data.draw(st.sampled_from([0.0, 1.0, 9.0])),
+                            K=data.draw(st.sampled_from([0.0, 0.5, 3.0])), U=4.0,
+                            H=H, Hlo=Hlo))
+        n = data.draw(st.integers(1, 4))
+        D = data.draw(st.lists(st.integers(0, 4), min_size=n * (T + L), max_size=n * (T + L)))
+        dataset = Dataset.from_matrix(np.reshape(D, (n, T + L)).astype(float))
+        try:
+            want = meshgrid_lexsort_erm_sS(dataset, p)
+        except (ValueError, IndexError):
+            with pytest.raises(ValueError):
+                erm_sS(dataset, p, mode="integer-grid")
+            return
+        got = erm_sS(dataset, p, mode="integer-grid")
+        assert got.policy == want.policy
+        assert got.in_sample_risk.hex() == want.in_sample_risk.hex()
+        assert got.diagnostics == want.diagnostics
+
+    def test_rejects_infinite_reorder_point_bound(self):
+        data = Dataset.from_matrix([[3.0, 7.0]])
+        fits = (
+            erm_sS, lambda d, p: erm_sS(d, p, mode="integer-grid"),
+            lambda d, p: grid_oracle(d, "ss", 1.0, p),
+            lambda d, p: perm_fit(build_marginals(d), p, "ss"),
+        )
+        for fit in fits:
+            with pytest.raises(ValueError, match="finite reorder-point bound Hlo, got -inf"):
+                fit(data, params(Hlo=-math.inf, x1=-1.0))
 
     def test_integer_grid_rejects_fractional_demands(self):
         data = Dataset.from_matrix([[0.5, 1.0]])
@@ -273,7 +320,7 @@ class TestErmSt:
         n = data.draw(st.integers(1, 6))
         cell = st.one_of(st.integers(0, int(U)).map(float),
                          st.integers(0, 4 * int(U)).map(lambda v: v / 4),
-                         st.floats(0.0, U))
+                         demand_floats(U))
         D = np.asarray(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))))
         dataset = Dataset.from_matrix(D.reshape(n, T + L))
         opts = StOptions(restarts=data.draw(st.sampled_from([1, 3, 8])),
@@ -296,17 +343,22 @@ class TestErmSt:
     @pytest.mark.parametrize("H", [math.inf, -1.0])
     def test_rejects_unusable_level_cap(self, H):
         data = Dataset.from_matrix([[3.0, 7.0]])
-        for fit in (erm_St, erm_base_stock, erm_eoq_base_stock):
+        fits = (
+            erm_St, erm_base_stock, erm_eoq_base_stock, erm_sS,
+            lambda d, p: erm_sS(d, p, mode="integer-grid"),
+            lambda d, p: grid_oracle(d, "st", 1.0, p),
+            lambda d, p: grid_oracle(d, "ss", 1.0, p),
+            lambda d, p: perm_fit(build_marginals(d), p, "ss"),
+        )
+        for fit in fits:
             with pytest.raises(ValueError, match="level cap"):
                 fit(data, params(H=H))
-        with pytest.raises(ValueError, match="level cap"):
-            grid_oracle(data, "st", 1.0, params(H=H))
 
     def test_risk_matches_mean_simulated_loss(self):
         data = Dataset.from_matrix([[3.0, 5.0, 1.0], [2.0, 6.0, 2.0]])
         p = params(T=3)
         res = erm_St(data, p)
-        want = np.mean([simulate(res.policy, s.values, p).avg_loss for s in data.sequences])
+        want = np.mean([simulate(res.policy, row, p).avg_loss for row in data.as_matrix()])
         assert res.in_sample_risk == pytest.approx(want, abs=1e-9)
 
 
@@ -392,6 +444,27 @@ def per_restart_erm_St(data, p, opts):
     )
 
 
+def meshgrid_lexsort_erm_sS(data, p):
+    """erm_sS(mode="integer-grid") as a meshgrid of every integer (s, S) pair,
+    sorted by (risk, gap, S)."""
+    lo, hi, capped = p.ss_bounds()
+    s_lo, s_hi = math.ceil(lo), math.floor(hi)
+    if s_hi < s_lo:
+        raise ValueError("empty integer (s, S) grid")
+    s_grid, S_grid = np.meshgrid(
+        np.arange(s_lo, s_hi + 1, dtype=float),
+        np.arange(max(s_lo, 0), s_hi + 1, dtype=float),
+        indexing="ij",
+    )
+    keep = s_grid <= S_grid
+    s_vals, S_vals = s_grid[keep], S_grid[keep]
+    risks = ss_losses_grid(s_vals, S_vals, data.as_matrix(), p).mean(axis=1)
+    k = np.lexsort((S_vals, S_vals - s_vals, risks))[0]
+    policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
+    return FitResult(policy, dataset_risk(policy, data, p), "integer-grid",
+                     {"candidate_count": int(len(s_vals)), "capped_bounds": capped})
+
+
 def hexed(result):
     """Levels, risk and diagnostics of a fit, floats as float.hex."""
     def h(v):
@@ -444,7 +517,7 @@ class TestGridOracle:
                    x1=-float(data.draw(st.integers(0, 2))),
                    H=float(data.draw(st.integers(1, 3))))
         n = data.draw(st.integers(1, 4))
-        cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 3.0))
+        cell = st.one_of(st.integers(0, 3).map(float), demand_floats(3.0))
         D = np.asarray(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))))
         dataset = Dataset.from_matrix(D.reshape(n, T + L))
         step = data.draw(st.sampled_from([0.5, 1.0]))
