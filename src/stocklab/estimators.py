@@ -22,6 +22,7 @@ from .evaluate import (
     exact_base_stock_levels,
     exact_base_stock_risk,
     ss_losses_grid,
+    ss_pairs,
     st_level_grid,
     st_losses_grid,
 )
@@ -133,11 +134,7 @@ def ge_estimate(
             values.append(float((true_risks - emp).max()))
         elif policy_class == "ss":
             lo, hi, _ = p.ss_bounds()
-            s_axis = np.arange(lo, hi + grid_step / 2, grid_step)
-            S_axis = s_axis[s_axis >= 0.0]
-            sg, Sg = np.meshgrid(s_axis, S_axis, indexing="ij")
-            keep = sg <= Sg
-            s_vals, S_vals = sg[keep], Sg[keep]
+            s_vals, S_vals = ss_pairs(np.arange(lo, hi + grid_step / 2, grid_step))
             if len(s_vals) > grid_budget:
                 raise BudgetError("(s, S) grid exceeds budget")
             emp = ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)

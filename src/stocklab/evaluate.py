@@ -331,98 +331,64 @@ def _reorder_offsets(top: float | np.ndarray, s: float | np.ndarray) -> np.ndarr
     return k - ((k > 0) & (top - (k - 1) <= s))
 
 
+def _lattice_risk(
+    reorder: np.ndarray, target: np.ndarray, pmfs: Sequence[np.ndarray], p: SystemParams
+) -> float:
+    """Exact expected loss of ordering up to ``target[t - 1]`` in period t
+    whenever the position is at or below ``reorder[t - 1]``, under independent
+    integer demands.
+
+    Every reachable position is a top (x1 or a target) minus an integer, so
+    the mass lives in one array with a row per distinct fractional part of
+    the tops and a column per integer; position ``frac + z`` is the same float
+    as ``top - k``.  As in ``simulate``, a state orders if and only if its
+    position is at or below the reorder point and its order exceeds
+    ``ORDER_EPS``; that one mask moves its mass and charges K.
+    """
+    tops = np.append(target[: p.T], p.x1)
+    base = np.floor(tops)
+    fracs, row = np.unique(tops - base, return_inverse=True)
+    umax = max(len(f) for f in pmfs) - 1
+    # mass that places no order sits above min(reorder, target) - ORDER_EPS,
+    # so one period of demand leaves it above the first column
+    lo = int(min(base.min(), np.floor(reorder[: p.T].min()))) - umax - 2
+    width = int(base.max()) - lo + 1
+    col = (base - lo).astype(np.intp)
+    lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
+    m = max(len(lp) for lp in lps)
+    # the cost of every level a cell's position minus a lead demand can reach
+    levels = fracs[:, None] + np.arange(lo - m + 1, lo + width)[None, :]
+    costs = cost_array(levels, p)
+    pos = levels[:, m - 1 :]
+    mass = np.zeros((len(fracs), width + umax))  # the last umax columns stay empty
+    mass[row[-1], col[-1]] = 1.0
+    total = 0.0
+    for t in range(p.T):
+        # positions rise along a row, so the states that order are a prefix of it
+        cuts = ((pos <= reorder[t]) & (target[t] - pos > ORDER_EPS)).sum(axis=1)
+        ordered = 0.0
+        for r in np.flatnonzero(cuts):
+            ordered += mass[r, : cuts[r]].sum()
+            mass[r, : cuts[r]] = 0.0
+        mass[row[t], col[t]] += ordered
+        total += p.K * ordered
+        lp, f = lps[t], pmfs[t]
+        for r in np.flatnonzero(mass.any(axis=1)):
+            # the level after the lead demand, then the position after this period's
+            total += float(np.convolve(mass[r, :width], lp[::-1]) @ costs[r, m - len(lp) :])
+            mass[r, :width] = np.correlate(mass[r], f, "valid")[:width]
+    return total / p.T
+
+
 def exact_ss_risk(policy: SsPolicy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
-    """Exact expected loss of an (s, S) policy under independent demands.
-
-    Probability mass is tracked on two integer lattices of accumulated
-    demand: offsets from the initial level before the first order, and
-    offsets from S afterwards.  Handles fractional s and S.
-    """
-    umax = max(len(f) for f in pmfs) - 1
-    pre_size = int(_reorder_offsets(p.x1, policy.s)) + umax + 1
-    post_size = int(_reorder_offsets(policy.S, policy.s)) + umax + 1
-    pre = np.zeros(pre_size)
-    pre[0] = 1.0
-    post = np.zeros(post_size)
-    pre_levels = p.x1 - np.arange(pre_size)
-    post_levels = policy.S - np.arange(post_size)
-    total = 0.0
-    # a state reorders when its position is at or below s, as in simulate
-    order_from_pre = pre_levels <= policy.s
-    order_from_post = post_levels <= policy.s
-    for t in range(1, p.T + 1):
-        moved = pre[order_from_pre].sum()
-        reordered = post[order_from_post].sum()
-        if p.K > 0:
-            # charge only states whose order size S - position exceeds the dust
-            # threshold (at s == S the lattice point 0 sits exactly at S)
-            charged = pre[order_from_pre & (policy.S - pre_levels > ORDER_EPS)].sum()
-            charged += post[order_from_post & (policy.S - post_levels > ORDER_EPS)].sum()
-            total += p.K * charged
-        post_now = post.copy()
-        post_now[order_from_post] = 0.0
-        post_now[0] += moved + reordered
-        pre_now = pre.copy()
-        pre_now[order_from_pre] = 0.0
-        lp = lead_pmf(pmfs, t, p.L)
-        if pre_now.any():
-            total += float(_expected_cost_of_level(pre_levels, lp, p) @ pre_now)
-        total += float(_expected_cost_of_level(post_levels, lp, p) @ post_now)
-        # demand transition; remaining states sit above s, before their
-        # lattice's first reorder offset, so one period of demand cannot
-        # escape either lattice
-        f = pmfs[t - 1]
-        pre = np.convolve(pre_now, f)[:pre_size]
-        post = np.convolve(post_now, f)[:post_size]
-    return total / p.T
+    """Exact expected loss of an (s, S) policy under independent integer demands."""
+    return _lattice_risk(np.full(p.T, float(policy.s)), np.full(p.T, float(policy.S)), pmfs, p)
 
 
-def exact_st_risk(
-    levels: Sequence[float], pmfs: Sequence[np.ndarray], p: SystemParams
-) -> float | None:
-    """Exact expected loss of per-period order-up-to levels.
-
-    Exact evaluation propagates mass over an integer position grid, so it is
-    only available when every level is integral; returns None otherwise.
-    """
+def exact_st_risk(levels: Sequence[float], pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
+    """Exact expected loss of per-period order-up-to levels under independent integer demands."""
     lv = np.asarray(levels, dtype=float)
-    if not np.all(lv == np.rint(lv)):
-        return None
-    if p.x1 != int(p.x1):
-        return None
-    umax = max(len(f) for f in pmfs) - 1
-    top = int(max(lv.max(initial=0.0), 0.0))
-    bottom = int(math.floor(p.x1)) - umax * p.horizon
-    size = top - bottom + 1
-    weights = np.zeros(size)
-    weights[int(p.x1) - bottom] = 1.0
-    grid = np.arange(bottom, top + 1)
-    total = 0.0
-    for t in range(1, p.T + 1):
-        target = int(lv[t - 1])
-        idx = target - bottom
-        ordered_mass = weights[:idx].sum()
-        post = weights.copy()
-        post[:idx] = 0.0
-        post[idx] += ordered_mass
-        if p.K > 0:
-            total += p.K * ordered_mass
-        lp = lead_pmf(pmfs, t, p.L)
-        nz = post > 0
-        total += float(_expected_cost_of_level(grid[nz], lp, p) @ post[nz])
-        f = pmfs[t - 1]
-        new = np.zeros(size)
-        for k, fk in enumerate(f):
-            if fk == 0.0:
-                continue
-            if k == 0:
-                new += fk * post
-            else:
-                # post-order mass sits at or above the period target >= 0,
-                # which is at least horizon * umax cells above the grid floor
-                new[:-k] += fk * post[k:]
-        weights = new
-    return total / p.T
+    return _lattice_risk(lv, lv, pmfs, p)
 
 
 def exact_ss_risks(
@@ -500,20 +466,20 @@ def rescored_argmin(scores: np.ndarray, rescore) -> tuple[int, float]:
     return j, risk
 
 
-def integer_ss_pairs(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every integer pair lo <= s <= S <= hi with S >= 0, as float arrays (s, S).
+def ss_pairs(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair s <= S of values on ``axis`` with S >= 0, as float arrays (s, S).
 
     The pairs are listed by gap S - s, then by S: the tie-break order of the
     (s, S) searches, so the first of the smallest risks is their pick.
     """
-    s_lo, s_hi = math.ceil(lo), math.floor(hi)
-    gap, S = np.meshgrid(
-        np.arange(s_hi - s_lo + 1), np.arange(max(s_lo, 0), s_hi + 1), indexing="ij"
-    )
-    keep = S - gap >= s_lo
+    axis = np.asarray(axis, dtype=float)
+    s, S = np.meshgrid(axis, axis[axis >= 0.0], indexing="ij")
+    keep = s <= S
     if not keep.any():
-        raise ValueError("empty integer (s, S) grid")
-    return (S - gap)[keep].astype(float), S[keep].astype(float)
+        raise ValueError("empty (s, S) grid")
+    s, S = s[keep], S[keep]
+    order = np.lexsort((S, S - s))
+    return s[order], S[order]
 
 
 def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPolicy, float]:
@@ -523,7 +489,8 @@ def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPoli
     ones again by :func:`exact_ss_risk`, whose risk is returned.  Ties break
     toward the smaller risk, then the smaller gap S - s, then the smaller S.
     """
-    s, S = integer_ss_pairs(*p.ss_bounds()[:2])
+    lo, hi, _ = p.ss_bounds()
+    s, S = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
     j, risk = rescored_argmin(
         exact_ss_risks(s, S, pmfs, p),
         lambda i: exact_ss_risk(SsPolicy(float(s[i]), float(S[i])), pmfs, p),
@@ -531,14 +498,8 @@ def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPoli
     return SsPolicy(float(s[j]), float(S[j])), risk
 
 
-def exact_risk(
-    policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams
-) -> float | None:
-    """Exact expected loss under independent demands with the given pmfs.
-
-    Returns None when the policy class/parameters do not admit lattice-exact
-    evaluation (non-integer per-period levels).
-    """
+def exact_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
+    """Exact expected loss under independent integer demands with the given pmfs."""
     if isinstance(policy, BaseStock):
         return exact_base_stock_risk(policy.S, pmfs, p)
     if isinstance(policy, SsPolicy):
@@ -551,8 +512,11 @@ def exact_risk(
 def finite_support_risk(
     policy: Policy, atoms: np.ndarray, p: SystemParams, weights: np.ndarray | None = None
 ) -> float:
-    """Expected loss under a finite-support distribution (exact)."""
-    losses = policy_losses(policy, np.asarray(atoms, dtype=float), p)
+    """Expected loss under a finite-support distribution (exact).
+
+    The atoms get a dataset's demand checks.
+    """
+    losses = policy_losses(policy, Dataset.from_matrix(atoms).as_matrix(), p)
     if weights is None:
         return float(losses.mean())
     return float(losses @ np.asarray(weights))
@@ -584,9 +548,7 @@ def model_risk(
         return finite_support_risk(policy, atoms, p)
     pmfs = marginal_pmfs(model)
     if pmfs is not None:
-        value = exact_risk(policy, pmfs, p)
-        if value is not None:
-            return value
+        return exact_risk(policy, pmfs, p)
     return mc_risk(policy, model, eval_samples, seed, p)[0]
 
 

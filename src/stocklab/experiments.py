@@ -215,9 +215,10 @@ def _fit(policy_class: str, data: Dataset, p: SystemParams, cfg: ExperimentConfi
 
 
 class _Evaluator:
-    """Risk-under-the-true-model evaluator with a shared fallback sample,
-    drawn the first time a policy has no exact risk.  Under ``eval_mode:
-    auto`` that first fallback also issues a RuntimeWarning."""
+    """Risk-under-the-true-model evaluator: exact on a finite support or under
+    independent integer demands, else on one shared Monte-Carlo sample, drawn
+    at the first call.  Under ``eval_mode: auto`` that draw also issues a
+    RuntimeWarning."""
 
     def __init__(self, model: DemandModel, p: SystemParams, cfg: ExperimentConfig,
                  seed_key: tuple[int, ...]):
@@ -230,16 +231,14 @@ class _Evaluator:
         self.pmfs = marginal_pmfs(model) if self.auto else None
         self.eval_paths = None
         self.mode = "finite-support" if self.atoms is not None else (
-            "exact-or-mc" if self.pmfs is not None else "mc"
+            "exact" if self.pmfs is not None else "mc"
         )
 
     def __call__(self, policy: Policy) -> float:
         if self.atoms is not None:
             return finite_support_risk(policy, self.atoms, self.p)
         if self.pmfs is not None:
-            value = exact_risk(policy, self.pmfs, self.p)
-            if value is not None:
-                return value
+            return exact_risk(policy, self.pmfs, self.p)
         if self.eval_paths is None:
             if self.auto:
                 warnings.warn(

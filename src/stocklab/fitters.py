@@ -33,10 +33,10 @@ from .evaluate import (
     base_stock_kinks,
     base_stock_risk_curve,
     dataset_risk,
-    integer_ss_pairs,
     lead_demand_sums,
     sorted_prefix_costs,
     ss_losses_grid,
+    ss_pairs,
     st_level_grid,
     st_losses,
     st_losses_grid,
@@ -222,7 +222,7 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
         span = math.floor(hi) - math.ceil(lo) + 1
         if span > 0 and span * span > 4_000_000:
             raise BudgetError(f"integer grid of {span}^2 pairs exceeds budget")
-        s_vals, S_vals = integer_ss_pairs(lo, hi)
+        s_vals, S_vals = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
         # listed in tie-break order, so the first minimum wins
         k = int(np.argmin(ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)))
         policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
@@ -483,16 +483,12 @@ def grid_oracle(
         count = len(grid)
     elif policy_class == "ss":
         lo, hi, _ = fit_ss_bounds(p)
-        s_axis = np.arange(lo, hi + step / 2, step)
-        S_axis = s_axis[s_axis >= 0.0]
-        if len(s_axis) * len(S_axis) > budget:
+        axis = np.arange(lo, hi + step / 2, step)
+        if len(axis) * np.count_nonzero(axis >= 0.0) > budget:
             raise BudgetError("(s, S) grid exceeds budget")
-        sg, Sg = np.meshgrid(s_axis, S_axis, indexing="ij")
-        keep = sg <= Sg
-        s_vals, S_vals = sg[keep], Sg[keep]
-        risks = ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)
-        order = np.lexsort((S_vals, S_vals - s_vals, risks))
-        k = order[0]
+        s_vals, S_vals = ss_pairs(axis)
+        # listed in tie-break order, so the first minimum wins
+        k = int(np.argmin(ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)))
         policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
         count = len(s_vals)
     elif policy_class == "st":

@@ -235,10 +235,7 @@ def solve_dp(pmfs: Sequence[np.ndarray], p: SystemParams) -> DpSolution:
 
 def perm_risk(policy: Policy, marginals: EmpiricalMarginals, p: SystemParams) -> float:
     """Exact product-distribution risk of a policy (DP policy evaluation)."""
-    value = exact_risk(policy, marginals.dense_pmfs(), p)
-    if value is None:
-        raise ValueError("exact product risk requires integer per-period levels")
-    return value
+    return exact_risk(policy, marginals.dense_pmfs(), p)
 
 
 def perm_risk_mc(

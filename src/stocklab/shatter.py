@@ -24,7 +24,7 @@ from .core import (
     SystemParams,
     simulate,
 )
-from .evaluate import policy_losses, ss_losses_grid
+from .evaluate import policy_losses, ss_losses_grid, ss_pairs
 
 SUBSET_CAP = 16
 
@@ -343,14 +343,9 @@ def discretization_gap(M: int, T: int = 200) -> GapReport:
     star = SsPolicy(0.0, 1.0 + 1.0 / (2 * M))
     continuous = simulate(star, d, p).avg_loss
 
-    S_axis = np.arange(0, 4 * M + 1) / M
-    s_axis = np.arange(-2 * M, 4 * M + 1) / M
-    sg, Sg = np.meshgrid(s_axis, S_axis, indexing="ij")
-    keep = sg <= Sg
-    s_vals, S_vals = sg[keep], Sg[keep]
+    s_vals, S_vals = ss_pairs(np.arange(-2 * M, 4 * M + 1) / M)
     risks = ss_losses_grid(s_vals, S_vals, d[None, :], p).ravel()
-    order = np.lexsort((S_vals, S_vals - s_vals, risks))
-    k = order[0]
+    k = int(np.argmin(risks))  # the pairs are listed in tie-break order
     best = SsPolicy(float(s_vals[k]), float(S_vals[k]))
     return GapReport(
         grid_best_risk=float(risks[k]),

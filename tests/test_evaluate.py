@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from stocklab.evaluate import (
     exact_risk,
     exact_ss_risk,
     exact_ss_risks,
+    exact_st_risk,
     finite_support_risk,
     lead_pmf,
     mc_risk,
@@ -165,16 +167,21 @@ class TestExactRisk:
                 SsPolicy(float(rng.integers(-4, 2)), float(rng.integers(2, 8))),
                 NonStationary(tuple(float(v) for v in rng.integers(0, 6, T + L))),
                 SsPolicy(float(rng.uniform(-4, 1)), float(rng.uniform(1, 7))),
+                NonStationary(tuple(rng.uniform(0, 6, T + L))),
             ]
-            for pol in policies:
-                got = exact_risk(pol, pmfs, p)
-                want = enumerate_product_risk(pol, pmfs, p)
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (pol, p)
+            for q in (p, replace(p, x1=-rng.uniform(0, 3))):
+                for pol in policies:
+                    got = exact_risk(pol, pmfs, q)
+                    want = enumerate_product_risk(pol, pmfs, q)
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (pol, q)
 
-    def test_st_non_integer_levels_unsupported(self):
+    def test_st_fractional_levels_scored_exactly(self):
         p = SystemParams(T=2, L=0, U=4.0)
         pmfs = [np.array([0.5, 0.5])] * 2
-        assert exact_risk(NonStationary((1.5, 1.0)), pmfs, p) is None
+        policy = NonStationary((1.5, 1.0))
+        assert exact_risk(policy, pmfs, p) == pytest.approx(
+            enumerate_product_risk(policy, pmfs, p), rel=0, abs=1e-12
+        )
 
     def test_lead_pmf_convolution(self):
         pmfs = [np.array([0.5, 0.5]), np.array([0.25, 0.75])]
@@ -201,6 +208,17 @@ class TestModelRisk:
         b = simulate(pol, (1.0, 2.0), p).avg_loss
         assert model_risk(pol, model, p) == pytest.approx((a + b) / 2)
         assert finite_support_risk(pol, model.as_matrix(), p) == pytest.approx((a + b) / 2)
+
+    def test_finite_support_rejects_dust_atom(self):
+        # simulate drops the dust order and gives 0.5; the closed form gave 0.0
+        p = SystemParams(T=2, h=0.0, b=1.0, K=1.0)
+        with pytest.raises(ValueError, match="ORDER_EPS"):
+            finite_support_risk(BaseStock(1e-12), [[1e-12, 0.0]], p)
+
+    def test_finite_support_rejects_nan_atom(self):
+        p = SystemParams(T=2, U=8.0)
+        with pytest.raises(ValueError, match="finite"):
+            finite_support_risk(BaseStock(4.0), [[3.0, math.nan]], p)
 
     def test_deterministic_model(self):
         p = SystemParams(T=2, L=0, U=8.0)
@@ -323,6 +341,44 @@ def pmf_lists(data, n, max_size):
     return pmfs
 
 
+def quarters(lo, hi):
+    return st.integers(4 * lo, 4 * hi).map(lambda k: k / 4)
+
+
+class TestLatticeKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_enumeration(self, data):
+        # x1 and S sit on a grid of quarters, so simulate's (s, S) positions
+        # are exact; s and the per-period levels may be any float.  With
+        # x1 = -1e-13 a first order up to S = 0 (or to a level 0) is dust.
+        # That x1 leaves simulate's later positions S - k off by an ulp (it
+        # adds x1 - demand to an order S - x1), so s then sits an eighth off
+        # the quarters, away from every S - k, where the ulp would decide.
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        dust = data.draw(st.booleans())
+        p = SystemParams(
+            T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 2.0)),
+            K=data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))), U=3.0,
+            x1=-1e-13 if dust else data.draw(quarters(-3, 2)),
+        )
+        pmfs = pmf_lists(data, T + L, 3)
+        S = data.draw(quarters(0, 5))
+        if dust:
+            s_values = quarters(-4, 5).map(lambda v: v + 0.125)
+        else:
+            s_values = st.one_of(quarters(-4, 5), st.floats(-4.0, 5.0))
+        s = data.draw(s_values.filter(lambda v: v <= S))
+        level = st.one_of(quarters(0, 5), st.floats(0.0, 5.0))
+        levels = data.draw(st.lists(level, min_size=T + L, max_size=T + L))
+        ss, per_period = SsPolicy(s, S), NonStationary(levels)
+        for policy, got in ((ss, exact_ss_risk(ss, pmfs, p)),
+                            (per_period, exact_st_risk(levels, pmfs, p))):
+            want = enumerate_product_risk(policy, pmfs, p)
+            assert got == pytest.approx(want, rel=0, abs=1e-12), policy
+
+
 def double_loop_best_ss(pmfs, p):
     """Every integer pair scored by exact_ss_risk; ties by (risk, S - s, S)."""
     lo, hi, _ = p.ss_bounds()
@@ -377,9 +433,6 @@ class TestExactSsSearch:
     def test_gap_curve_matches_enumeration(self, data):
         # x1 and S sit on a grid of quarters, so every lattice position
         # (x1 - k, S - k) is exact and agrees with simulate's; s is any float.
-        def quarters(lo, hi):
-            return st.integers(4 * lo, 4 * hi).map(lambda k: k / 4)
-
         T = data.draw(st.integers(1, 3))
         L = data.draw(st.integers(0, 1))
         x1 = data.draw(quarters(-3, 2))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stocklab.core import BaseStock, Dataset, NonStationary, SystemParams
-from stocklab.demand import IIDNormal, InstanceHyper, draw
+from stocklab.demand import IIDNormal, InstanceHyper, draw, marginal_pmfs
 from stocklab.emit import emit_results, write_records_csv
 from stocklab.experiments import (
     ExperimentConfig,
@@ -19,6 +19,7 @@ from stocklab.experiments import (
     run_experiment,
     run_oos_vs_N,
 )
+from stocklab.evaluate import exact_risk
 from stocklab.fitters import erm_St
 
 
@@ -85,34 +86,29 @@ class TestCrossing:
 class TestEvaluator:
     def test_monte_carlo_sample_drawn_only_on_fallback(self):
         p = small_system()
-        model = IIDNormal(10.0, 5.0, 3)
         cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
+        exact = _Evaluator(IIDNormal(10.0, 5.0, 3), p, cfg, (7, 1))
+        exact(BaseStock(12.0))
+        exact(NonStationary((12.5, 11.0, 10.0)))
+        assert exact.eval_paths is None  # integer marginals: every level scored exactly
+        model = IIDNormal(10.0, 5.0, 3, integerize=False)  # no pmfs: Monte Carlo
         evaluator = _Evaluator(model, p, cfg, (7, 1))
-        evaluator(BaseStock(12.0))
-        evaluator(NonStationary((12.0, 11.0, 10.0)))
-        assert evaluator.eval_paths is None  # integer levels are scored exactly
-        fractional = NonStationary((12.5, 11.0, 10.0))
+        assert evaluator.mode == "mc"
+        assert evaluator.eval_paths is None
+        policy = NonStationary((12.5, 11.0, 10.0))
         with pytest.warns(RuntimeWarning, match="Monte-Carlo"):
-            risk = evaluator(fractional)
+            risk = evaluator(policy)
         np.testing.assert_array_equal(evaluator.eval_paths, draw(model, 50, (7, 1)).as_matrix())
-        assert risk == evaluator(fractional)
+        assert risk == evaluator(policy)
 
     def test_monte_carlo_fallback_warns_once(self):
         p = small_system()
-        model = IIDNormal(10.0, 5.0, 3)
-        D = draw(model, 10, 0).as_matrix()
-        integer_fit = erm_St(Dataset.from_matrix(D), p).policy
-        fractional_fit = erm_St(Dataset.from_matrix(D + 0.25), p).policy
-        assert all(v == int(v) for v in integer_fit.levels)
-        assert any(v != int(v) for v in fractional_fit.levels)
+        model = IIDNormal(10.0, 5.0, 3, integerize=False)
         cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
         evaluator = _Evaluator(model, p, cfg, (7, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evaluator(integer_fit)  # exact: no warning
         with pytest.warns(RuntimeWarning) as caught:
-            evaluator(fractional_fit)
-            evaluator(fractional_fit)
+            evaluator(NonStationary((12.5, 11.0, 10.0)))
+            evaluator(BaseStock(12.0))
         assert len(caught) == 1
         assert "NonStationary" in str(caught[0].message)
         assert "estimated" in str(caught[0].message)
@@ -120,7 +116,22 @@ class TestEvaluator:
         mc = _Evaluator(model, p, replace(cfg, eval_mode="mc"), (7, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mc(fractional_fit)
+            mc(BaseStock(12.0))
+
+    def test_fractional_fit_scored_exactly_under_integer_model(self):
+        p = small_system()
+        model = IIDNormal(10.0, 5.0, 3)
+        D = draw(model, 10, 0).as_matrix()
+        fit = erm_St(Dataset.from_matrix(D + 0.25), p).policy
+        assert any(v != int(v) for v in fit.levels)
+        cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
+        evaluator = _Evaluator(model, p, cfg, (7, 1))
+        assert evaluator.mode == "exact"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            risk = evaluator(fit)
+        assert evaluator.eval_paths is None
+        assert risk == exact_risk(fit, marginal_pmfs(model), p)
 
 
 class TestRunners:
