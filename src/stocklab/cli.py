@@ -33,10 +33,10 @@ from .core import (
     simulate,
     write_demands_csv,
 )
-from .demand import RNG_NAME, InstanceHyper, sample_instance
-from .emit import emit_results
+from .demand import InstanceHyper, sample_instance
+from .emit import emit_results, write_metadata
 from .estimators import ge_estimate, rademacher_estimate
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import POLICY_CLASSES, ExperimentConfig, run_experiment
 from .fitters import (
     StOptions,
     erm_St,
@@ -98,14 +98,6 @@ def _system_from_args(args: argparse.Namespace, needs_low_start: bool) -> System
     return p
 
 
-def _write_metadata(out_dir: str, payload: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    payload = {"rng": RNG_NAME, "version": __version__, **payload}
-    with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stocklab",
@@ -131,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = subs.add_parser("fit", help="fit a policy class to a demand CSV by "
                                       "empirical risk minimization")
     fit.add_argument("--class", dest="policy_class", required=True,
-                     choices=["base-stock", "eoq", "ss", "st"],
+                     choices=POLICY_CLASSES,
                      help="policy class to fit")
     fit.add_argument("--data", required=True, help="demand CSV (rows = sequences)")
     fit.add_argument("--mode", default="exact", choices=["exact", "integer-grid"],
@@ -239,8 +231,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     f"{t},{traj.x[t - 1]!r},{traj.q[t - 1]!r},{traj.y[t - 1]!r},"
                     f"{traj.inventory_position[t - 1]!r},{loss!r}\n"
                 )
-        _write_metadata(args.out, {"command": "simulate", "avg_loss": traj.avg_loss,
-                                   "policy": args.policy, "system": asdict(p)})
+        write_metadata(args.out, {"command": "simulate", "avg_loss": traj.avg_loss,
+                                  "policy": args.policy, "system": asdict(p)})
     return 0
 
 
@@ -281,8 +273,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         with open(os.path.join(args.out, "fit.json"), "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_metadata(args.out, {"command": "fit", "system": asdict(p),
-                                   "seed": args.seed})
+        write_metadata(args.out, {"command": "fit", "system": asdict(p),
+                                  "seed": args.seed})
     return 0
 
 
@@ -307,7 +299,7 @@ def _cmd_perm(args: argparse.Namespace) -> int:
         with open(os.path.join(args.out, "perm.json"), "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_metadata(args.out, {"command": "perm", "system": asdict(p)})
+        write_metadata(args.out, {"command": "perm", "system": asdict(p)})
     return 0
 
 
@@ -327,7 +319,7 @@ def _cmd_shatter(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_demands_csv(inst.dataset, os.path.join(args.out, "instance.csv"))
-        _write_metadata(args.out, {
+        write_metadata(args.out, {
             "command": "shatter",
             "construction": args.construction,
             "witnesses": list(inst.witnesses),
@@ -370,7 +362,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
         print(f"meanGE {ge.mean_ge:.6g}")
         print(f"stderr {ge.stderr:.6g}")
         if args.out:
-            _write_metadata(args.out, {
+            write_metadata(args.out, {
                 "command": "rademacher --ge", "mean_ge": ge.mean_ge,
                 "stderr": ge.stderr, "reps": ge.reps,
                 "exact_sup": ge.exact_sup, "seed": args.seed,
@@ -383,7 +375,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
     print(f"estimate {report.estimate:.6g}")
     print(f"stderr {report.stderr:.6g}")
     if args.out:
-        _write_metadata(args.out, {
+        write_metadata(args.out, {
             "command": "rademacher", "estimate": report.estimate,
             "stderr": report.stderr, "draws": report.draws,
             "exact_sup": report.exact_sup, "seed": args.seed,
@@ -397,7 +389,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     print(f"continuousRisk {report.continuous_risk:.10g}")
     print(f"gap {report.gap:.10g}")
     if args.out:
-        _write_metadata(args.out, {
+        write_metadata(args.out, {
             "command": "gap", "M": args.M, "T": args.T,
             "grid_best_risk": report.grid_best_risk,
             "continuous_risk": report.continuous_risk,

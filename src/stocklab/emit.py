@@ -110,11 +110,22 @@ def render_line_chart(
     return "\n".join(parts) + "\n"
 
 
+def write_metadata(out_dir: str, payload: dict) -> str:
+    """Write ``metadata.json`` (RNG name, version and ``payload``) into
+    ``out_dir``, creating it if needed; return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "metadata.json")
+    with open(path, "w") as fh:
+        json.dump({"rng": RNG_NAME, "version": __version__, **payload}, fh,
+                  indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+    return path
+
+
 def emit_results(
     records: Sequence[MetricsRecord],
     out_dir: str,
     config: ExperimentConfig | None = None,
-    extra_metadata: dict | None = None,
 ) -> list[str]:
     """Write results.csv, one SVG per metric, and metadata.json; return paths."""
     if not records:
@@ -139,20 +150,9 @@ def emit_results(
             fh.write(render_line_chart(series, metric))
         paths.append(chart_path)
 
-    meta = {
-        "rng": RNG_NAME,
-        "version": __version__,
-        "records": len(records),
-    }
+    meta: dict = {"records": len(records)}
     if config is not None:
-        raw = asdict(config)
-        meta["config"] = raw
+        meta["config"] = asdict(config)
         meta["seed"] = config.seed
-    if extra_metadata:
-        meta.update(extra_metadata)
-    meta_path = os.path.join(out_dir, "metadata.json")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(meta_path)
+    paths.append(write_metadata(out_dir, meta))
     return paths

@@ -39,7 +39,6 @@ class RademacherReport:
 def rademacher_estimate(
     data: Dataset | None = None,
     p: SystemParams | None = None,
-    policy_class: str = "base-stock",
     loss_matrix: np.ndarray | None = None,
     draws: int = 200,
     seed: int | tuple[int, ...] = 0,
@@ -47,7 +46,7 @@ def rademacher_estimate(
     """Monte-Carlo mean over sign vectors of sup_policy (1/N) sum_i sign_i loss_i.
 
     Either pass a precomputed ``loss_matrix`` (policies x samples), or a
-    dataset with ``policy_class='base-stock'``, for which the supremum is
+    dataset and system, for which the supremum over the base-stock class is
     exact via kink enumeration.
     """
     if draws < 1:
@@ -56,11 +55,6 @@ def rademacher_estimate(
     if loss_matrix is None:
         if data is None or p is None:
             raise ValueError("need either loss_matrix or (data, p)")
-        if policy_class != "base-stock":
-            raise ValueError(
-                "only the base-stock supremum is built in; pass loss_matrix "
-                "for other classes"
-            )
         D = demand_matrix(data, p)
         loss_matrix = base_stock_loss_matrix(base_stock_kinks(D, p), D, p)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -509,17 +510,12 @@ def exact_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> f
     raise TypeError(f"unknown policy type {type(policy)!r}")
 
 
-def finite_support_risk(
-    policy: Policy, atoms: np.ndarray, p: SystemParams, weights: np.ndarray | None = None
-) -> float:
-    """Expected loss under a finite-support distribution (exact).
+def finite_support_risk(policy: Policy, atoms: np.ndarray, p: SystemParams) -> float:
+    """Expected loss under the uniform distribution on the atoms (exact).
 
     The atoms get a dataset's demand checks.
     """
-    losses = policy_losses(policy, Dataset.from_matrix(atoms).as_matrix(), p)
-    if weights is None:
-        return float(losses.mean())
-    return float(losses @ np.asarray(weights))
+    return float(policy_losses(policy, Dataset.from_matrix(atoms).as_matrix(), p).mean())
 
 
 def mc_risk(
@@ -531,6 +527,47 @@ def mc_risk(
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(n))
 
 
+class ModelRisk:
+    """True risk of policies under one demand model, by a path chosen once.
+
+    ``mode`` is ``finite-support`` when the model has a finite support (every
+    atom is scored), else ``exact`` when it has independent integer marginals
+    (the lattice risks), else ``mc``: the mean loss on one sample of
+    ``eval_samples`` paths drawn under ``seed`` at the first call, which warns.
+    """
+
+    def __init__(
+        self, model: DemandModel, p: SystemParams, eval_samples: int = 2000,
+        seed: int | tuple[int, ...] = 0,
+    ):
+        self.model = model
+        self.p = p
+        self.eval_samples = eval_samples
+        self.seed = seed
+        self.atoms = support_atoms(model)
+        self.pmfs = marginal_pmfs(model)
+        self.eval_paths: np.ndarray | None = None
+        self.mode = "finite-support" if self.atoms is not None else (
+            "exact" if self.pmfs is not None else "mc"
+        )
+
+    def __call__(self, policy: Policy) -> float:
+        if self.atoms is not None:
+            return finite_support_risk(policy, self.atoms, self.p)
+        if self.pmfs is not None:
+            return exact_risk(policy, self.pmfs, self.p)
+        if self.eval_paths is None:
+            warnings.warn(
+                f"{type(policy).__name__} policy has no exact risk under this demand "
+                f"model; its risk is estimated from {self.eval_samples} Monte-Carlo "
+                "paths, not exact",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self.eval_paths = draw(self.model, self.eval_samples, self.seed).as_matrix()
+        return float(policy_losses(policy, self.eval_paths, self.p).mean())
+
+
 def model_risk(
     policy: Policy,
     model: DemandModel,
@@ -538,18 +575,8 @@ def model_risk(
     eval_samples: int = 2000,
     seed: int | tuple[int, ...] = 0,
 ) -> float:
-    """Risk under a demand model: exact when available, else Monte Carlo.
-
-    Exactness order: finite support enumeration, then independent-integer
-    lattice evaluation, then ``eval_samples`` fresh draws.
-    """
-    atoms = support_atoms(model)
-    if atoms is not None:
-        return finite_support_risk(policy, atoms, p)
-    pmfs = marginal_pmfs(model)
-    if pmfs is not None:
-        return exact_risk(policy, pmfs, p)
-    return mc_risk(policy, model, eval_samples, seed, p)[0]
+    """Risk under a demand model, by the path :class:`ModelRisk` chooses."""
+    return ModelRisk(model, p, eval_samples, seed)(policy)
 
 
 def enumerate_product_risk(

@@ -3,17 +3,17 @@ trajectory-fit versus product-fit comparisons.
 
 Each runner replicates instances and dataset draws under derived seeds,
 aggregates per-instance means into unweighted cross-instance means, and
-returns metric records ready for CSV/SVG emission.  Risks are evaluated
-exactly whenever the demand model admits it (finite support or independent
-integer marginals); otherwise a shared Monte-Carlo evaluation set is drawn
-per instance.
+returns metric records ready for CSV/SVG emission.  One ``ModelRisk`` per
+instance evaluates risks: exactly whenever the demand model admits it
+(finite support or independent integer marginals), otherwise on one shared
+Monte-Carlo evaluation set.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,23 +28,19 @@ from .core import (
     SystemParams,
 )
 from .demand import (
-    DemandModel,
     InstanceHyper,
     draw,
     fixed_cost_for_cycle,
     make_rng,
-    marginal_pmfs,
     sample_instance,
-    support_atoms,
 )
 from .evaluate import (
+    ModelRisk,
     best_integer_ss,
     exact_base_stock_levels,
     exact_base_stock_risk,
-    exact_risk,
     exact_ss_risk,
     exact_ss_risks,
-    finite_support_risk,
     policy_losses,
     rescored_argmin,
 )
@@ -66,6 +62,8 @@ EXPERIMENT_KINDS = (
     "erm-vs-perm-ind",
     "erm-vs-perm-corr",
 )
+
+POLICY_CLASSES = ("base-stock", "eoq", "ss", "st")
 
 DEFAULT_CLASSES = {
     "ee-vs-T": ("base-stock", "ss", "st"),
@@ -98,8 +96,6 @@ class ExperimentConfig:
     n_train: int = 20
     eval_samples: int = 2000
     best_in_class_samples: int = 2000
-    best_in_class_mode: str = "auto"  # auto | erm
-    eval_mode: str = "auto"  # auto | mc
     st_restarts: int = 8
     seed: int = 0
 
@@ -108,18 +104,23 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
-        for name in ("instance_count", "n_train", "eval_samples",
-                     "best_in_class_samples", "st_restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.dataset_reps < 0:
-            raise ValueError("dataset_reps must be >= 0")
-        if self.best_in_class_mode not in ("auto", "erm"):
-            raise ValueError("best_in_class_mode must be 'auto' or 'erm'")
-        if self.eval_mode not in ("auto", "mc"):
-            raise ValueError("eval_mode must be 'auto' or 'mc'")
+        # horizons and sample sizes are counts; only correlations are not
+        if self.kind != "erm-vs-perm-corr" and not all(
+            float(v).is_integer() for v in self.sweep
+        ):
+            raise ValueError(f"{self.kind} sweep values must be whole numbers")
+        for name, low in (("instance_count", 1), ("dataset_reps", 0), ("n_train", 1),
+                          ("eval_samples", 1), ("best_in_class_samples", 1),
+                          ("st_restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}")
         if not self.classes:
             object.__setattr__(self, "classes", DEFAULT_CLASSES[self.kind])
+        for c in self.classes:
+            if c not in POLICY_CLASSES:
+                raise ValueError(f"unknown policy class {c!r}")
         if self.dataset_reps == 0:
             object.__setattr__(
                 self, "dataset_reps", DEFAULT_DATASET_REPS[self.kind]
@@ -127,6 +128,17 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        for key, shape, name in (("sweep", (list, tuple), "a list"),
+                                 ("classes", (list, tuple), "a list"),
+                                 ("system", dict, "an object"),
+                                 ("hyper", dict, "an object")):
+            if key in raw and not isinstance(raw[key], shape):
+                raise ValueError(f"config key {key!r} must be {name}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in raw.get("sweep", ())):
+            raise ValueError("config key 'sweep' must hold numbers")
         data = dict(raw)
         try:
             kind = data.pop("kind")
@@ -135,14 +147,14 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ValueError(f"config missing required key {exc.args[0]!r}") from exc
         hyper_raw = dict(data.pop("hyper", {}))
-        if kind == "oos-vs-N-sS" and "K" not in system_raw:
-            # size the fixed cost from the target replenishment cycle length
-            probe = SystemParams(**{**system_raw, "K": 0.0})
-            system_raw["K"] = fixed_cost_for_cycle(
-                hyper_raw.get("p_cycle", InstanceHyper().p_cycle), probe,
-                mu=hyper_raw.get("mu0", InstanceHyper().mu0),
-            )
         try:
+            if kind == "oos-vs-N-sS" and "K" not in system_raw:
+                # size the fixed cost from the target replenishment cycle length
+                probe = SystemParams(**{**system_raw, "K": 0.0})
+                system_raw["K"] = fixed_cost_for_cycle(
+                    hyper_raw.get("p_cycle", InstanceHyper().p_cycle), probe,
+                    mu=hyper_raw.get("mu0", InstanceHyper().mu0),
+                )
             system = SystemParams(**system_raw)
             hyper = InstanceHyper(**hyper_raw)
         except TypeError as exc:
@@ -214,56 +226,18 @@ def _fit(policy_class: str, data: Dataset, p: SystemParams, cfg: ExperimentConfi
     raise ValueError(f"unknown policy class {policy_class!r}")
 
 
-class _Evaluator:
-    """Risk-under-the-true-model evaluator: exact on a finite support or under
-    independent integer demands, else on one shared Monte-Carlo sample, drawn
-    at the first call.  Under ``eval_mode: auto`` that draw also issues a
-    RuntimeWarning."""
-
-    def __init__(self, model: DemandModel, p: SystemParams, cfg: ExperimentConfig,
-                 seed_key: tuple[int, ...]):
-        self.p = p
-        self.model = model
-        self.eval_samples = cfg.eval_samples
-        self.seed_key = seed_key
-        self.auto = cfg.eval_mode == "auto"
-        self.atoms = support_atoms(model) if self.auto else None
-        self.pmfs = marginal_pmfs(model) if self.auto else None
-        self.eval_paths = None
-        self.mode = "finite-support" if self.atoms is not None else (
-            "exact" if self.pmfs is not None else "mc"
-        )
-
-    def __call__(self, policy: Policy) -> float:
-        if self.atoms is not None:
-            return finite_support_risk(policy, self.atoms, self.p)
-        if self.pmfs is not None:
-            return exact_risk(policy, self.pmfs, self.p)
-        if self.eval_paths is None:
-            if self.auto:
-                warnings.warn(
-                    f"{type(policy).__name__} policy has no exact risk under this demand "
-                    f"model; its risk is estimated from {self.eval_samples} Monte-Carlo "
-                    "paths, not exact",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self.eval_paths = draw(self.model, self.eval_samples, self.seed_key).as_matrix()
-        return float(policy_losses(policy, self.eval_paths, self.p).mean())
-
-
 def _best_in_class(
-    policy_class: str, model: DemandModel, p: SystemParams, cfg: ExperimentConfig,
-    evaluator: _Evaluator, seed_key: tuple[int, ...],
+    policy_class: str, evaluator: ModelRisk, cfg: ExperimentConfig,
+    seed_key: tuple[int, ...],
 ) -> tuple[Policy, float]:
     """Best-in-class policy and its true risk.
 
-    ``auto`` computes it exactly from the model's marginal pmfs where the
-    class admits it (order-up-to classes via DP/kink enumeration, integer
-    reorder-point grid); otherwise, and always under ``erm``, it falls back
-    to fitting on ``best_in_class_samples`` fresh draws.
+    It is computed exactly from the model's marginal pmfs where the class
+    admits it (order-up-to classes via DP/kink enumeration, integer
+    reorder-point grid); without pmfs it falls back to fitting on
+    ``best_in_class_samples`` fresh draws.
     """
-    pmfs = marginal_pmfs(model) if cfg.best_in_class_mode == "auto" else None
+    p, pmfs = evaluator.p, evaluator.pmfs
     if pmfs is not None:
         if policy_class == "st" and p.K == 0:
             sol = solve_dp(pmfs, p)
@@ -285,7 +259,7 @@ def _best_in_class(
                 lambda i: exact_ss_risk(SsPolicy(float(grid[i] - gap), float(grid[i])), pmfs, p),
             )
             return SsPolicy(float(grid[j] - gap), float(grid[j])), float(risk)
-    data = draw(model, cfg.best_in_class_samples, seed_key)
+    data = draw(evaluator.model, cfg.best_in_class_samples, seed_key)
     fit = _fit(policy_class, data, p, cfg)
     return fit.policy, evaluator(fit.policy)
 
@@ -351,17 +325,16 @@ def run_ee_vs_T(cfg: ExperimentConfig) -> list[MetricsRecord]:
         oos: dict[str, list[float]] = {c: [] for c in cfg.classes}
         for inst in range(cfg.instance_count):
             model = sample_instance("ee-vs-T", (cfg.seed, 11, sweep_idx, inst), p, cfg.hyper)
-            evaluator = _Evaluator(model, p, cfg, (cfg.seed, 13, sweep_idx, inst))
-            pmfs = marginal_pmfs(model)
-            if pmfs is None:
+            evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 13, sweep_idx, inst))
+            if evaluator.pmfs is None:
                 raise ValueError("the horizon sweep requires an integer demand model")
-            r_opt = solve_dp(pmfs, p).risk
+            r_opt = solve_dp(evaluator.pmfs, p).risk
             if r_opt <= 0:
                 raise ValueError(
                     f"optimal risk is {r_opt} for instance {inst}; ratio undefined"
                 )
             stars = {
-                c: _best_in_class(c, model, p, cfg, evaluator, (cfg.seed, 17, sweep_idx, inst, ci))
+                c: _best_in_class(c, evaluator, cfg, (cfg.seed, 17, sweep_idx, inst, ci))
                 for ci, c in enumerate(cfg.classes)
             }
             ee_rep: dict[str, list[float]] = {c: [] for c in cfg.classes}
@@ -422,10 +395,8 @@ def run_oos_vs_N(cfg: ExperimentConfig) -> list[MetricsRecord]:
     }
     for inst in range(cfg.instance_count):
         model = sample_instance(cfg.kind, (cfg.seed, 29, inst), p, cfg.hyper)
-        evaluator = _Evaluator(model, p, cfg, (cfg.seed, 31, inst))
-        _, r_star = _best_in_class(
-            denom_class, model, p, cfg, evaluator, (cfg.seed, 37, inst)
-        )
+        evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 31, inst))
+        _, r_star = _best_in_class(denom_class, evaluator, cfg, (cfg.seed, 37, inst))
         if r_star <= 0:
             raise ValueError(
                 f"best-in-class risk is {r_star} for instance {inst}; ratio undefined"
@@ -481,7 +452,7 @@ def run_erm_vs_perm(cfg: ExperimentConfig) -> list[MetricsRecord]:
             ratios: list[float] = []
             for inst in range(cfg.instance_count):
                 model = sample_instance(cfg.kind, (cfg.seed, 47, inst), p, cfg.hyper)
-                evaluator = _Evaluator(model, p, cfg, (cfg.seed, 53, inst))
+                evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 53, inst))
                 erm_risks = []
                 perm_risks = []
                 for rep in range(cfg.dataset_reps):
@@ -508,16 +479,16 @@ def run_erm_vs_perm(cfg: ExperimentConfig) -> list[MetricsRecord]:
             hyper = replace(cfg.hyper, rho=float(rho))
             for inst in range(cfg.instance_count):
                 model = sample_instance(cfg.kind, (cfg.seed, 61, inst), p, hyper)
-                atoms = support_atoms(model)
-                data = Dataset.from_matrix(atoms)
+                evaluator = ModelRisk(model, p)
+                data = Dataset.from_matrix(evaluator.atoms)
                 erm_policy = _fit("st", data, p, cfg).policy
                 perm_policy = perm_fit(build_marginals(data), p, "st").policy
-                denom = finite_support_risk(perm_policy, atoms, p)
+                denom = evaluator(perm_policy)
                 if denom <= 0:
                     raise ValueError(
                         f"product-fit risk is {denom} for instance {inst}; ratio undefined"
                     )
-                ratios.append(finite_support_risk(erm_policy, atoms, p) / denom)
+                ratios.append(evaluator(erm_policy) / denom)
             records.append(
                 _aggregate(cfg.kind, rho, "st", "erm-perm-ratio", ratios, cfg.seed)
             )

@@ -250,6 +250,18 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path)]) == 1
         path.write_text(json.dumps({"kind": "nope", "sweep": [1], "system": {"T": 1}}))
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path)]) == 1
+        good = {"kind": "ee-vs-T", "sweep": [2], "system": {"T": 2}}
+        capsys.readouterr()
+        for bad in ({**good, "sweep": 5}, {**good, "system": [1, 2]}, {**good, "hyper": 5},
+                    [1, 2], {**good, "classes": "st"},
+                    {**good, "kind": "erm-vs-perm-corr", "sweep": ["a"]},
+                    {**good, "instance_count": 1.5}, {**good, "seed": 1.5},
+                    {**good, "sweep": [2.5]},
+                    {"kind": "oos-vs-N-sS", "sweep": [2], "system": {"T": 2, "bogus": 1}}):
+            path.write_text(json.dumps(bad))
+            assert main(["experiment", "--config", str(path), "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestHelpAudit:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from stocklab.core import (
 from stocklab import evaluate
 from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw
 from stocklab.evaluate import (
+    ModelRisk,
     base_stock_loss_matrix,
     base_stock_risk_curve,
     best_integer_ss,
@@ -233,6 +235,27 @@ class TestModelRisk:
         exact = model_risk(pol, model, p)
         mean, se = mc_risk(pol, model, 40_000, seed=5, p=p)
         assert abs(mean - exact) < 4 * se
+
+    def test_mode_is_chosen_from_the_model(self):
+        p = SystemParams(T=2, L=0, U=20.0)
+        for model, mode in (
+            (FiniteSupport(((3.0, 7.0), (1.0, 2.0))), "finite-support"),
+            (IIDNormal(10.0, 5.0, 2), "exact"),
+            (IIDNormal(10.0, 5.0, 2, integerize=False), "mc"),
+        ):
+            assert ModelRisk(model, p).mode == mode
+
+    def test_monte_carlo_fallback_warns_once(self):
+        p = SystemParams(T=3, L=0, U=20.0)
+        model = IIDNormal(10.0, 5.0, 3, integerize=False)
+        pol = BaseStock(12.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            risk = model_risk(pol, model, p, eval_samples=60, seed=(3, 1))
+        assert [type(w.message) for w in caught] == [RuntimeWarning]
+        assert "Monte-Carlo paths, not exact" in str(caught[0].message)
+        D = draw(model, 60, (3, 1)).as_matrix()
+        assert risk == float(policy_losses(pol, D, p).mean())
 
     def test_policy_losses_base_stock_positive_x1(self):
         p = SystemParams(T=3, L=0, U=4.0, K=1.0, x1=2.0)

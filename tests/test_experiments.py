@@ -1,7 +1,8 @@
+import dataclasses
 import json
 import math
 import warnings
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from stocklab.experiments import (
     ExperimentConfig,
     MetricsRecord,
     _crossing_point,
-    _Evaluator,
     run_ee_vs_T,
     run_erm_vs_perm,
     run_experiment,
     run_oos_vs_N,
 )
-from stocklab.evaluate import exact_risk
+from stocklab.evaluate import ModelRisk, exact_risk
 from stocklab.fitters import erm_St
 
 
@@ -69,6 +69,20 @@ class TestConfig:
         cfg = ExperimentConfig.from_json(str(path))
         assert cfg.sweep == (3,)
 
+    def test_removed_evaluation_knobs_are_rejected(self):
+        for key, value in (("eval_mode", "mc"), ("best_in_class_mode", "erm")):
+            with pytest.raises(ValueError, match="bad config field"):
+                ExperimentConfig.from_dict({
+                    "kind": "ee-vs-T", "sweep": [3], "system": {"T": 3}, key: value,
+                })
+
+    def test_readme_config_block_lists_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment configs", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(json.loads(block)) == fields
+
 
 class TestCrossing:
     def test_clean_crossing(self):
@@ -86,13 +100,12 @@ class TestCrossing:
 class TestEvaluator:
     def test_monte_carlo_sample_drawn_only_on_fallback(self):
         p = small_system()
-        cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
-        exact = _Evaluator(IIDNormal(10.0, 5.0, 3), p, cfg, (7, 1))
+        exact = ModelRisk(IIDNormal(10.0, 5.0, 3), p, 50, (7, 1))
         exact(BaseStock(12.0))
         exact(NonStationary((12.5, 11.0, 10.0)))
         assert exact.eval_paths is None  # integer marginals: every level scored exactly
         model = IIDNormal(10.0, 5.0, 3, integerize=False)  # no pmfs: Monte Carlo
-        evaluator = _Evaluator(model, p, cfg, (7, 1))
+        evaluator = ModelRisk(model, p, 50, (7, 1))
         assert evaluator.mode == "mc"
         assert evaluator.eval_paths is None
         policy = NonStationary((12.5, 11.0, 10.0))
@@ -104,19 +117,13 @@ class TestEvaluator:
     def test_monte_carlo_fallback_warns_once(self):
         p = small_system()
         model = IIDNormal(10.0, 5.0, 3, integerize=False)
-        cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
-        evaluator = _Evaluator(model, p, cfg, (7, 1))
+        evaluator = ModelRisk(model, p, 50, (7, 1))
         with pytest.warns(RuntimeWarning) as caught:
             evaluator(NonStationary((12.5, 11.0, 10.0)))
             evaluator(BaseStock(12.0))
         assert len(caught) == 1
         assert "NonStationary" in str(caught[0].message)
         assert "estimated" in str(caught[0].message)
-        # Monte Carlo was asked for: no warning
-        mc = _Evaluator(model, p, replace(cfg, eval_mode="mc"), (7, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mc(BaseStock(12.0))
 
     def test_fractional_fit_scored_exactly_under_integer_model(self):
         p = small_system()
@@ -124,8 +131,7 @@ class TestEvaluator:
         D = draw(model, 10, 0).as_matrix()
         fit = erm_St(Dataset.from_matrix(D + 0.25), p).policy
         assert any(v != int(v) for v in fit.levels)
-        cfg = ExperimentConfig(kind="ee-vs-T", sweep=(3,), system=p, eval_samples=50)
-        evaluator = _Evaluator(model, p, cfg, (7, 1))
+        evaluator = ModelRisk(model, p, 50, (7, 1))
         assert evaluator.mode == "exact"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
