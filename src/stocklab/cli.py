@@ -281,8 +281,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_perm(args: argparse.Namespace) -> int:
     data = read_demands_csv(args.data)
     p = _system_from_args(args, args.policy_class == "ss")
-    marginals = build_marginals(data)
-    result = perm_fit(marginals, p, args.policy_class)
+    result = perm_fit(build_marginals(data), p, args.policy_class)
     print(f"policy {_policy_text(result.policy)}")
     print(f"productRisk {result.in_sample_risk:.12g}")
     if args.partition:

@@ -8,6 +8,8 @@ runs are reproducible across platforms.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -266,6 +268,34 @@ class InstanceHyper:
     rho: float = 0.0
     support_form: str = "joint"  # joint draws, or the product of per-period draws
 
+    def __post_init__(self) -> None:
+        for name in ("mu0", "sigma0", "nonst", "cap", "p_cycle", "iid_mu_spread",
+                     "iid_sigma_spread", "support_size", "rho"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"hyper {name} must be a finite number, got {value!r}")
+        for name in ("mu0", "sigma0"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"hyper {name} must be nonnegative")
+        for name in ("cap", "p_cycle"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"hyper {name} must be positive")
+        for name in ("nonst", "iid_mu_spread", "iid_sigma_spread"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"hyper {name} must lie in [0, 1]")
+        if not isinstance(self.support_size, numbers.Integral) or self.support_size < 1:
+            raise ValueError(
+                f"hyper support_size must be an integer >= 1, got {self.support_size!r}")
+        if not -1 <= self.rho <= 1:
+            raise ValueError("hyper rho must lie in [-1, 1]")
+        if not isinstance(self.integerize, bool):
+            raise ValueError(
+                f"hyper integerize must be true or false, got {self.integerize!r}")
+        if self.support_form not in ("joint", "product"):
+            raise ValueError(
+                f"hyper support_form must be 'joint' or 'product', got {self.support_form!r}")
+
 
 def fixed_cost_for_cycle(p_cycle: float, p: SystemParams, mu: float = 10.0) -> float:
     """Fixed cost K making the cost-balancing order gap equal p_cycle * mu.
@@ -317,8 +347,6 @@ def sample_instance(
                 for combo in itertools.product(*cols)
             )
             return FiniteSupport(atoms)
-        if hyper.support_form != "joint":
-            raise ValueError(f"unknown support_form {hyper.support_form!r}")
         support_seed = int(rng.integers(0, 2**31 - 1))
         return CorrelatedNormalSupport(
             tuple(means), tuple(stds), hyper.rho, hyper.support_size, support_seed,

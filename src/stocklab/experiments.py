@@ -148,15 +148,12 @@ class ExperimentConfig:
             raise ValueError(f"config missing required key {exc.args[0]!r}") from exc
         hyper_raw = dict(data.pop("hyper", {}))
         try:
+            hyper = InstanceHyper(**hyper_raw)
             if kind == "oos-vs-N-sS" and "K" not in system_raw:
                 # size the fixed cost from the target replenishment cycle length
                 probe = SystemParams(**{**system_raw, "K": 0.0})
-                system_raw["K"] = fixed_cost_for_cycle(
-                    hyper_raw.get("p_cycle", InstanceHyper().p_cycle), probe,
-                    mu=hyper_raw.get("mu0", InstanceHyper().mu0),
-                )
+                system_raw["K"] = fixed_cost_for_cycle(hyper.p_cycle, probe, mu=hyper.mu0)
             system = SystemParams(**system_raw)
-            hyper = InstanceHyper(**hyper_raw)
         except TypeError as exc:
             raise ValueError(f"bad config field: {exc}") from exc
         if "classes" in data:

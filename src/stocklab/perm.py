@@ -8,9 +8,7 @@ independent integer demand process is computed.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,101 +22,27 @@ from .core import (
     Policy,
     SystemParams,
 )
-from .demand import make_rng
 from .evaluate import (
     best_integer_ss,
     cost_array,
     exact_risk,
     lead_pmf,
-    policy_losses,
 )
 from .fitters import FitResult, fit_ss_bounds
 
 PARTITION_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class EmpiricalMarginals:
-    """One discrete distribution per period, each uniform over observed values."""
+def build_marginals(data: Dataset) -> list[np.ndarray]:
+    """Per-period empirical pmfs on {0, ..., max demand}, as ``marginal_pmfs`` returns.
 
-    values: tuple[tuple[float, ...], ...]
-    probs: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.probs):
-            raise ValueError("values and probs must align")
-        for v, q in zip(self.values, self.probs):
-            if len(v) != len(q):
-                raise ValueError("values and probs must align per period")
-            if abs(sum(q) - 1.0) > 1e-9:
-                raise ValueError("probabilities must sum to 1")
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.values)
-
-    @property
-    def is_integer(self) -> bool:
-        return all(v == int(v) and v >= 0 for per in self.values for v in per)
-
-    @property
-    def is_stationary(self) -> bool:
-        return all(
-            (self.values[t], self.probs[t]) == (self.values[0], self.probs[0])
-            for t in range(1, self.n_periods)
-        )
-
-    def dense_pmfs(self) -> list[np.ndarray]:
-        """Per-period pmfs on the integer lattice {0, ..., max value}."""
-        if not self.is_integer:
-            raise ValueError("dense pmfs require nonnegative integer support")
-        out = []
-        for vals, probs in zip(self.values, self.probs):
-            pmf = np.zeros(int(max(vals)) + 1)
-            for v, q in zip(vals, probs):
-                pmf[int(v)] += q
-            out.append(pmf)
-        return out
-
-
-def build_marginals(data: Dataset) -> EmpiricalMarginals:
-    """Per-period empirical distributions (multiset of observed values)."""
+    Period t's pmf is the frequency of each value in column t of the data;
+    their product is the distribution product ERM fits against.
+    """
     D = data.as_matrix()
-    values = []
-    probs = []
-    for t in range(D.shape[1]):
-        vals, counts = np.unique(D[:, t], return_counts=True)
-        values.append(tuple(float(v) for v in vals))
-        probs.append(tuple(float(c) / D.shape[0] for c in counts))
-    return EmpiricalMarginals(tuple(values), tuple(probs))
-
-
-def write_marginals_csv(marginals: EmpiricalMarginals, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "value", "probability"])
-        for t in range(marginals.n_periods):
-            for v, q in zip(marginals.values[t], marginals.probs[t]):
-                writer.writerow([t + 1, repr(v), repr(q)])
-
-
-def read_marginals_csv(path: str) -> EmpiricalMarginals:
-    periods: dict[int, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["period", "value", "probability"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            periods.setdefault(int(row[0]), []).append((float(row[1]), float(row[2])))
-    values = []
-    probs = []
-    for t in sorted(periods):
-        values.append(tuple(v for v, _ in periods[t]))
-        probs.append(tuple(q for _, q in periods[t]))
-    return EmpiricalMarginals(tuple(values), tuple(probs))
+    if not np.array_equal(D, np.rint(D)):
+        raise ValueError("product fitting requires integer demands")
+    return [np.bincount(col) / D.shape[0] for col in D.T.astype(np.intp)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +157,13 @@ def solve_dp(pmfs: Sequence[np.ndarray], p: SystemParams) -> DpSolution:
 # ---------------------------------------------------------------------------
 
 
-def perm_risk(policy: Policy, marginals: EmpiricalMarginals, p: SystemParams) -> float:
+def perm_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
     """Exact product-distribution risk of a policy (DP policy evaluation)."""
-    return exact_risk(policy, marginals.dense_pmfs(), p)
-
-
-def perm_risk_mc(
-    policy: Policy,
-    marginals: EmpiricalMarginals,
-    p: SystemParams,
-    n: int,
-    seed: int | tuple[int, ...],
-) -> tuple[float, float]:
-    """Monte-Carlo product-distribution risk: (mean, standard error)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    key = seed if isinstance(seed, tuple) else (seed,)
-    rng = make_rng(*key)
-    cols = [
-        np.asarray(vals)[rng.choice(len(vals), size=n, p=probs)]
-        for vals, probs in zip(marginals.values, marginals.probs)
-    ]
-    D = np.column_stack(cols)
-    losses = policy_losses(policy, D, p)
-    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(n))
+    return exact_risk(policy, pmfs, p)
 
 
 def perm_fit(
-    marginals: EmpiricalMarginals, p: SystemParams, policy_class: str = "st"
+    pmfs: Sequence[np.ndarray], p: SystemParams, policy_class: str = "st"
 ) -> FitResult:
     """Risk minimizer against the product of the empirical marginals.
 
@@ -270,7 +173,6 @@ def perm_fit(
     evaluation; stationary marginals are recommended (a warning is issued
     otherwise).
     """
-    pmfs = marginals.dense_pmfs()
     if policy_class == "st":
         if p.K != 0:
             raise ValueError("product fitting of per-period levels requires K = 0")
@@ -287,7 +189,7 @@ def perm_fit(
         lo, _, _ = fit_ss_bounds(p)
         if p.x1 > lo:
             raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
-        if not marginals.is_stationary:
+        if not all(np.array_equal(f, pmfs[0]) for f in pmfs[1:]):
             warnings.warn(
                 "fitting a stationary (s, S) policy against non-stationary marginals",
                 stacklevel=2,
@@ -300,24 +202,3 @@ def perm_fit(
             diagnostics={"experimental": True},
         )
     raise ValueError(f"unknown policy class {policy_class!r}")
-
-
-def enumerate_product_sequences(
-    marginals: EmpiricalMarginals, budget: int = PARTITION_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
-    """All product sequences and their probabilities (test/oracle helper)."""
-    sizes = [len(v) for v in marginals.values]
-    count = 1
-    for s in sizes:
-        count *= s
-        if count > budget:
-            raise BudgetError("product support exceeds budget")
-    seqs = []
-    probs = []
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        seqs.append([marginals.values[t][k] for t, k in enumerate(combo)])
-        pr = 1.0
-        for t, k in enumerate(combo):
-            pr *= marginals.probs[t][k]
-        probs.append(pr)
-    return np.asarray(seqs), np.asarray(probs)

@@ -30,25 +30,11 @@ SUBSET_CAP = 16
 
 
 @dataclass(frozen=True)
-class ShatterTarget:
-    """What the witness inequalities are evaluated on.
-
-    ``loss`` targets the time-averaged loss; ``level`` targets the
-    post-replenishment inventory level of one period divided by a
-    normalizer.
-    """
-
-    kind: str = "loss"
-    period: int | None = None
-    normalizer: float = 1.0
-
-
-@dataclass(frozen=True)
 class ShatterInstance:
     """A candidate shattered dataset with witnesses and a subset-to-policy map.
 
     ``high_side`` records the instance's convention: ``"in"`` means the
-    subset's policy must push the target strictly above witness + margin on
+    subset's policy must push the loss strictly above witness + margin on
     subset members (and at or below witness - margin off the subset);
     ``"out"`` swaps the roles.  Both conventions realize all sign patterns.
     """
@@ -58,7 +44,6 @@ class ShatterInstance:
     gamma: float
     params: SystemParams
     policy_for_subset: Callable[[frozenset[int]], Policy]
-    target: ShatterTarget = ShatterTarget()
     high_side: str = "in"
     unchecked: bool = False
     label: str = ""
@@ -91,21 +76,7 @@ class ShatterReport:
     ok: bool
     subsets_checked: int
     failures: tuple[ShatterFailure, ...]
-    achieved: np.ndarray | None = None  # (2^m, m) target values when collected
-
-
-def _target_values(inst: ShatterInstance, policy: Policy) -> np.ndarray:
-    p = inst.params
-    if inst.target.kind == "loss":
-        return policy_losses(policy, inst.dataset.as_matrix(), p)
-    if inst.target.kind == "level":
-        t = inst.target.period
-        if t is None or not 1 <= t <= p.horizon:
-            raise ValueError("level target needs a period in 1..T+L")
-        D = inst.dataset.as_matrix()
-        vals = [simulate(policy, row, p, unchecked=True).y[t - 1] for row in D]
-        return np.asarray(vals) / inst.target.normalizer
-    raise ValueError(f"unknown target kind {inst.target.kind!r}")
+    achieved: np.ndarray | None = None  # (2^m, m) losses when collected
 
 
 def verify_shattering(
@@ -125,16 +96,17 @@ def verify_shattering(
     if m > cap:
         raise BudgetError(f"{m} samples imply 2^{m} subsets, above the cap {cap}")
     g = inst.gamma if gamma is None else gamma
+    D = inst.dataset.as_matrix()
     if not inst.unchecked:
         # surface bound violations early on a representative subset
-        simulate(inst.policy_for_subset(frozenset()), inst.dataset.as_matrix()[0], inst.params)
+        simulate(inst.policy_for_subset(frozenset()), D[0], inst.params)
     witnesses = np.asarray(inst.witnesses)
     failures = []
     collected = np.empty((2**m, m)) if collect else None
     for bits in range(2**m):
         subset = frozenset(i for i in range(m) if bits >> i & 1)
         policy = inst.policy_for_subset(subset)
-        values = _target_values(inst, policy)
+        values = policy_losses(policy, D, inst.params)
         if collected is not None:
             collected[bits] = values
         member = np.array([i in subset for i in range(m)])

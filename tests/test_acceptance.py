@@ -416,7 +416,7 @@ def test_criterion_10_statistical_inequalities():
         fit_idx = int(np.argmin(emp_curve))
         ee_vals.append(float(true_curve[fit_idx]) - r_star)
 
-        pmfs = build_marginals(data).dense_pmfs()
+        pmfs = build_marginals(data)
         perm_curve = np.array(
             [exact_base_stock_risk(float(S), pmfs, p) for S in cands]
         )

@@ -157,6 +157,18 @@ class TestPerm:
         out = capsys.readouterr().out
         assert "productRisk" in out
 
+    @pytest.mark.parametrize("policy_class", ["st", "ss"])
+    def test_fractional_demands_rejected(self, tmp_path, capsys, policy_class):
+        path = tmp_path / "fractional.csv"
+        path.write_text("t1,t2\n3.0,7.5\n2.0,5.0\n")
+        assert main(["perm", "--class", policy_class, "--data", str(path), "--T", "2",
+                     "--U", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error: product fitting requires integer demands"
+        ]
+
 
 class TestShatter:
     def test_verify_ok(self, capsys):
@@ -257,7 +269,18 @@ class TestExperiment:
                     {**good, "kind": "erm-vs-perm-corr", "sweep": ["a"]},
                     {**good, "instance_count": 1.5}, {**good, "seed": 1.5},
                     {**good, "sweep": [2.5]},
-                    {"kind": "oos-vs-N-sS", "sweep": [2], "system": {"T": 2, "bogus": 1}}):
+                    {"kind": "oos-vs-N-sS", "sweep": [2], "system": {"T": 2, "bogus": 1}},
+                    {**good, "hyper": {"mu0": "x"}}, {**good, "hyper": {"sigma0": -5}},
+                    {**good, "kind": "erm-vs-perm-corr", "sweep": [0.5],
+                     "hyper": {"support_size": 2.5}},
+                    {**good, "hyper": {"cap": 0}}, {**good, "hyper": {"nonst": 1.5}},
+                    {**good, "hyper": {"mu0": float("inf")}}, {**good, "hyper": {"rho": 2}},
+                    {**good, "hyper": {"cap": True}}, {**good, "hyper": {"integerize": 1}},
+                    {**good, "hyper": {"support_form": "grid"}},
+                    {"kind": "oos-vs-N-sS", "sweep": [2], "system": {"T": 2},
+                     "hyper": {"p_cycle": 0}},
+                    {"kind": "oos-vs-N-sS", "sweep": [2], "system": {"T": 2},
+                     "hyper": {"p_cycle": "x"}}):
             path.write_text(json.dumps(bad))
             assert main(["experiment", "--config", str(path), "--out", str(tmp_path)]) == 1
             err = capsys.readouterr().err

@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stocklab.core import (
     BaseStock,
@@ -12,18 +15,14 @@ from stocklab.core import (
     SystemParams,
     simulate,
 )
-from stocklab.evaluate import exact_risk
+from stocklab.evaluate import enumerate_product_risk, exact_risk
 from stocklab.fitters import erm_St
 from stocklab.perm import (
     build_marginals,
-    enumerate_product_sequences,
     perm_fit,
     perm_risk,
-    perm_risk_mc,
     product_partition,
-    read_marginals_csv,
     solve_dp,
-    write_marginals_csv,
 )
 
 
@@ -38,31 +37,59 @@ PAPER_TABLE = np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
 
 class TestMarginals:
     def test_example_table(self):
-        marg = build_marginals(Dataset.from_matrix(PAPER_TABLE))
-        assert marg.values[0] == (1.0, 2.0)
-        assert marg.probs[0] == (0.5, 0.5)
-        assert marg.values[2] == (5.0, 6.0)
+        pmfs = build_marginals(Dataset.from_matrix(PAPER_TABLE))
+        assert len(pmfs) == 3
+        np.testing.assert_array_equal(pmfs[0], [0.0, 0.5, 0.5])
+        np.testing.assert_array_equal(pmfs[2], [0.0] * 5 + [0.5, 0.5])
 
     def test_single_sample_point_masses(self):
-        marg = build_marginals(Dataset.from_matrix([[4.0, 2.0]]))
-        assert marg.values == ((4.0,), (2.0,))
-        assert marg.probs == ((1.0,), (1.0,))
+        pmfs = build_marginals(Dataset.from_matrix([[4.0, 2.0]]))
+        np.testing.assert_array_equal(pmfs[0], [0.0, 0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(pmfs[1], [0.0, 0.0, 1.0])
 
     def test_row_permutation_invariant(self):
         a = build_marginals(Dataset.from_matrix(PAPER_TABLE))
         b = build_marginals(Dataset.from_matrix(PAPER_TABLE[::-1]))
-        assert a == b
+        assert all(np.array_equal(f, g) for f, g in zip(a, b, strict=True))
 
     def test_multiplicity(self):
-        marg = build_marginals(Dataset.from_matrix([[1.0], [1.0], [3.0]]))
-        assert marg.values[0] == (1.0, 3.0)
-        assert marg.probs[0] == pytest.approx((2 / 3, 1 / 3))
+        pmfs = build_marginals(Dataset.from_matrix([[1.0], [1.0], [3.0]]))
+        assert pmfs[0] == pytest.approx([0.0, 2 / 3, 0.0, 1 / 3])
 
-    def test_csv_round_trip(self, tmp_path):
-        marg = build_marginals(Dataset.from_matrix(PAPER_TABLE))
-        path = tmp_path / "marginals.csv"
-        write_marginals_csv(marg, str(path))
-        assert read_marginals_csv(str(path)) == marg
+
+class TestProductLaw:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_product_law_matches_enumeration(self, data):
+        T = data.draw(st.integers(1, 3))
+        p = params(T=T, L=data.draw(st.integers(0, 1)), U=4.0)
+        n = data.draw(st.integers(1, 4))
+        D = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 4), min_size=p.horizon, max_size=p.horizon),
+            min_size=n, max_size=n,
+        )), dtype=float)
+        pmfs = build_marginals(Dataset.from_matrix(D))
+        assert len(pmfs) == p.horizon
+        for t, f in enumerate(pmfs):
+            assert f.sum() == pytest.approx(1.0, abs=1e-12)
+            values, counts = np.unique(D[:, t], return_counts=True)
+            assert len(f) == values[-1] + 1
+            np.testing.assert_array_equal(np.flatnonzero(f), values)
+            np.testing.assert_array_equal(f[values.astype(int)], counts / n)
+        fit = perm_fit(pmfs, p, "st")
+        assert fit.in_sample_risk == pytest.approx(
+            enumerate_product_risk(fit.policy, pmfs, p), abs=1e-9
+        )
+        level = st.integers(0, 6).map(float)
+        policies = [
+            BaseStock(data.draw(level)),
+            SsPolicy(*sorted((data.draw(level), data.draw(level)))),
+            NonStationary(tuple(data.draw(level) for _ in range(p.horizon))),
+        ]
+        for pol in policies:
+            assert perm_risk(pol, pmfs, p) == pytest.approx(
+                enumerate_product_risk(pol, pmfs, p), abs=1e-9
+            )
 
 
 class TestProductPartition:
@@ -107,13 +134,13 @@ class TestProductPartition:
 
 class TestPermFit:
     def test_newsvendor_uniform_two_atoms(self):
-        marg = build_marginals(Dataset.from_matrix([[1.0], [2.0]]))
+        pmfs = build_marginals(Dataset.from_matrix([[1.0], [2.0]]))
         p = params(T=1)
-        res = perm_fit(marg, p, "st")
+        res = perm_fit(pmfs, p, "st")
         assert res.policy.levels[0] == 2.0
         assert res.in_sample_risk == pytest.approx(0.5)
         # enumerate S in {0, 1, 2}: risks 13.5, 4.5, 0.5
-        risks = [perm_risk(BaseStock(float(S)), marg, p) for S in (0, 1, 2)]
+        risks = [perm_risk(BaseStock(float(S)), pmfs, p) for S in (0, 1, 2)]
         assert risks == pytest.approx([13.5, 4.5, 0.5])
 
     def test_point_mass_reduces_to_single_sequence_fit(self):
@@ -131,78 +158,73 @@ class TestPermFit:
             n = int(rng.integers(1, 5))
             p = params(T=T, L=int(rng.integers(0, 2)), U=5.0)
             D = rng.integers(0, 5, (n, p.horizon)).astype(float)
-            marg = build_marginals(Dataset.from_matrix(D))
-            res = perm_fit(marg, p, "st")
-            assert perm_risk(res.policy, marg, p) == pytest.approx(
+            pmfs = build_marginals(Dataset.from_matrix(D))
+            res = perm_fit(pmfs, p, "st")
+            assert perm_risk(res.policy, pmfs, p) == pytest.approx(
                 res.in_sample_risk, abs=1e-9
             )
 
     def test_product_risk_matches_exhaustive_product(self):
-        marg = build_marginals(Dataset.from_matrix([[1.0, 2.0], [2.0, 1.0]]))
+        pmfs = build_marginals(Dataset.from_matrix([[1.0, 2.0], [2.0, 1.0]]))
         p = params()
-        res = perm_fit(marg, p, "st")
-        seqs, probs = enumerate_product_sequences(marg)
-        want = sum(
-            pr * simulate(res.policy, seq, p).avg_loss for seq, pr in zip(seqs, probs)
-        )
+        res = perm_fit(pmfs, p, "st")
+        want = enumerate_product_risk(res.policy, pmfs, p)
         assert res.in_sample_risk == pytest.approx(want, abs=1e-9)
 
     def test_fit_is_class_optimal(self):
         rng = np.random.default_rng(1)
         p = params(T=2, U=4.0)
         D = rng.integers(0, 5, (3, 2)).astype(float)
-        marg = build_marginals(Dataset.from_matrix(D))
-        res = perm_fit(marg, p, "st")
+        pmfs = build_marginals(Dataset.from_matrix(D))
+        res = perm_fit(pmfs, p, "st")
         for _ in range(100):
             levels = tuple(float(v) for v in rng.integers(0, 5, 2))
-            assert perm_risk(NonStationary(levels), marg, p) >= res.in_sample_risk - 1e-9
+            assert perm_risk(NonStationary(levels), pmfs, p) >= res.in_sample_risk - 1e-9
 
     def test_ss_fit_warns_on_nonstationary(self):
         p = params(T=2, K=5.0, U=4.0, H=6.0, Hlo=-4.0, x1=-4.0)
-        marg = build_marginals(Dataset.from_matrix([[1.0, 3.0], [2.0, 4.0]]))
+        pmfs = build_marginals(Dataset.from_matrix([[1.0, 3.0], [2.0, 4.0]]))
         with pytest.warns(UserWarning, match="stationary"):
-            res = perm_fit(marg, p, "ss")
+            res = perm_fit(pmfs, p, "ss")
         # the fitted pair is optimal among a sample of integer pairs
         for s in range(-4, 4):
             for S in range(max(s, 0), 7):
-                assert perm_risk(SsPolicy(float(s), float(S)), marg, p) >= res.in_sample_risk - 1e-9
+                assert perm_risk(SsPolicy(float(s), float(S)), pmfs, p) >= res.in_sample_risk - 1e-9
+        # equal columns make equal pmfs, and no warning
+        stationary = build_marginals(Dataset.from_matrix([[1.0, 2.0], [2.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            perm_fit(stationary, p, "ss")
 
     def test_st_requires_zero_fixed_cost(self):
-        marg = build_marginals(Dataset.from_matrix([[1.0]]))
+        pmfs = build_marginals(Dataset.from_matrix([[1.0]]))
         with pytest.raises(ValueError, match="K"):
-            perm_fit(marg, params(T=1, K=1.0), "st")
+            perm_fit(pmfs, params(T=1, K=1.0), "st")
 
     def test_non_integer_support_rejected(self):
-        marg = build_marginals(Dataset.from_matrix([[0.5]]))
-        with pytest.raises(ValueError, match="integer"):
-            perm_fit(marg, params(T=1), "st")
+        with pytest.raises(ValueError, match="integer demands"):
+            build_marginals(Dataset.from_matrix([[0.5]]))
 
 
 class TestPermRisk:
     def test_point_mass_equals_simulated_loss(self):
         data = Dataset.from_matrix([[3.0, 7.0]])
         p = params()
-        marg = build_marginals(data)
+        pmfs = build_marginals(data)
         pol = BaseStock(5.0)
-        assert perm_risk(pol, marg, p) == pytest.approx(
+        assert perm_risk(pol, pmfs, p) == pytest.approx(
             simulate(pol, (3.0, 7.0), p).avg_loss
         )
 
     def test_two_by_two_product(self):
-        marg = build_marginals(Dataset.from_matrix([[1.0, 2.0], [2.0, 1.0]]))
+        pmfs = build_marginals(Dataset.from_matrix([[1.0, 2.0], [2.0, 1.0]]))
         p = params()
         pol = BaseStock(2.0)
-        seqs, probs = enumerate_product_sequences(marg)
-        want = sum(pr * simulate(pol, s, p).avg_loss for s, pr in zip(seqs, probs))
-        assert perm_risk(pol, marg, p) == pytest.approx(want)
-
-    def test_mc_agrees_with_exact(self):
-        marg = build_marginals(Dataset.from_matrix([[1.0, 4.0], [3.0, 0.0], [2.0, 2.0]]))
-        p = params()
-        pol = SsPolicy(0.0, 3.0)
-        exact = perm_risk(pol, marg, p)
-        mean, se = perm_risk_mc(pol, marg, p, 100_000, seed=3)
-        assert abs(mean - exact) <= 3 * se
+        # the four equally likely sequences, simulated one by one
+        want = np.mean([simulate(pol, seq, p).avg_loss
+                        for seq in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0))])
+        assert perm_risk(pol, pmfs, p) == pytest.approx(want)
+        assert enumerate_product_risk(pol, pmfs, p) == pytest.approx(want)
 
 
 class TestOptimalDp:

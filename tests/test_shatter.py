@@ -1,10 +1,9 @@
 import pytest
 
-from stocklab.core import BudgetError, Dataset, SystemParams
+from stocklab.core import BudgetError
 from stocklab.evaluate import policy_losses
 from stocklab.shatter import (
     ShatterInstance,
-    ShatterTarget,
     discretization_gap,
     first_primes,
     gen_sS_prime_shatter,
@@ -122,22 +121,6 @@ class TestVerifier:
         for inst in (gen_st_shatter(5), gen_st_K_shatter(9, 0.5), gen_sS_prime_shatter(2, 0.3)):
             assert verify_shattering(inst).ok
             assert verify_shattering(inst, gamma=inst.gamma / 2).ok
-
-    def test_level_target(self):
-        # one sample, two policies: the period-1 level straddles the witness
-        p = SystemParams(T=1, L=0, h=0.0, b=1.0, K=0.0, U=1.0, x1=0.0)
-        data = Dataset.from_matrix([[0.5]])
-        from stocklab.core import BaseStock
-
-        inst = ShatterInstance(
-            dataset=data,
-            witnesses=(0.5,),
-            gamma=0.25,
-            params=p,
-            policy_for_subset=lambda A: BaseStock(1.0 if 0 in A else 0.0),
-            target=ShatterTarget(kind="level", period=1, normalizer=1.0),
-        )
-        assert verify_shattering(inst).ok
 
 
 class TestDiscretizationGap:
