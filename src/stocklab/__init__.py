@@ -19,11 +19,8 @@ from .core import (
     write_demands_csv,
 )
 from .demand import (
-    CorrelatedNormalSupport,
     DemandModel,
-    Deterministic,
     FiniteSupport,
-    IIDNormal,
     IndependentNormals,
     InstanceHyper,
     draw,
@@ -36,8 +33,6 @@ from .evaluate import (
     dataset_risk,
     exact_risk,
     finite_support_risk,
-    mc_risk,
-    model_risk,
 )
 from .experiments import ExperimentConfig, MetricsRecord, run_experiment
 from .emit import emit_results
@@ -69,14 +64,11 @@ from .shatter import (
 __all__ = [
     "BaseStock",
     "BudgetError",
-    "CorrelatedNormalSupport",
     "Dataset",
     "DemandModel",
-    "Deterministic",
     "ExperimentConfig",
     "FiniteSupport",
     "FitResult",
-    "IIDNormal",
     "IndependentNormals",
     "InstanceHyper",
     "MetricsRecord",
@@ -107,8 +99,6 @@ __all__ = [
     "gen_st_shatter",
     "grid_oracle",
     "marginal_pmfs",
-    "mc_risk",
-    "model_risk",
     "perm_fit",
     "perm_risk",
     "product_partition",

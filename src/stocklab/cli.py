@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 from . import __version__
@@ -424,6 +425,11 @@ _HANDLERS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning:`` line, like the ``error:`` lines."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -432,7 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; those are input errors
         return 0 if not exc.code else 1
     try:
-        return _HANDLERS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _HANDLERS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

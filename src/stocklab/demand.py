@@ -11,7 +11,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -38,66 +38,21 @@ def clamp_round(values: np.ndarray, cap: float, integerize: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndependentNormals:
-    """Independent per-period normals, truncated to [0, cap] and rounded."""
+    """Independent per-period normals, clamped to [0, cap] and then rounded.
 
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-    cap: float = 20.0
-    integerize: bool = True
-
-    def __post_init__(self) -> None:
-        if len(self.means) != len(self.stds):
-            raise ValueError("means and stds must have equal length")
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.means)
-
-
-@dataclass(frozen=True)
-class IIDNormal:
-    """One normal distribution shared by every period."""
-
-    mu: float
-    sigma: float
-    n_periods: int
-    cap: float = 20.0
-    integerize: bool = True
-
-    def __post_init__(self) -> None:
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
-        if self.n_periods < 1:
-            raise ValueError("n_periods must be >= 1")
-
-
-@dataclass(frozen=True)
-class CorrelatedNormalSupport:
-    """Uniform distribution over a finite support of joint-normal draws.
-
-    The support consists of ``support_size`` draws from the multivariate
-    normal with covariance ``sigma_k sigma_l rho^|k-l|``, clamped and rounded
-    like the independent models.  ``support_seed`` fixes the support, so the
-    model is a fully specified distribution.
+    The law of independent per-period demand: an i.i.d. model repeats one
+    mean and one deviation, and a zero deviation puts all of a period's mass
+    on the clamped, rounded mean.  ``integerize=False`` skips the rounding.
     """
 
     means: tuple[float, ...]
     stds: tuple[float, ...]
-    rho: float
-    support_size: int
-    support_seed: int
     cap: float = 20.0
     integerize: bool = True
 
     def __post_init__(self) -> None:
         if len(self.means) != len(self.stds):
             raise ValueError("means and stds must have equal length")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [-1, 1]")
-        if self.support_size < 1:
-            raise ValueError("support_size must be >= 1")
         if self.cap <= 0:
             raise ValueError("cap must be positive")
 
@@ -105,39 +60,14 @@ class CorrelatedNormalSupport:
     def n_periods(self) -> int:
         return len(self.means)
 
-    def covariance(self) -> np.ndarray:
-        stds = np.asarray(self.stds)
-        k = np.arange(len(stds))
-        return np.outer(stds, stds) * self.rho ** np.abs(k[:, None] - k[None, :])
-
-    def support(self) -> np.ndarray:
-        """The (support_size, T+L) matrix of support atoms."""
-        rng = make_rng(self.support_seed)
-        cov = self.covariance()
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        factor = eigvecs * np.sqrt(np.maximum(eigvals, EIG_FLOOR))
-        z = rng.standard_normal((self.support_size, len(self.means)))
-        raw = np.asarray(self.means) + z @ factor.T
-        return clamp_round(raw, self.cap, self.integerize)
-
-
-@dataclass(frozen=True)
-class Deterministic:
-    """A point mass on a single demand sequence."""
-
-    sequence: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        Dataset.from_matrix([self.sequence])  # the demand checks of a dataset
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.sequence)
-
 
 @dataclass(frozen=True)
 class FiniteSupport:
-    """Uniform distribution over an explicit list of demand sequences."""
+    """Uniform distribution over an explicit list of demand sequences.
+
+    The law on whole trajectories, which may be correlated across periods;
+    a point mass is ``FiniteSupport((sequence,))``.
+    """
 
     atoms: tuple[tuple[float, ...], ...]
 
@@ -152,9 +82,7 @@ class FiniteSupport:
         return np.asarray(self.atoms, dtype=float)
 
 
-DemandModel = Union[
-    IndependentNormals, IIDNormal, CorrelatedNormalSupport, Deterministic, FiniteSupport
-]
+DemandModel = Union[IndependentNormals, FiniteSupport]
 
 
 def draw(model: DemandModel, n: int, seed: int | tuple[int, ...]) -> Dataset:
@@ -166,15 +94,6 @@ def draw(model: DemandModel, n: int, seed: int | tuple[int, ...]) -> Dataset:
     if isinstance(model, IndependentNormals):
         raw = rng.normal(model.means, model.stds, size=(n, model.n_periods))
         return Dataset.from_matrix(clamp_round(raw, model.cap, model.integerize))
-    if isinstance(model, IIDNormal):
-        raw = rng.normal(model.mu, model.sigma, size=(n, model.n_periods))
-        return Dataset.from_matrix(clamp_round(raw, model.cap, model.integerize))
-    if isinstance(model, CorrelatedNormalSupport):
-        support = model.support()
-        idx = rng.integers(0, len(support), size=n)
-        return Dataset.from_matrix(support[idx])
-    if isinstance(model, Deterministic):
-        return Dataset.from_matrix([model.sequence] * n)
     if isinstance(model, FiniteSupport):
         idx = rng.integers(0, len(model.atoms), size=n)
         return Dataset.from_matrix(model.as_matrix()[idx])
@@ -202,47 +121,27 @@ def truncated_normal_pmf(mu: float, sigma: float, cap: int) -> np.ndarray:
 
 
 def marginal_pmfs(model: DemandModel) -> list[np.ndarray] | None:
-    """Per-period pmfs over {0, ..., cap} for independent integer models.
+    """Per-period pmfs over {0, ..., cap} of an integer ``IndependentNormals``.
 
-    Returns None when the model is not an independent integer-valued
-    process (correlated supports, continuous models), in which case exact
-    independent-demand evaluation is unavailable.
+    Returns None for a finite support, which may be correlated across
+    periods, and for a continuous model or a fractional cap; exact
+    independent-demand evaluation is then unavailable.
     """
-    if isinstance(model, IndependentNormals) and model.integerize:
+    if isinstance(model, IndependentNormals):
         cap = int(model.cap)
-        if model.cap != cap:
+        if not model.integerize or model.cap != cap:
             return None
         return [
             truncated_normal_pmf(mu, sd, cap)
             for mu, sd in zip(model.means, model.stds)
         ]
-    if isinstance(model, IIDNormal) and model.integerize:
-        cap = int(model.cap)
-        if model.cap != cap:
-            return None
-        pmf = truncated_normal_pmf(model.mu, model.sigma, cap)
-        return [pmf] * model.n_periods
-    if isinstance(model, Deterministic):
-        seq = np.asarray(model.sequence)
-        if not np.all(seq == np.rint(seq)):
-            return None
-        pmfs = []
-        for v in seq.astype(int):
-            pmf = np.zeros(v + 1)
-            pmf[v] = 1.0
-            pmfs.append(pmf)
-        return pmfs
     return None
 
 
 def support_atoms(model: DemandModel) -> np.ndarray | None:
     """Explicit finite support as an (n_atoms, T+L) matrix, if the model has one."""
-    if isinstance(model, Deterministic):
-        return np.asarray([model.sequence], dtype=float)
     if isinstance(model, FiniteSupport):
         return model.as_matrix()
-    if isinstance(model, CorrelatedNormalSupport):
-        return model.support()
     return None
 
 
@@ -314,9 +213,13 @@ def sample_instance(
 
     ``kind`` selects the generator family used by the corresponding
     experiment: per-period independent normals (``ee-vs-T``,
-    ``oos-vs-N-St``, ``erm-vs-perm-ind``), a single shared normal
-    (``oos-vs-N-sS``), or a correlated finite-support model
-    (``erm-vs-perm-corr``).
+    ``oos-vs-N-St``, ``erm-vs-perm-ind``), one normal repeated in every
+    period (``oos-vs-N-sS``), both as :class:`IndependentNormals`, or a
+    finite support on whole sequences (``erm-vs-perm-corr``) as
+    :class:`FiniteSupport`.  Its ``joint`` form draws ``support_size``
+    atoms from the multivariate normal with covariance
+    ``sigma_k sigma_l rho^|k-l|``, clamped and rounded like the independent
+    models; its ``product`` form is every combination of per-period draws.
     """
     key = seed if isinstance(seed, tuple) else (seed,)
     rng = make_rng(*key)
@@ -328,7 +231,7 @@ def sample_instance(
     if kind == "oos-vs-N-sS":
         mu = rng.uniform((1 - hyper.iid_mu_spread) * hyper.mu0, (1 + hyper.iid_mu_spread) * hyper.mu0)
         sigma = rng.uniform((1 - hyper.iid_sigma_spread) * hyper.sigma0, (1 + hyper.iid_sigma_spread) * hyper.sigma0)
-        return IIDNormal(float(mu), float(sigma), n, hyper.cap, hyper.integerize)
+        return IndependentNormals((float(mu),) * n, (float(sigma),) * n, hyper.cap, hyper.integerize)
     if kind == "erm-vs-perm-corr":
         means = rng.uniform((1 - hyper.nonst) * hyper.mu0, (1 + hyper.nonst) * hyper.mu0, n)
         stds = rng.uniform((1 - hyper.nonst) * hyper.sigma0, (1 + hyper.nonst) * hyper.sigma0, n)
@@ -342,14 +245,17 @@ def sample_instance(
                             hyper.cap, hyper.integerize)
                 for t in range(n)
             ]
-            atoms = tuple(
+            return FiniteSupport(tuple(
                 tuple(float(v) for v in combo)
                 for combo in itertools.product(*cols)
-            )
-            return FiniteSupport(atoms)
-        support_seed = int(rng.integers(0, 2**31 - 1))
-        return CorrelatedNormalSupport(
-            tuple(means), tuple(stds), hyper.rho, hyper.support_size, support_seed,
-            hyper.cap, hyper.integerize,
-        )
+            ))
+        # the atoms come from their own generator, seeded from this one
+        atom_rng = make_rng(int(rng.integers(0, 2**31 - 1)))
+        k = np.arange(n)
+        cov = np.outer(stds, stds) * hyper.rho ** np.abs(k[:, None] - k[None, :])
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        factor = eigvecs * np.sqrt(np.maximum(eigvals, EIG_FLOOR))
+        z = atom_rng.standard_normal((hyper.support_size, n))
+        atoms = clamp_round(means + z @ factor.T, hyper.cap, hyper.integerize)
+        return FiniteSupport(tuple(tuple(float(v) for v in row) for row in atoms))
     raise ValueError(f"unknown experiment kind {kind!r}")

@@ -21,11 +21,13 @@ from .evaluate import (
     base_stock_loss_matrix,
     exact_base_stock_levels,
     exact_base_stock_risk,
+    grid_axis,
     ss_losses_grid,
     ss_pairs,
     st_level_grid,
     st_losses_grid,
 )
+from .fitters import fit_cap, fit_ss_bounds
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,22 @@ def ge_estimate(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    values = []
     exact = policy_class == "base-stock"
+    if policy_class == "ss":
+        lo, hi, _ = fit_ss_bounds(p)
+        axis = grid_axis(lo, hi, grid_step)
+        # the pairs s <= S with S >= 0: the j-th point of the sorted axis pairs
+        # with the j + 1 points up to it
+        if int((np.flatnonzero(axis >= 0.0) + 1).sum()) > grid_budget:
+            raise BudgetError("(s, S) grid exceeds budget")
+        s_vals, S_vals = ss_pairs(axis)
+    elif policy_class == "st":
+        axis = grid_axis(0.0, fit_cap(p.level_cap()), grid_step)
+        if len(axis) ** p.horizon > grid_budget:
+            raise BudgetError("per-period grid exceeds budget")
+    elif not exact:
+        raise ValueError(f"unknown policy class {policy_class!r}")
+    values = []
     atoms = support_atoms(model)
     pmfs = marginal_pmfs(model) if atoms is None and exact else None
     for rep in range(reps):
@@ -116,7 +132,7 @@ def ge_estimate(
         D_eval = atoms
         if D_eval is None and pmfs is None:
             D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
-        if policy_class == "base-stock":
+        if exact:
             # every kink of the true and the empirical risk curve is a candidate
             if pmfs is not None:
                 cands = np.union1d(base_stock_kinks(D, p), exact_base_stock_levels(pmfs, p))
@@ -127,18 +143,10 @@ def ge_estimate(
             emp = base_stock_loss_matrix(cands, D, p).mean(axis=1)
             values.append(float((true_risks - emp).max()))
         elif policy_class == "ss":
-            lo, hi, _ = p.ss_bounds()
-            s_vals, S_vals = ss_pairs(np.arange(lo, hi + grid_step / 2, grid_step))
-            if len(s_vals) > grid_budget:
-                raise BudgetError("(s, S) grid exceeds budget")
             emp = ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)
             true_risks = ss_losses_grid(s_vals, S_vals, D_eval, p).mean(axis=1)
             values.append(float((true_risks - emp).max()))
-        elif policy_class == "st":
-            hi = p.level_cap()
-            axis = np.arange(0.0, hi + grid_step / 2, grid_step)
-            if len(axis) ** p.horizon > grid_budget:
-                raise BudgetError("per-period grid exceeds budget")
+        else:
             # the last L levels never reach the loss, so the first T span every gap
             best = -math.inf
             for levels in st_level_grid(axis, p, max(len(D), len(D_eval))):
@@ -148,8 +156,6 @@ def ge_estimate(
                 )
                 best = max(best, float(gaps.max()))
             values.append(best)
-        else:
-            raise ValueError(f"unknown policy class {policy_class!r}")
     arr = np.asarray(values)
     return GeReport(
         mean_ge=float(arr.mean()),

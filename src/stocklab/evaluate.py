@@ -75,6 +75,12 @@ def sorted_prefix_costs(levels: np.ndarray, a: np.ndarray, p: SystemParams) -> n
     return hold + back
 
 
+def _check_closed_form_x1(p: SystemParams) -> None:
+    """Reject x1 > 0, where the order-every-period closed form does not hold."""
+    if p.x1 > 0:
+        raise ValueError(f"the base-stock closed form needs x1 <= 0, got x1={p.x1}")
+
+
 def _base_stock_charges(
     lv: np.ndarray, D: np.ndarray, p: SystemParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +96,7 @@ def base_stock_loss_matrix(levels: np.ndarray, D: np.ndarray, p: SystemParams) -
     period; then the level at the end of each charged period t is S minus
     the demand of periods t-L .. t.
     """
+    _check_closed_form_x1(p)
     lv = np.asarray(levels, dtype=float)
     sums = lead_demand_sums(D, p.L)
     out = np.empty((len(lv), len(sums)))
@@ -107,8 +114,10 @@ def base_stock_risk_curve(levels: np.ndarray, D: np.ndarray, p: SystemParams) ->
     """Empirical risk of each base-stock level on the paths of D, shape (n_levels,).
 
     The lead-time demand sums of all paths are pooled into one row, so the
-    curve costs one sort however many paths there are.
+    curve costs one sort however many paths there are.  Requires
+    ``S >= 0 >= x1``, as :func:`base_stock_loss_matrix` does.
     """
+    _check_closed_form_x1(p)
     lv = np.asarray(levels, dtype=float)
     scale = D.shape[0] * p.T
     risks = sorted_prefix_costs(lv, lead_demand_sums(D, p.L).reshape(1, -1), p)[0] / scale
@@ -121,7 +130,11 @@ def base_stock_risk_curve(levels: np.ndarray, D: np.ndarray, p: SystemParams) ->
 
 def base_stock_kinks(D: np.ndarray, p: SystemParams) -> np.ndarray:
     """Every lead-demand sum in [0, cap] plus the endpoints: the kinks of the
-    piecewise-linear empirical risk, where its minimum and suprema lie."""
+    piecewise-linear empirical risk, where its minimum and suprema lie.
+
+    The risk has these kinks only when ``S >= 0 >= x1``, so x1 > 0 is rejected.
+    """
+    _check_closed_form_x1(p)
     hi = p.level_cap()
     cands = np.concatenate([lead_demand_sums(D, p.L).ravel(), [0.0, hi]])
     return np.unique(cands[(cands >= 0.0) & (cands <= hi)])
@@ -285,6 +298,7 @@ def exact_base_stock_risk(
     ``simulate`` drops a first order S - x1 of at most ``ORDER_EPS``, so such
     a level waits at x1 until the first positive demand.
     """
+    _check_closed_form_x1(p)
     lv = np.atleast_1d(np.asarray(S, dtype=float))
     dust = (lv - p.x1 > 0.0) & (lv - p.x1 <= ORDER_EPS)
     waiting = 1.0  # probability that no demand came before period t
@@ -467,6 +481,20 @@ def rescored_argmin(scores: np.ndarray, rescore) -> tuple[int, float]:
     return j, risk
 
 
+def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """The points lo, lo + step, ... of [lo, hi], as ``np.arange`` spaces them.
+
+    ``arange`` runs to hi + step / 2; of its points past hi, one within
+    float rounding of hi becomes hi and the others go, so every point lies in
+    the class bounds and those inside them keep their exact floats.
+    """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {step}")
+    axis = np.arange(lo, hi + step / 2, step)
+    axis[(axis > hi) & (axis - hi <= 1e-9 * max(step, abs(lo), abs(hi)))] = hi
+    return axis[axis <= hi]
+
+
 def ss_pairs(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair s <= S of values on ``axis`` with S >= 0, as float arrays (s, S).
 
@@ -518,15 +546,6 @@ def finite_support_risk(policy: Policy, atoms: np.ndarray, p: SystemParams) -> f
     return float(policy_losses(policy, Dataset.from_matrix(atoms).as_matrix(), p).mean())
 
 
-def mc_risk(
-    policy: Policy, model: DemandModel, n: int, seed: int | tuple[int, ...], p: SystemParams
-) -> tuple[float, float]:
-    """Monte-Carlo risk estimate (mean, standard error) from n fresh draws."""
-    D = draw(model, n, seed).as_matrix()
-    losses = policy_losses(policy, D, p)
-    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(n))
-
-
 class ModelRisk:
     """True risk of policies under one demand model, by a path chosen once.
 
@@ -566,17 +585,6 @@ class ModelRisk:
             )
             self.eval_paths = draw(self.model, self.eval_samples, self.seed).as_matrix()
         return float(policy_losses(policy, self.eval_paths, self.p).mean())
-
-
-def model_risk(
-    policy: Policy,
-    model: DemandModel,
-    p: SystemParams,
-    eval_samples: int = 2000,
-    seed: int | tuple[int, ...] = 0,
-) -> float:
-    """Risk under a demand model, by the path :class:`ModelRisk` chooses."""
-    return ModelRisk(model, p, eval_samples, seed)(policy)
 
 
 def enumerate_product_risk(

@@ -11,7 +11,7 @@ cyclic coordinate descent whose line searches are themselves exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .evaluate import (
     base_stock_kinks,
     base_stock_risk_curve,
     dataset_risk,
+    grid_axis,
     lead_demand_sums,
     sorted_prefix_costs,
     ss_losses_grid,
@@ -64,7 +65,7 @@ class StOptions:
     jitter: float | None = None  # default: 5% of the level cap
 
 
-def _fit_cap(cap: float) -> float:
+def fit_cap(cap: float) -> float:
     """A level cap H, which a fit over levels in [0, H] needs finite and >= 0."""
     if not 0.0 <= cap < math.inf:
         raise ValueError(f"fitting needs a finite level cap H >= 0, got {cap}")
@@ -72,11 +73,11 @@ def _fit_cap(cap: float) -> float:
 
 
 def fit_ss_bounds(p: SystemParams) -> tuple[float, float, bool]:
-    """The (s, S) bounds ``(Hlo, H, capped)``, with Hlo finite and H as :func:`_fit_cap`."""
+    """The (s, S) bounds ``(Hlo, H, capped)``, with Hlo finite and H as :func:`fit_cap`."""
     lo, hi, capped = p.ss_bounds()
     if not math.isfinite(lo):
         raise ValueError(f"fitting needs a finite reorder-point bound Hlo, got {lo}")
-    return lo, _fit_cap(hi), capped
+    return lo, fit_cap(hi), capped
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     the interval endpoints; ties go to the smallest level.
     """
     D = demand_matrix(data, p)
-    _fit_cap(p.level_cap())
+    fit_cap(p.level_cap())
     cands = base_stock_kinks(D, p)
     best = int(np.argmin(base_stock_risk_curve(cands, D, p)))
     policy = BaseStock(float(cands[best]))
@@ -132,7 +133,7 @@ def fit_level_fixed_gap(data: Dataset, p: SystemParams, delta: float) -> FitResu
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     D = demand_matrix(data, p)
-    hi = _fit_cap(p.level_cap()) + delta
+    hi = fit_cap(p.level_cap()) + delta
     cands = [np.array([0.0, hi])]
     for row in D:
         sums = _contiguous_sums(row)
@@ -380,10 +381,12 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     """Multi-start cyclic coordinate descent over per-period order-up-to levels.
 
     Requires K = 0 (the per-period-level class is fitted without fixed
-    costs).  Restart 0 starts from the stationary base-stock fit; later
-    restarts start from per-period critical-fractile quantiles of lead-time
-    demand plus seeded uniform jitter.  Each coordinate step is an exact
-    line minimization, so every sweep is monotone.
+    costs).  Restart 0 starts from the stationary base-stock fit, made at
+    x1 = min(x1, 0) where its closed form holds (with K = 0 the fitted level
+    does not depend on x1); later restarts start from per-period
+    critical-fractile quantiles of lead-time demand plus seeded uniform
+    jitter.  Each coordinate step is an exact line minimization, so every
+    sweep is monotone.
 
     The restarts share one leading axis: every sweep runs one batched line
     search per coordinate over the restarts still descending, and a restart
@@ -396,7 +399,7 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     opts = opts or StOptions()
     D = demand_matrix(data, p)
     n, horizon = D.shape
-    cap = _fit_cap(p.level_cap())
+    cap = fit_cap(p.level_cap())
     pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
 
     fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
@@ -405,7 +408,8 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     jitter = opts.jitter if opts.jitter is not None else 0.05 * cap
     rng = make_rng(opts.seed)
 
-    starts = [np.full(p.T, erm_base_stock(data, p).policy.S)]
+    start = erm_base_stock(data, replace(p, x1=min(p.x1, 0.0))).policy.S
+    starts = [np.full(p.T, start)]
     for _ in range(max(opts.restarts - 1, 0)):
         starts.append(
             np.clip(quantiles + rng.uniform(-jitter, jitter, p.T), 0.0, cap)
@@ -469,13 +473,10 @@ def grid_oracle(
     broadcast kernel each, and the first minimum wins: the same pick as
     scanning every point in product order.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     D = demand_matrix(data, p)
 
     if policy_class == "base-stock":
-        hi = _fit_cap(p.level_cap())
-        grid = np.arange(0.0, hi + step / 2, step)
+        grid = grid_axis(0.0, fit_cap(p.level_cap()), step)
         if len(grid) > budget:
             raise BudgetError("base-stock grid exceeds budget")
         best = int(np.argmin(base_stock_risk_curve(grid, D, p)))
@@ -483,7 +484,7 @@ def grid_oracle(
         count = len(grid)
     elif policy_class == "ss":
         lo, hi, _ = fit_ss_bounds(p)
-        axis = np.arange(lo, hi + step / 2, step)
+        axis = grid_axis(lo, hi, step)
         if len(axis) * np.count_nonzero(axis >= 0.0) > budget:
             raise BudgetError("(s, S) grid exceeds budget")
         s_vals, S_vals = ss_pairs(axis)
@@ -492,8 +493,7 @@ def grid_oracle(
         policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
         count = len(s_vals)
     elif policy_class == "st":
-        hi = _fit_cap(p.level_cap())
-        axis = np.arange(0.0, hi + step / 2, step)
+        axis = grid_axis(0.0, fit_cap(p.level_cap()), step)
         count = len(axis) ** p.horizon
         if count > budget:
             raise BudgetError("per-period grid exceeds budget")

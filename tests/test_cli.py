@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stocklab
 from stocklab.cli import build_parser, main, parse_policy
 from stocklab.core import BaseStock, Dataset, NonStationary, SsPolicy, write_demands_csv
 
@@ -132,6 +136,22 @@ class TestFit:
         assert captured.out == ""
         assert captured.err.strip() == "error: fitting needs a finite level cap H >= 0, got inf"
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--class", "base-stock"], id="fit"),
+        pytest.param(["rademacher", "--draws", "5"], id="rademacher"),
+    ])
+    def test_positive_x1_rejected_by_base_stock_closed_form(self, tmp_path, capsys, argv):
+        path = tmp_path / "demands.csv"
+        path.write_text("t1,t2,t3\n1,0,0\n")
+        assert main(argv + ["--data", str(path), "--T", "3", "--x1", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the base-stock closed form needs x1 <= 0, got x1=1.0"
+        ]
+        # the per-period class still fits from positive initial stock
+        assert main(["fit", "--class", "st", "--data", str(path), "--T", "3", "--x1", "1"]) == 0
+
     def test_empty_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -156,6 +176,22 @@ class TestPerm:
         assert code == 0
         out = capsys.readouterr().out
         assert "productRisk" in out
+
+    def test_nonstationary_ss_warning_is_one_line(self, tmp_path):
+        path = tmp_path / "demands.csv"
+        path.write_text("t1,t2\n3,7\n2,5\n4,1\n")
+        root = os.path.dirname(os.path.dirname(stocklab.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        out = subprocess.run(
+            [sys.executable, "-m", "stocklab.cli", "perm", "--class", "ss", "--data",
+             str(path), "--T", "2", "--U", "10"],
+            capture_output=True, text=True, cwd=tmp_path, env={**env, "PYTHONPATH": root},
+        )
+        assert out.returncode == 0
+        assert out.stdout.startswith("policy ss:")
+        assert out.stderr == (
+            "warning: fitting a stationary (s, S) policy against non-stationary marginals\n"
+        )
 
     @pytest.mark.parametrize("policy_class", ["st", "ss"])
     def test_fractional_demands_rejected(self, tmp_path, capsys, policy_class):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -12,10 +13,8 @@ from scipy.stats import norm
 import stocklab
 from stocklab.core import SystemParams
 from stocklab.demand import (
-    CorrelatedNormalSupport,
-    Deterministic,
+    DemandModel,
     FiniteSupport,
-    IIDNormal,
     IndependentNormals,
     InstanceHyper,
     draw,
@@ -25,10 +24,23 @@ from stocklab.demand import (
     support_atoms,
     truncated_normal_pmf,
 )
+from stocklab.evaluate import ModelRisk
+
+
+def iid(mu, sigma, n, cap=20.0, integerize=True):
+    """One normal repeated in every period."""
+    return IndependentNormals((mu,) * n, (sigma,) * n, cap, integerize)
+
+
+def joint_support(rho, support_size, seed, n=2, sigma=5.0, integerize=True):
+    """The erm-vs-perm-corr support of n periods with every mean 10 and deviation sigma."""
+    hyper = InstanceHyper(nonst=0.0, sigma0=sigma, rho=rho, support_size=support_size,
+                          integerize=integerize)
+    return sample_instance("erm-vs-perm-corr", seed, SystemParams(T=n), hyper)
 
 
 def test_deterministic_draw():
-    data = draw(Deterministic((4.0, 3.0, 1.0)), 3, seed=0)
+    data = draw(FiniteSupport(((4.0, 3.0, 1.0),)), 3, seed=0)
     assert len(data) == 3
     np.testing.assert_array_equal(data.as_matrix(), [[4.0, 3.0, 1.0]] * 3)
 
@@ -42,12 +54,12 @@ def test_integerized_draws_stay_in_range():
 
 
 def test_zero_variance_is_constant():
-    data = draw(IIDNormal(10.0, 0.0, 3), 5, seed=2).as_matrix()
+    data = draw(iid(10.0, 0.0, 3), 5, seed=2).as_matrix()
     assert np.all(data == 10.0)
 
 
 def test_same_seed_bit_identical():
-    model = IIDNormal(10.0, 5.0, 6)
+    model = iid(10.0, 5.0, 6)
     a = draw(model, 50, seed=123)
     b = draw(model, 50, seed=123)
     c = draw(model, 50, seed=124)
@@ -69,7 +81,7 @@ def test_truncated_rounded_mean_against_quadrature():
         expected += k * mass
     assert mean_pmf == pytest.approx(expected, abs=1e-8)
 
-    sample = draw(IIDNormal(mu, sigma, 1, cap=cap), 100_000, seed=9).as_matrix()
+    sample = draw(iid(mu, sigma, 1, cap=cap), 100_000, seed=9).as_matrix()
     assert abs(sample.mean() - expected) < 0.1
 
 
@@ -112,10 +124,7 @@ def test_marginal_pmfs_match_empirical():
 
 
 def test_correlated_support_autocorrelation_near_zero_at_rho_zero():
-    model = CorrelatedNormalSupport(
-        means=(10.0,) * 2, stds=(5.0,) * 2, rho=0.0,
-        support_size=20_000, support_seed=7, cap=20.0,
-    )
+    model = joint_support(0.0, 20_000, seed=7)
     data = draw(model, 100_000, seed=8).as_matrix()
     corr = np.corrcoef(data[:, 0], data[:, 1])[0, 1]
     assert abs(corr) < 0.05
@@ -123,21 +132,16 @@ def test_correlated_support_autocorrelation_near_zero_at_rho_zero():
 
 def test_correlated_support_degenerate_rho():
     for rho in (-1.0, 1.0):
-        model = CorrelatedNormalSupport(
-            means=(10.0, 10.0), stds=(3.0, 3.0), rho=rho,
-            support_size=500, support_seed=3, cap=20.0, integerize=False,
-        )
-        atoms = model.support()
+        atoms = support_atoms(joint_support(rho, 500, seed=3, sigma=3.0, integerize=False))
         corr = np.corrcoef(atoms[:, 0], atoms[:, 1])[0, 1]
         assert corr == pytest.approx(rho, abs=0.05)
 
 
 def test_support_is_deterministic_per_seed():
-    kw = dict(means=(10.0,) * 3, stds=(5.0,) * 3, rho=-0.5, support_size=5, cap=20.0)
-    a = CorrelatedNormalSupport(support_seed=11, **kw)
-    b = CorrelatedNormalSupport(support_seed=11, **kw)
-    assert np.array_equal(a.support(), b.support())
-    assert np.array_equal(support_atoms(a), a.support())
+    a = joint_support(-0.5, 5, seed=11, n=3)
+    b = joint_support(-0.5, 5, seed=11, n=3)
+    assert np.array_equal(support_atoms(a), support_atoms(b))
+    assert not np.array_equal(support_atoms(a), support_atoms(joint_support(-0.5, 5, seed=12, n=3)))
 
 
 def test_finite_support_draw():
@@ -153,7 +157,7 @@ def test_finite_support_draw():
 ])
 def test_explicit_models_check_their_demands(atom, message):
     with pytest.raises(ValueError, match=message):
-        Deterministic(atom)
+        FiniteSupport((atom,))  # a point mass
     with pytest.raises(ValueError, match=message):
         FiniteSupport(((1.0, 2.0), atom))
     with pytest.raises(ValueError, match="array of numbers"):
@@ -185,8 +189,10 @@ class TestSampleInstance:
         p = SystemParams(T=20, U=20.0)
         for seed in range(20):
             model = sample_instance("oos-vs-N-sS", seed, p, InstanceHyper())
-            assert 8.0 <= model.mu <= 12.0
-            assert 4.0 <= model.sigma <= 6.0
+            assert model.means == (model.means[0],) * 20
+            assert model.stds == (model.stds[0],) * 20
+            assert 8.0 <= model.means[0] <= 12.0
+            assert 4.0 <= model.stds[0] <= 6.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -197,3 +203,37 @@ class TestSampleInstance:
         a = sample_instance("erm-vs-perm-corr", 3, p, InstanceHyper(rho=-0.8))
         b = sample_instance("erm-vs-perm-corr", 3, p, InstanceHyper(rho=-0.8))
         assert a == b
+
+
+@pytest.mark.parametrize("kind,hyper", [
+    ("ee-vs-T", InstanceHyper()),
+    ("oos-vs-N-St", InstanceHyper()),
+    ("oos-vs-N-sS", InstanceHyper()),
+    ("erm-vs-perm-ind", InstanceHyper()),
+    ("erm-vs-perm-corr", InstanceHyper(rho=-0.8)),
+    ("erm-vs-perm-corr", InstanceHyper(support_form="product", support_size=2)),
+])
+def test_every_kind_samples_one_of_the_two_laws(kind, hyper):
+    model = sample_instance(kind, 5, SystemParams(T=3, U=20.0), hyper)
+    assert isinstance(model, (IndependentNormals, FiniteSupport))
+    assert model.n_periods == 3
+
+
+@pytest.mark.parametrize("law", typing.get_args(DemandModel))
+def test_every_law_goes_through_every_entry_point(law):
+    p = SystemParams(T=2, U=20.0)
+    model = {
+        IndependentNormals: iid(10.0, 5.0, 2),
+        FiniteSupport: FiniteSupport(((3.0, 7.0), (1.0, 2.0))),
+    }[law]
+    D = draw(model, 50, seed=1).as_matrix()
+    assert D.shape == (50, 2)
+    pmfs, atoms = marginal_pmfs(model), support_atoms(model)
+    if law is FiniteSupport:
+        assert pmfs is None
+        assert set(map(tuple, D)) <= set(map(tuple, atoms))
+        assert ModelRisk(model, p).mode == "finite-support"
+    else:
+        assert atoms is None
+        assert [len(f) for f in pmfs] == [21, 21]
+        assert ModelRisk(model, p).mode == "exact"

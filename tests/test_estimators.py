@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stocklab import evaluate
-from stocklab.core import ORDER_EPS, BaseStock, Dataset, SystemParams, simulate
-from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw, support_atoms
+from stocklab import estimators, evaluate
+from stocklab.core import ORDER_EPS, BaseStock, BudgetError, Dataset, SystemParams, simulate
+from stocklab.demand import FiniteSupport, IndependentNormals, draw, support_atoms
 from stocklab.evaluate import st_losses
 from stocklab.estimators import (
     base_stock_kinks,
@@ -91,7 +91,7 @@ class TestRademacher:
 class TestGeEstimate:
     def test_deterministic_model_has_zero_ge(self):
         p = params(T=3, U=6.0)
-        rep = ge_estimate(Deterministic((1.0, 4.0, 2.0)), 4, p, reps=5, seed=5)
+        rep = ge_estimate(FiniteSupport(((1.0, 4.0, 2.0),)), 4, p, reps=5, seed=5)
         assert rep.mean_ge == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_support_matches_exhaustive_datasets(self):
@@ -114,7 +114,7 @@ class TestGeEstimate:
 
     def test_ge_decays_with_sample_size(self):
         p = params(T=2, U=20.0)
-        model = IIDNormal(10.0, 5.0, 2)
+        model = IndependentNormals((10.0,) * 2, (5.0,) * 2)
         sizes = [8, 32, 128]
         means = [
             ge_estimate(model, n, p, reps=150, seed=7).mean_ge for n in sizes
@@ -124,13 +124,45 @@ class TestGeEstimate:
 
     def test_grid_classes_flagged_approximate(self):
         p = params(T=2, U=4.0, Hlo=-4.0, x1=-4.0)
-        model = IIDNormal(2.0, 1.0, 2, cap=4.0)
+        model = IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.0)
         rep = ge_estimate(model, 3, p, policy_class="ss", reps=3, seed=8,
                           eval_samples=200)
         assert not rep.exact_sup
         rep = ge_estimate(model, 3, p, policy_class="st", reps=2, seed=9,
                           eval_samples=200)
         assert not rep.exact_sup
+
+    @pytest.mark.parametrize("policy_class,kw,message", [
+        ("ss", dict(grid_step=0.0), "grid step must be positive"),
+        ("st", dict(grid_step=-1.0), "grid step must be positive"),
+        ("st", dict(grid_step=math.inf), "grid step must be positive"),
+        ("st", dict(p=params(T=2, U=4.0, H=math.inf)), "finite level cap"),
+        ("ss", dict(p=params(T=2, U=4.0, Hlo=-math.inf, x1=-4.0)),
+         "finite reorder-point bound"),
+    ])
+    def test_grid_classes_reject_unusable_grids(self, policy_class, kw, message):
+        kw = dict(dict(p=params(T=2, U=4.0, Hlo=-4.0, x1=-4.0)), **kw)
+        model = IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.0)
+        with pytest.raises(ValueError, match=message):
+            ge_estimate(model, 3, policy_class=policy_class, reps=1, eval_samples=20, **kw)
+
+    def test_ss_grid_keeps_no_point_past_the_bound(self, monkeypatch):
+        # arange(-4, 5.1) reaches 5, past H = 4.6; the pairs are counted
+        # exactly, and before they are built
+        p = params(T=2, U=4.0, H=4.6, Hlo=-4.0, x1=-4.0)
+        model = IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.0)
+        axis = np.arange(-4.0, 5.0)
+        seen = []
+        monkeypatch.setattr(estimators, "ss_pairs",
+                            lambda a: seen.append(a.tolist()) or evaluate.ss_pairs(a))
+        n_pairs = len(evaluate.ss_pairs(axis)[0])
+        ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20,
+                    grid_budget=n_pairs)
+        assert seen == [axis.tolist()]
+        with pytest.raises(BudgetError):
+            ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20,
+                        grid_budget=n_pairs - 1)
+        assert len(seen) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -147,7 +179,8 @@ class TestGeEstimate:
             atoms = data.draw(st.lists(st.tuples(*[cell] * (T + L)), min_size=1, max_size=4))
             model = FiniteSupport(tuple(atoms))
         else:
-            model = IIDNormal(1.5, 1.0, T + L, cap=3.0, integerize=data.draw(st.booleans()))
+            model = IndependentNormals((1.5,) * (T + L), (1.0,) * (T + L), cap=3.0,
+                                       integerize=data.draw(st.booleans()))
         step = data.draw(st.sampled_from([0.5, 1.0]))
         kw = dict(policy_class="st", reps=2, eval_samples=30, grid_step=step,
                   seed=data.draw(st.integers(0, 9)))
@@ -158,7 +191,7 @@ class TestGeEstimate:
 
     def test_st_chunks_match_one_chunk(self, monkeypatch):
         p = params(T=2, L=1, h=0.5, b=2.0, U=3.0, H=2.0)
-        model = IIDNormal(1.5, 1.0, 3, cap=3.0)
+        model = IndependentNormals((1.5,) * 3, (1.0,) * 3, cap=3.0)
         kw = dict(policy_class="st", reps=3, eval_samples=40, grid_step=0.5, seed=4)
         whole = ge_estimate(model, 3, p, **kw)
         # 120 cells over 40 eval paths x 2 periods: one combination per chunk

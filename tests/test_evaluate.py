@@ -16,9 +16,10 @@ from stocklab.core import (
     simulate,
 )
 from stocklab import evaluate
-from stocklab.demand import Deterministic, FiniteSupport, IIDNormal, draw
+from stocklab.demand import FiniteSupport, IndependentNormals, draw
 from stocklab.evaluate import (
     ModelRisk,
+    base_stock_kinks,
     base_stock_loss_matrix,
     base_stock_risk_curve,
     best_integer_ss,
@@ -31,8 +32,6 @@ from stocklab.evaluate import (
     exact_st_risk,
     finite_support_risk,
     lead_pmf,
-    mc_risk,
-    model_risk,
     policy_losses,
     ss_losses_grid,
     st_losses,
@@ -143,7 +142,7 @@ class TestBatchLossesMatchSimulate:
     def test_dataset_risk_matches_mean(self):
         rng = np.random.default_rng(3)
         p = SystemParams(T=3, L=1, U=6.0, K=2.0)
-        data = draw(IIDNormal(3.0, 1.0, 4, cap=6.0), 10, seed=0)
+        data = draw(IndependentNormals((3.0,) * 4, (1.0,) * 4, cap=6.0), 10, seed=0)
         pol = BaseStock(5.0)
         want = np.mean([simulate(pol, row, p).avg_loss for row in data.as_matrix()])
         assert dataset_risk(pol, data, p) == pytest.approx(want)
@@ -208,7 +207,7 @@ class TestModelRisk:
         pol = BaseStock(4.0)
         a = simulate(pol, (3.0, 7.0), p).avg_loss
         b = simulate(pol, (1.0, 2.0), p).avg_loss
-        assert model_risk(pol, model, p) == pytest.approx((a + b) / 2)
+        assert ModelRisk(model, p)(pol) == pytest.approx((a + b) / 2)
         assert finite_support_risk(pol, model.as_matrix(), p) == pytest.approx((a + b) / 2)
 
     def test_finite_support_rejects_dust_atom(self):
@@ -226,36 +225,54 @@ class TestModelRisk:
         p = SystemParams(T=2, L=0, U=8.0)
         pol = BaseStock(4.0)
         want = simulate(pol, (3.0, 7.0), p).avg_loss
-        assert model_risk(pol, Deterministic((3.0, 7.0)), p) == pytest.approx(want)
+        assert ModelRisk(FiniteSupport(((3.0, 7.0),)), p)(pol) == pytest.approx(want)
 
     def test_exact_vs_mc_agreement(self):
         p = SystemParams(T=3, L=0, U=20.0)
-        model = IIDNormal(10.0, 5.0, 3)
+        model = IndependentNormals((10.0,) * 3, (5.0,) * 3)
         pol = BaseStock(12.0)
-        exact = model_risk(pol, model, p)
-        mean, se = mc_risk(pol, model, 40_000, seed=5, p=p)
-        assert abs(mean - exact) < 4 * se
+        exact = ModelRisk(model, p)(pol)
+        losses = policy_losses(pol, draw(model, 40_000, seed=5).as_matrix(), p)
+        assert abs(losses.mean() - exact) < 4 * losses.std(ddof=1) / math.sqrt(len(losses))
 
     def test_mode_is_chosen_from_the_model(self):
         p = SystemParams(T=2, L=0, U=20.0)
         for model, mode in (
             (FiniteSupport(((3.0, 7.0), (1.0, 2.0))), "finite-support"),
-            (IIDNormal(10.0, 5.0, 2), "exact"),
-            (IIDNormal(10.0, 5.0, 2, integerize=False), "mc"),
+            (FiniteSupport(((3.0, 7.0),)), "finite-support"),
+            (IndependentNormals((10.0,) * 2, (5.0,) * 2), "exact"),
+            (IndependentNormals((10.0,) * 2, (5.0,) * 2, cap=20.5), "mc"),
+            (IndependentNormals((10.0,) * 2, (5.0,) * 2, integerize=False), "mc"),
         ):
             assert ModelRisk(model, p).mode == mode
 
     def test_monte_carlo_fallback_warns_once(self):
         p = SystemParams(T=3, L=0, U=20.0)
-        model = IIDNormal(10.0, 5.0, 3, integerize=False)
+        model = IndependentNormals((10.0,) * 3, (5.0,) * 3, integerize=False)
         pol = BaseStock(12.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            risk = model_risk(pol, model, p, eval_samples=60, seed=(3, 1))
+            risk = ModelRisk(model, p, eval_samples=60, seed=(3, 1))(pol)
         assert [type(w.message) for w in caught] == [RuntimeWarning]
         assert "Monte-Carlo paths, not exact" in str(caught[0].message)
         D = draw(model, 60, (3, 1)).as_matrix()
         assert risk == float(policy_losses(pol, D, p).mean())
+
+    def test_base_stock_closed_forms_reject_positive_x1(self):
+        # S = 1 would fit with risk 2/3, though S = 0 scores 0 from x1 = 1
+        p = SystemParams(T=3, U=4.0, x1=1.0)
+        D = np.array([[1.0, 0.0, 0.0]])
+        pmfs = [np.array([0.5, 0.5])] * 3
+        for call in (
+            lambda: base_stock_kinks(D, p),
+            lambda: base_stock_risk_curve(np.array([0.0, 1.0]), D, p),
+            lambda: base_stock_loss_matrix(np.array([0.0, 1.0]), D, p),
+            lambda: exact_base_stock_risk(np.array([0.0, 1.0]), pmfs, p),
+            lambda: erm_base_stock(Dataset.from_matrix(D), p),
+        ):
+            with pytest.raises(ValueError, match=r"needs x1 <= 0, got x1=1\.0"):
+                call()
+        assert policy_losses(BaseStock(0.0), D, p)[0] == 0.0
 
     def test_policy_losses_base_stock_positive_x1(self):
         p = SystemParams(T=3, L=0, U=4.0, K=1.0, x1=2.0)

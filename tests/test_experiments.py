@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stocklab.core import BaseStock, Dataset, NonStationary, SystemParams
-from stocklab.demand import IIDNormal, InstanceHyper, draw, marginal_pmfs
+from stocklab.demand import IndependentNormals, InstanceHyper, draw, marginal_pmfs
 from stocklab.emit import emit_results, write_records_csv
 from stocklab.experiments import (
     ExperimentConfig,
@@ -100,11 +100,11 @@ class TestCrossing:
 class TestEvaluator:
     def test_monte_carlo_sample_drawn_only_on_fallback(self):
         p = small_system()
-        exact = ModelRisk(IIDNormal(10.0, 5.0, 3), p, 50, (7, 1))
+        exact = ModelRisk(IndependentNormals((10.0,) * 3, (5.0,) * 3), p, 50, (7, 1))
         exact(BaseStock(12.0))
         exact(NonStationary((12.5, 11.0, 10.0)))
         assert exact.eval_paths is None  # integer marginals: every level scored exactly
-        model = IIDNormal(10.0, 5.0, 3, integerize=False)  # no pmfs: Monte Carlo
+        model = IndependentNormals((10.0,) * 3, (5.0,) * 3, integerize=False)  # no pmfs: Monte Carlo
         evaluator = ModelRisk(model, p, 50, (7, 1))
         assert evaluator.mode == "mc"
         assert evaluator.eval_paths is None
@@ -116,7 +116,7 @@ class TestEvaluator:
 
     def test_monte_carlo_fallback_warns_once(self):
         p = small_system()
-        model = IIDNormal(10.0, 5.0, 3, integerize=False)
+        model = IndependentNormals((10.0,) * 3, (5.0,) * 3, integerize=False)
         evaluator = ModelRisk(model, p, 50, (7, 1))
         with pytest.warns(RuntimeWarning) as caught:
             evaluator(NonStationary((12.5, 11.0, 10.0)))
@@ -127,7 +127,7 @@ class TestEvaluator:
 
     def test_fractional_fit_scored_exactly_under_integer_model(self):
         p = small_system()
-        model = IIDNormal(10.0, 5.0, 3)
+        model = IndependentNormals((10.0,) * 3, (5.0,) * 3)
         D = draw(model, 10, 0).as_matrix()
         fit = erm_St(Dataset.from_matrix(D + 0.25), p).policy
         assert any(v != int(v) for v in fit.levels)

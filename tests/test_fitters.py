@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stocklab.core import (
     SsPolicy,
     SystemParams,
     simulate,
+    validate_policy,
 )
 from stocklab import evaluate, fitters
 from stocklab.demand import make_rng
@@ -276,6 +278,14 @@ class TestErmSt:
         with pytest.raises(ValueError, match="K"):
             erm_St(data, params(K=1.0))
 
+    def test_positive_initial_stock(self):
+        # restart 0 starts from the base-stock fit made at x1 = 0
+        data = Dataset.from_matrix([[1.0, 0.0, 0.0]])
+        p = params(T=3, x1=1.0)
+        res = erm_St(data, p)
+        assert res.in_sample_risk == 0.0
+        assert res.in_sample_risk == simulate(res.policy, (1.0, 0.0, 0.0), p, unchecked=True).avg_loss
+
     def test_matches_exhaustive_enumeration(self):
         # oracle: full integer-level grid on tiny instances
         rng = np.random.default_rng(9)
@@ -413,7 +423,8 @@ def per_restart_erm_St(data, p, opts):
     quantiles = np.quantile(lead_demand_sums(D, p.L), fractile, axis=0)
     jitter = opts.jitter if opts.jitter is not None else 0.05 * cap
     rng = make_rng(opts.seed)
-    starts = [np.full(p.T, erm_base_stock(data, p).policy.S)]
+    base = erm_base_stock(data, replace(p, x1=min(p.x1, 0.0))).policy.S
+    starts = [np.full(p.T, base)]
     for _ in range(max(opts.restarts - 1, 0)):
         starts.append(np.clip(quantiles + rng.uniform(-jitter, jitter, p.T), 0.0, cap))
     best_levels, best_risk, converged, sweeps_used = None, np.inf, False, 0
@@ -542,6 +553,33 @@ class TestGridOracle:
         data = Dataset.from_matrix([[1.0] * 8])
         with pytest.raises(BudgetError):
             grid_oracle(data, "st", 0.5, params(T=8))
+
+    def test_no_grid_point_past_the_class_bound(self):
+        # arange's last point, 21, lies past H = 20.6
+        data = Dataset.from_matrix([[25.0, 25.0]])
+        p = params(U=20.0, H=20.6)
+        for cls, want in (("base-stock", BaseStock(20.0)), ("st", NonStationary((20.0, 20.0))),
+                          ("ss", SsPolicy(20.0, 20.0))):
+            fit = grid_oracle(data, cls, 1.0, p)
+            assert fit.policy == want
+            validate_policy(fit.policy, p)
+
+    def test_grid_point_within_rounding_of_the_bound_is_the_bound(self):
+        # arange(0, 0.35, 0.1) ends at 0.30000000000000004, past H = 0.3 by a rounding
+        data = Dataset.from_matrix([[1.0]])
+        p = params(T=1, U=1.0, H=0.3)
+        axis = evaluate.grid_axis(0.0, 0.3, 0.1)
+        assert axis.tolist() == np.arange(0.0, 0.3, 0.1).tolist() + [0.3]
+        fit = grid_oracle(data, "base-stock", 0.1, p)
+        assert fit.policy == BaseStock(0.3)
+        validate_policy(fit.policy, p)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_unusable_step(self, step):
+        data = Dataset.from_matrix([[1.0]])
+        for cls in ("base-stock", "ss", "st"):
+            with pytest.raises(ValueError, match="grid step must be positive and finite"):
+                grid_oracle(data, cls, step, params(T=1))
 
     def test_unknown_class(self):
         data = Dataset.from_matrix([[1.0]])
