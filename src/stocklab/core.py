@@ -165,6 +165,8 @@ class BaseStock:
     S: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.S):
+            raise ValueError(f"base-stock level must be finite, got {self.S}")
         if self.S < 0:
             raise ValueError("base-stock level must be nonnegative")
 
@@ -177,6 +179,8 @@ class SsPolicy:
     S: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.s) and math.isfinite(self.S)):
+            raise ValueError(f"(s, S) must be finite, got ({self.s}, {self.S})")
         if self.s > self.S:
             raise ValueError("reorder point s must not exceed order-up-to level S")
         if self.S < 0:
@@ -196,6 +200,8 @@ class NonStationary:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+        if not all(math.isfinite(v) for v in self.levels):
+            raise ValueError(f"order-up-to levels must be finite, got {self.levels}")
         if any(v < 0 for v in self.levels):
             raise ValueError("order-up-to levels must be nonnegative")
 

@@ -7,7 +7,6 @@ runs are reproducible across platforms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,25 +60,33 @@ class IndependentNormals:
         return len(self.means)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSupport:
     """Uniform distribution over an explicit list of demand sequences.
 
     The law on whole trajectories, which may be correlated across periods;
-    a point mass is ``FiniteSupport((sequence,))``.
+    a point mass is ``FiniteSupport((sequence,))``.  The atoms get a
+    dataset's demand checks once and are kept as one read-only (n_atoms,
+    T + L) float64 array.
     """
 
-    atoms: tuple[tuple[float, ...], ...]
+    atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        Dataset.from_matrix(self.atoms)  # the demand checks of a dataset
+        object.__setattr__(self, "atoms", Dataset.from_matrix(self.atoms).as_matrix())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteSupport):
+            return NotImplemented
+        return np.array_equal(self.atoms, other.atoms)
 
     @property
     def n_periods(self) -> int:
-        return len(self.atoms[0])
+        return self.atoms.shape[1]
 
     def as_matrix(self) -> np.ndarray:
-        return np.asarray(self.atoms, dtype=float)
+        """The read-only atom array itself, not a copy."""
+        return self.atoms
 
 
 DemandModel = Union[IndependentNormals, FiniteSupport]
@@ -96,7 +103,7 @@ def draw(model: DemandModel, n: int, seed: int | tuple[int, ...]) -> Dataset:
         return Dataset.from_matrix(clamp_round(raw, model.cap, model.integerize))
     if isinstance(model, FiniteSupport):
         idx = rng.integers(0, len(model.atoms), size=n)
-        return Dataset.from_matrix(model.as_matrix()[idx])
+        return Dataset.from_matrix(model.atoms[idx])
     raise TypeError(f"unknown demand model {type(model)!r}")
 
 
@@ -245,10 +252,9 @@ def sample_instance(
                             hyper.cap, hyper.integerize)
                 for t in range(n)
             ]
-            return FiniteSupport(tuple(
-                tuple(float(v) for v in combo)
-                for combo in itertools.product(*cols)
-            ))
+            # every combination, the last period varying fastest
+            grids = np.meshgrid(*cols, indexing="ij")
+            return FiniteSupport(np.stack(grids, axis=-1).reshape(-1, n))
         # the atoms come from their own generator, seeded from this one
         atom_rng = make_rng(int(rng.integers(0, 2**31 - 1)))
         k = np.arange(n)
@@ -257,5 +263,5 @@ def sample_instance(
         factor = eigvecs * np.sqrt(np.maximum(eigvals, EIG_FLOOR))
         z = atom_rng.standard_normal((hyper.support_size, n))
         atoms = clamp_round(means + z @ factor.T, hyper.cap, hyper.integerize)
-        return FiniteSupport(tuple(tuple(float(v) for v in row) for row in atoms))
+        return FiniteSupport(atoms)
     raise ValueError(f"unknown experiment kind {kind!r}")

@@ -283,7 +283,9 @@ def _expected_cost_of_level(level: np.ndarray | float, pmf: np.ndarray, p: Syste
     """E c(level - D) for D ~ pmf, broadcast over an array of levels."""
     lv = np.atleast_1d(np.asarray(level, dtype=float))
     diffs = lv[:, None] - np.arange(len(pmf))[None, :]
-    return cost_array(diffs, p) @ pmf
+    # each row sums on its own: a matrix-vector product may round a row
+    # differently with the number of rows it is given
+    return (cost_array(diffs, p) * pmf).sum(axis=1)
 
 
 def exact_base_stock_risk(
@@ -396,8 +398,9 @@ def _lattice_risk(
 
 
 def exact_ss_risk(policy: SsPolicy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
-    """Exact expected loss of an (s, S) policy under independent integer demands."""
-    return _lattice_risk(np.full(p.T, float(policy.s)), np.full(p.T, float(policy.S)), pmfs, p)
+    """Exact expected loss of an (s, S) policy under independent integer demands:
+    :func:`exact_ss_risks` on the one policy."""
+    return float(exact_ss_risks(np.array([policy.s]), np.array([policy.S]), pmfs, p)[0])
 
 
 def exact_st_risk(levels: Sequence[float], pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
@@ -416,9 +419,9 @@ def exact_ss_risks(
     the same first reorder offset (the smallest integer k with S - k <= s).
     Those policies share one propagation per gap:
     the per-period lead-demand pmfs are folded into one distribution over
-    offset plus lead demand, which prices every S at once.  Their risks may
-    differ from :func:`exact_ss_risk`'s in the last bits, since the terms add
-    in another order.  The other policies go through :func:`exact_ss_risk`.
+    offset plus lead demand, which prices every S at once, each on its own.
+    A policy with ``s < x1`` goes through the lattice kernel.  So a policy
+    gets the same float in any batch as on its own.
     """
     s = np.asarray(s_values, dtype=float)
     S = np.asarray(S_values, dtype=float)
@@ -429,13 +432,15 @@ def exact_ss_risks(
     risks = np.empty(len(S))
     early = s >= p.x1
     for i in np.flatnonzero(~early):
-        risks[i] = exact_ss_risk(SsPolicy(float(s[i]), float(S[i])), pmfs, p)
-    # the lattice sees a gap only through the first offset that reorders
-    gaps = _reorder_offsets(S, s)
-    lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
-    for gap in np.unique(gaps[early]):
-        sel = early & (gaps == gap)
-        risks[sel] = _gap_risks(int(gap), S[sel], pmfs, lps, p)
+        risks[i] = _lattice_risk(np.full(p.T, s[i]), np.full(p.T, S[i]), pmfs, p)
+    if early.any():
+        # the lattice sees a gap only through the first offset that reorders;
+        # an order at offset 0 is empty, so that gap moves as gap 1 does
+        gaps = np.maximum(_reorder_offsets(S, s), 1.0)
+        lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
+        for gap in np.unique(gaps[early]):
+            sel = early & (gaps == gap)
+            risks[sel] = _gap_risks(int(gap), S[sel], pmfs, lps, p)
     return risks
 
 
@@ -444,7 +449,7 @@ def _gap_risks(
     p: SystemParams,
 ) -> np.ndarray:
     """Risks of the levels S of (s, S) policies with x1 <= s and first reorder
-    offset ``gap``."""
+    offset ``gap`` >= 1."""
     umax = max(len(f) for f in pmfs) - 1
     size = gap + umax + 1
     post = np.zeros(size)
@@ -452,8 +457,8 @@ def _gap_risks(
     fold = np.zeros(size + max(len(lp) for lp in lps) - 1)
     reorders = 0.0
     for t in range(1, p.T + 1):
-        # an order at offset k >= gap costs K unless it is empty (k = 0)
-        reorders += post[max(gap, 1) :].sum()
+        # an order at offset k >= gap costs K
+        reorders += post[gap:].sum()
         post_now = post.copy()
         post_now[gap:] = 0.0
         post_now[0] += post[gap:].sum()
@@ -464,21 +469,6 @@ def _gap_risks(
     if p.K > 0:
         total += p.K * (reorders + (S - p.x1 > ORDER_EPS))
     return total / p.T
-
-
-def rescored_argmin(scores: np.ndarray, rescore) -> tuple[int, float]:
-    """Index and exact risk of the best candidate, from fast scores.
-
-    Candidates are listed in tie-break order.  Fast scores may differ from
-    the exact ones in the last bits, so every candidate within 1e-9 (relative)
-    of the smallest is rescored with ``rescore(index)``, and the smallest
-    (exact risk, index) wins: the same pick as scanning the exact risks.
-    """
-    scores = np.asarray(scores, dtype=float)
-    low = float(scores.min())
-    near = np.flatnonzero(scores <= low + 1e-9 * max(1.0, abs(low)))
-    risk, j = min((rescore(int(i)), int(i)) for i in near)
-    return j, risk
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -514,17 +504,14 @@ def ss_pairs(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPolicy, float]:
     """Exact best integer (s, S) policy within the class bounds, and its risk.
 
-    Every integer pair is scored by :func:`exact_ss_risks`, and the near-best
-    ones again by :func:`exact_ss_risk`, whose risk is returned.  Ties break
+    Every integer pair is scored by :func:`exact_ss_risks`.  Ties break
     toward the smaller risk, then the smaller gap S - s, then the smaller S.
     """
     lo, hi, _ = p.ss_bounds()
     s, S = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
-    j, risk = rescored_argmin(
-        exact_ss_risks(s, S, pmfs, p),
-        lambda i: exact_ss_risk(SsPolicy(float(s[i]), float(S[i])), pmfs, p),
-    )
-    return SsPolicy(float(s[j]), float(S[j])), risk
+    risks = exact_ss_risks(s, S, pmfs, p)
+    j = int(np.argmin(risks))
+    return SsPolicy(float(s[j]), float(S[j])), float(risks[j])
 
 
 def exact_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:

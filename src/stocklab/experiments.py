@@ -39,10 +39,8 @@ from .evaluate import (
     best_integer_ss,
     exact_base_stock_levels,
     exact_base_stock_risk,
-    exact_ss_risk,
     exact_ss_risks,
     policy_losses,
-    rescored_argmin,
 )
 from .fitters import (
     FitResult,
@@ -251,11 +249,9 @@ def _best_in_class(
             mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
             gap = math.sqrt(2.0 * p.K * mu * (p.h + p.b) / (p.h * p.b))
             grid = np.arange(0.0, p.level_cap() + gap + 1e-9, 0.05)
-            j, risk = rescored_argmin(
-                exact_ss_risks(grid - gap, grid, pmfs, p),
-                lambda i: exact_ss_risk(SsPolicy(float(grid[i] - gap), float(grid[i])), pmfs, p),
-            )
-            return SsPolicy(float(grid[j] - gap), float(grid[j])), float(risk)
+            risks = exact_ss_risks(grid - gap, grid, pmfs, p)
+            j = int(np.argmin(risks))
+            return SsPolicy(float(grid[j] - gap), float(grid[j])), float(risks[j])
     data = draw(evaluator.model, cfg.best_in_class_samples, seed_key)
     fit = _fit(policy_class, data, p, cfg)
     return fit.policy, evaluator(fit.policy)

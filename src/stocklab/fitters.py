@@ -275,13 +275,13 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
                 risks = risks + p.K * (
                     (n_orders - D.shape[0]) + D.shape[0] * first
                 ) / scale
-        for k in np.argsort(risks, kind="stable"):
-            S = float(cands[k])
-            delta = 0.0 if rep == 0.0 else min(rep, S - lo)
-            cand = (float(risks[k]), delta, S)
-            if best is None or cand < best:
-                best = cand
-            break  # only the interval's minimizer can improve
+        # only the interval's first minimizer can improve
+        k = int(np.argmin(risks))
+        S = float(cands[k])
+        delta = 0.0 if rep == 0.0 else min(rep, S - lo)
+        cand = (float(risks[k]), delta, S)
+        if best is None or cand < best:
+            best = cand
 
     if best is None:
         raise ValueError("no feasible (s, S) candidate")

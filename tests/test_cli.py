@@ -64,6 +64,21 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("policy,message", [
+        ("ss:nan,5", "(s, S) must be finite, got (nan, 5.0)"),
+        ("base-stock:nan", "base-stock level must be finite, got nan"),
+        ("st:nan,1", "order-up-to levels must be finite, got (nan, 1.0)"),
+        ("st:inf,1", "order-up-to levels must be finite, got (inf, 1.0)"),
+    ])
+    def test_non_finite_policy_rejected(self, capsys, policy, message):
+        # --unchecked skips the class bounds, not the policy's own checks
+        assert main(["simulate", "--policy", policy, "--demands", "1,2", "--T", "2",
+                     "--unchecked"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: --policy {policy!r}: {message}"]
+
     def test_unknown_flag_rejected(self):
         assert main(["simulate", "--policy", "base-stock:5", "--demands", "1",
                      "--T", "1", "--frobnicate"]) == 1

@@ -348,6 +348,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             NonStationary((1.0, -2.0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_policy_rejected(self, value):
+        with pytest.raises(ValueError, match="^base-stock level must be finite"):
+            BaseStock(value)
+        with pytest.raises(ValueError, match=r"^\(s, S\) must be finite"):
+            SsPolicy(value, 5.0)
+        with pytest.raises(ValueError, match=r"^\(s, S\) must be finite"):
+            SsPolicy(-1.0, value)
+        with pytest.raises(ValueError, match="^order-up-to levels must be finite"):
+            NonStationary((value, 1.0))
+
     def test_ss_bounds_defaults(self):
         p = params(T=4, L=1, h=0.5, b=0.5, U=2.0)
         lo, hi, capped = p.ss_bounds()

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from stocklab.demand import (
     InstanceHyper,
     draw,
     fixed_cost_for_cycle,
+    make_rng,
     marginal_pmfs,
     sample_instance,
     support_atoms,
@@ -148,6 +150,26 @@ def test_finite_support_draw():
     model = FiniteSupport(((1.0, 2.0), (3.0, 4.0)))
     data = draw(model, 500, seed=5).as_matrix()
     assert set(map(tuple, data)) <= {(1.0, 2.0), (3.0, 4.0)}
+
+
+def test_finite_support_keeps_one_read_only_array():
+    model = FiniteSupport(((1.0, 2.0), (3.0, 4.0)))
+    assert model.atoms.dtype == np.float64
+    assert not model.atoms.flags.writeable
+    assert model.as_matrix() is model.atoms
+    assert support_atoms(model) is model.atoms
+    assert model == FiniteSupport(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert model != FiniteSupport(((1.0, 2.0),))
+    # a draw picks atoms by the generator's integers
+    idx = make_rng(5).integers(0, 2, size=7)
+    assert np.array_equal(draw(model, 7, seed=5).as_matrix(), model.atoms[idx])
+
+
+def test_product_support_lists_combinations_in_product_order():
+    hyper = InstanceHyper(support_form="product", support_size=3, integerize=False)
+    atoms = sample_instance("erm-vs-perm-corr", 5, SystemParams(T=3, U=20.0), hyper).atoms
+    cols = [atoms[::9, 0], atoms[:9:3, 1], atoms[:3, 2]]
+    assert np.array_equal(atoms, np.array(list(itertools.product(*cols))))
 
 
 @pytest.mark.parametrize("atom,message", [

@@ -452,6 +452,57 @@ class TestExactSsSearch:
         assert policy == want_policy
         assert risk == want_risk  # the same float, bit for bit
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batch_scores_each_policy_as_alone(self, data):
+        # a mixed batch: pairs with s < x1 (the lattice kernel) and pairs
+        # with s >= x1 on several gaps (the per-gap propagation); each gets
+        # the float of a call of its own, bit for bit
+        T = data.draw(st.integers(1, 4))
+        L = data.draw(st.integers(0, 2))
+        x1 = data.draw(st.one_of(st.integers(-3, 2).map(float), st.floats(-3.0, 2.0)))
+        p = SystemParams(
+            T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 9.0)),
+            K=data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))), U=12.0, x1=x1,
+        )
+        weights = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12)
+        pmfs = [np.asarray(w) / sum(w) for w in
+                (data.draw(weights) for _ in range(T + L))]
+        top = max(x1, 0.0)
+        pairs = [(x1 - 1.0, top + 1.0), (x1 - 0.5, top), (top, top), (top, top + 2.0),
+                 (top + 1.0, top + 4.5)]
+        for _ in range(data.draw(st.integers(0, 12))):
+            s = data.draw(st.one_of(st.integers(-5, 6).map(float), st.floats(-5.0, 6.0)))
+            pairs.append((s, max(s, 0.0) + data.draw(st.floats(0.0, 8.0))))
+        s_vals, S_vals = np.array(pairs).T
+        batch = exact_ss_risks(s_vals, S_vals, pmfs, p)
+        alone = [exact_ss_risk(SsPolicy(s, S), pmfs, p) for s, S in pairs]
+        assert [float(r).hex() for r in batch] == [r.hex() for r in alone]
+        levels = np.asarray(data.draw(st.lists(
+            st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0)),
+            min_size=1, max_size=40)))
+        p0 = replace(p, x1=min(x1, 0.0))
+        curve = exact_base_stock_risk(levels, pmfs, p0)
+        alone = [exact_base_stock_risk(S, pmfs, p0) for S in levels]
+        assert [float(r).hex() for r in curve] == [r.hex() for r in alone]
+
+    def test_all_ties_pick_the_first_pair_without_the_lattice(self, monkeypatch):
+        # h = b = K = 0: every pair has risk 0, so the first pair in ss_pairs
+        # order wins; with Hlo >= x1 every pair takes the per-gap propagation
+        calls = []
+        lattice = evaluate._lattice_risk
+        monkeypatch.setattr(evaluate, "_lattice_risk",
+                            lambda *args: calls.append(1) or lattice(*args))
+        pmfs = [np.full(21, 1 / 21)] * 20
+        p = SystemParams(T=20, h=0.0, b=0.0, K=0.0, U=20.0, x1=-25.0, H=45.0, Hlo=-25.0)
+        s, S = evaluate.ss_pairs(np.arange(-25, 46))
+        assert (s[0], S[0]) == (0.0, 0.0)
+        assert best_integer_ss(pmfs, p) == (SsPolicy(0.0, 0.0), 0.0)
+        assert calls == []
+        # the pairs with s < x1 are the ones scored on the lattice
+        best_integer_ss(pmfs[:2], replace(p, T=2, x1=-23.0))
+        assert len(calls) == int((s < -23.0).sum()) == 2 * 46
+
     def test_empty_grid_rejected(self):
         p = SystemParams(T=2, U=3.0, H=-1.0, Hlo=-2.0)
         with pytest.raises(ValueError, match="empty"):
