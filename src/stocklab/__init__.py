@@ -8,7 +8,6 @@ from .core import (
     Dataset,
     NonStationary,
     Policy,
-    ReorderSchedule,
     SsPolicy,
     SystemParams,
     Trajectory,
@@ -74,7 +73,6 @@ __all__ = [
     "MetricsRecord",
     "NonStationary",
     "Policy",
-    "ReorderSchedule",
     "ShatterInstance",
     "SsPolicy",
     "StOptions",

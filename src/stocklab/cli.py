@@ -212,15 +212,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         demands = [float(v) for v in args.demands.split(",")]
     except ValueError as exc:
         raise ValueError(f"--demands: {exc}") from exc
-    Dataset.from_matrix([demands])  # the demand checks of a dataset
+    D = Dataset.from_matrix([demands]).as_matrix()  # the demand checks of a dataset
     p = _system_from_args(args, isinstance(policy, SsPolicy))
     traj = simulate(policy, demands, p, unchecked=args.unchecked)
+    if args.schedule is not None:
+        # the order periods are the distinct last-order periods; found before
+        # the first line is printed, so a bad gap prints nothing
+        times = sorted(set(reorder_schedule([args.schedule], D, p)[0, 0].tolist()))
     print(f"avgLoss {traj.avg_loss:g}")
     if args.schedule is not None:
-        times = reorder_schedule(args.schedule, demands, p).times
         print("reorderPeriods " + ",".join(str(t) for t in times))
     if args.breakpoints:
-        bps = delta_breakpoints(demands, p)
+        bps = delta_breakpoints(D, p).tolist()
         print("gapBreakpoints " + ",".join(f"{v:g}" for v in bps))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -330,57 +330,45 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
-class ReorderSchedule:
-    """Periods in 1..T at which a reorder-point policy places an order."""
+def reorder_schedule(gaps: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Order periods of (s, S) policies with gaps S - s, for every demand row.
 
-    times: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.times)
-
-
-def reorder_schedule(
-    delta: float, d: Sequence[float], p: SystemParams
-) -> ReorderSchedule:
-    """Reordering periods of any (s, S) policy with gap S - s = delta.
-
-    Assumes an order is placed in period 1 (``x1 <= s``); the next order
-    follows as soon as demand accumulated since the last one reaches delta.
-    Orders after period T are dropped (they cannot affect the loss window).
+    Entry ``[g, i, t - 1]`` is the last period at or before t, in 1..T, in
+    which the policy with gap ``gaps[g]`` orders on row i of ``D``, an
+    (N, >= T) array; shape (n_gaps, N, T).  An order is placed in period 1
+    (``x1 <= s``), and the next one as soon as the demand accumulated since
+    the last one reaches the gap.  Orders after period T cannot affect the
+    loss window and are left out.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    demands = tuple(float(v) for v in d)
-    if len(demands) < p.T:
-        raise ValueError(f"need at least T = {p.T} demand values")
-    times = [1]
-    acc = 0.0
+    gaps = np.asarray(gaps, dtype=float)
+    D = np.asarray(D, dtype=float)
+    bad = gaps[~(gaps >= 0)]  # nan too
+    if len(bad):
+        raise ValueError(f"an order gap must be a nonnegative number, got {bad[0]}")
+    if D.ndim != 2 or D.shape[1] < p.T:
+        raise ValueError(f"need an (N, >= T = {p.T}) demand array, got shape {D.shape}")
+    out = np.ones((len(gaps), len(D), p.T), dtype=np.intp)
+    acc = np.zeros(out.shape[:2])
     for t in range(2, p.T + 1):
-        acc += demands[t - 2]
-        if acc >= delta:
-            times.append(t)
-            acc = 0.0
-    return ReorderSchedule(times=tuple(times))
+        acc += D[:, t - 2]
+        hit = acc >= gaps[:, None]
+        acc[hit] = 0.0
+        out[:, :, t - 1] = np.where(hit, t, out[:, :, t - 2])
+    return out
 
 
-def delta_breakpoints(
-    d: Sequence[float], p: SystemParams
-) -> list[float]:
-    """Sorted distinct sums of consecutive demands within periods 1..T-1.
+def delta_breakpoints(D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Sorted distinct sums of consecutive demands within periods 1..T-1 of
+    any row of the (N, >= T - 1) array ``D``.
 
-    The reorder schedule for gap ``delta`` is constant while ``delta`` varies
-    within any interval between adjacent breakpoints (closed on the right).
+    The reorder schedule for a gap is constant while the gap varies within
+    any interval between adjacent breakpoints (closed on the right).  Each
+    sum adds left to right from its first period, so it is the same float
+    as a running sum; ``+ 0.0`` turns a ``-0.0`` demand's sum into 0.0.
     """
-    demands = tuple(float(v) for v in d)
-    vals = set()
-    for i in range(min(p.T - 1, len(demands))):
-        acc = 0.0
-        for j in range(i, min(p.T - 1, len(demands))):
-            acc += demands[j]
-            vals.add(acc)
-    return sorted(vals)
+    D = np.asarray(D, dtype=float)
+    sums = [np.cumsum(D[:, i : p.T - 1], axis=1).ravel() + 0.0 for i in range(p.T - 1)]
+    return np.unique(np.concatenate([np.empty(0), *sums]))
 
 
 def write_demands_csv(data: Dataset, path: str) -> None:

@@ -46,9 +46,14 @@ def cost_array(x: np.ndarray, p: SystemParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def prefix_sums(D: np.ndarray) -> np.ndarray:
+    """Running demand sums: column t of row i is d^1 + ... + d^t, shape (N, T + L + 1)."""
+    return np.concatenate([np.zeros((D.shape[0], 1)), np.cumsum(D, axis=1)], axis=1)
+
+
 def lead_demand_sums(D: np.ndarray, L: int) -> np.ndarray:
     """Sums d^{t-L} + ... + d^t for t = L+1 .. T+L, shape (N, T)."""
-    csum = np.concatenate([np.zeros((D.shape[0], 1)), np.cumsum(D, axis=1)], axis=1)
+    csum = prefix_sums(D)
     return csum[:, L + 1 :] - csum[:, : D.shape[1] - L]
 
 
@@ -61,7 +66,7 @@ def sorted_prefix_costs(levels: np.ndarray, a: np.ndarray, p: SystemParams) -> n
     lv = np.asarray(levels, dtype=float)
     rows = np.sort(np.asarray(a, dtype=float), axis=1)
     n, m = rows.shape
-    prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(rows, axis=1)], axis=1)
+    prefix = prefix_sums(rows)
     order = np.argsort(lv, kind="stable")
     # entry a[i, j] lies below exactly the sorted levels from index pos on
     pos = np.searchsorted(lv[order], rows, side="right")
@@ -171,7 +176,7 @@ def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.nda
     n, horizon = D.shape
     if lv.ndim != 2 or lv.shape[1] != horizon:
         raise ValueError(f"levels must have shape (n_policies, T + L = {horizon})")
-    pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
+    pre = prefix_sums(D)
     scores = lv[:, None, : p.T] + pre[None, :, : p.T]
     m = np.maximum.accumulate(np.maximum(scores, p.x1), axis=2)
     ends = m - pre[None, :, p.L + 1 : horizon + 1]
@@ -220,7 +225,7 @@ def ss_losses_grid(
     n = D.shape[0]
     pos = np.full((n_pol, n), float(p.x1))
     total = np.zeros((n_pol, n))
-    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
+    csum = prefix_sums(D)
     # two work buffers serve every period: fresh temporaries of this size in
     # each period are returned to the OS and faulted back in
     work = np.empty((n_pol, n))
@@ -414,14 +419,16 @@ def exact_ss_risks(
 ) -> np.ndarray:
     """Exact expected losses of many (s, S) policies, given as parallel arrays.
 
-    A policy with ``s >= x1`` orders up to S in period 1, after which its
-    mass lives on offsets below S that move the same way for every S with
-    the same first reorder offset (the smallest integer k with S - k <= s).
-    Those policies share one propagation per gap:
-    the per-period lead-demand pmfs are folded into one distribution over
-    offset plus lead demand, which prices every S at once, each on its own.
-    A policy with ``s < x1`` goes through the lattice kernel.  So a policy
-    gets the same float in any batch as on its own.
+    A policy with ``s >= x1`` orders up to S in period 1, and one with
+    ``S == x1`` starts where that order would put it.  After period 1 the
+    mass of either lives on offsets below S that move the same way for every
+    S with the same first reorder offset (the smallest integer k with
+    S - k <= s).  Those policies share one propagation per gap: the
+    per-period lead-demand pmfs are folded into one distribution over offset
+    plus lead demand, which prices every S at once, each on its own.  Any
+    other policy (``s < x1 != S``) goes through the lattice kernel.  So a
+    policy gets the same float in any batch as on its own, and (S, S) and
+    (S - 1, S) at ``x1 == S``, one policy, get one float.
     """
     s = np.asarray(s_values, dtype=float)
     S = np.asarray(S_values, dtype=float)
@@ -430,7 +437,7 @@ def exact_ss_risks(
     if np.any(s > S) or np.any(S < 0):
         raise ValueError("every policy needs 0 <= S and s <= S")
     risks = np.empty(len(S))
-    early = s >= p.x1
+    early = (s >= p.x1) | (S == p.x1)
     for i in np.flatnonzero(~early):
         risks[i] = _lattice_risk(np.full(p.T, s[i]), np.full(p.T, S[i]), pmfs, p)
     if early.any():
@@ -448,8 +455,8 @@ def _gap_risks(
     gap: int, S: np.ndarray, pmfs: Sequence[np.ndarray], lps: list[np.ndarray],
     p: SystemParams,
 ) -> np.ndarray:
-    """Risks of the levels S of (s, S) policies with x1 <= s and first reorder
-    offset ``gap`` >= 1."""
+    """Risks of the levels S of (s, S) policies at S after period 1 (x1 <= s
+    or x1 == S) with first reorder offset ``gap`` >= 1."""
     umax = max(len(f) for f in pmfs) - 1
     size = gap + umax + 1
     post = np.zeros(size)

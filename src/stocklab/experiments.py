@@ -50,6 +50,7 @@ from .fitters import (
     erm_eoq_base_stock,
     erm_sS,
     grid_oracle,
+    square_root_gap,
 )
 from .perm import build_marginals, perm_fit, solve_dp
 
@@ -247,7 +248,7 @@ def _best_in_class(
             return best_integer_ss(pmfs, p)
         if policy_class == "eoq":
             mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
-            gap = math.sqrt(2.0 * p.K * mu * (p.h + p.b) / (p.h * p.b))
+            gap = square_root_gap(mu, p)
             grid = np.arange(0.0, p.level_cap() + gap + 1e-9, 0.05)
             risks = exact_ss_risks(grid - gap, grid, pmfs, p)
             j = int(np.argmin(risks))

@@ -35,6 +35,7 @@ from .evaluate import (
     dataset_risk,
     grid_axis,
     lead_demand_sums,
+    prefix_sums,
     sorted_prefix_costs,
     ss_losses_grid,
     ss_pairs,
@@ -110,12 +111,6 @@ def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _contiguous_sums(row: np.ndarray) -> np.ndarray:
-    prefix = np.concatenate([[0.0], np.cumsum(row)])
-    sums = prefix[None, :] - prefix[:, None]
-    return sums[sums > 0]
-
-
 def fit_level_fixed_gap(data: Dataset, p: SystemParams, delta: float) -> FitResult:
     """Exact minimization over S in [0, H + delta] of the (s, S) risk with
     s = S - delta.
@@ -130,23 +125,18 @@ def fit_level_fixed_gap(data: Dataset, p: SystemParams, delta: float) -> FitResu
     batch simulation, which makes the result exact for a piecewise-linear
     risk whose kinks and jumps all lie in the candidate set.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta}")
     D = demand_matrix(data, p)
     hi = fit_cap(p.level_cap()) + delta
-    cands = [np.array([0.0, hi])]
-    for row in D:
-        sums = _contiguous_sums(row)
-        cands.append(sums)
-        # first-order thresholds: S = x1 + delta - (demand before t)
-        prefix = np.concatenate([[0.0], np.cumsum(row)])[: p.horizon]
-        edges = p.x1 + delta - prefix
-        cands.append(edges)
-        cands.append(edges - 1e-9)
-    allc = np.unique(np.concatenate(cands))
-    allc = allc[(allc >= 0.0) & (allc <= hi)]
-    if not len(allc):
-        allc = np.array([0.0])
+    pre = prefix_sums(D)
+    first, last = np.triu_indices(p.horizon + 1, 1)
+    sums = pre[:, last] - pre[:, first]
+    # first-order thresholds: S = x1 + delta - (demand before t)
+    edges = p.x1 + delta - pre[:, : p.horizon]
+    allc = np.unique(np.concatenate([[0.0, hi], sums[sums > 0].ravel(),
+                                     edges.ravel(), (edges - 1e-9).ravel()]))
+    allc = allc[(allc >= 0.0) & (allc <= hi)]  # keeps 0 and hi
     risks = ss_losses_grid(allc - delta, allc, D, p).mean(axis=1)
     best = int(np.argmin(risks))
     S = float(allc[best])
@@ -159,47 +149,22 @@ def fit_level_fixed_gap(data: Dataset, p: SystemParams, delta: float) -> FitResu
     )
 
 
-def square_root_gap(data: Dataset, p: SystemParams) -> float:
-    """Cost-balancing order gap sqrt(2 K mean-demand (h+b) / (h b))."""
+def square_root_gap(mu: float, p: SystemParams) -> float:
+    """Cost-balancing order gap sqrt(2 K mu (h+b) / (h b)) for mean demand ``mu``."""
     if p.h <= 0 or p.b <= 0:
         raise ValueError("square-root gap requires h > 0 and b > 0")
-    mu = float(demand_matrix(data, p).mean())
     return math.sqrt(2.0 * p.K * mu * (p.h + p.b) / (p.h * p.b))
 
 
 def erm_eoq_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     """Single-parameter (s, S) fit with the gap pinned by the square-root formula."""
-    delta = square_root_gap(data, p)
-    result = fit_level_fixed_gap(data, p, delta)
-    return FitResult(
-        policy=result.policy,
-        in_sample_risk=result.in_sample_risk,
-        method="square-root-gap",
-        diagnostics=dict(result.diagnostics),
-    )
+    delta = square_root_gap(float(demand_matrix(data, p).mean()), p)
+    return replace(fit_level_fixed_gap(data, p, delta), method="square-root-gap")
 
 
 # ---------------------------------------------------------------------------
 # (s, S)
 # ---------------------------------------------------------------------------
-
-
-def _ss_interval_windows(
-    D: np.ndarray, p: SystemParams, rep: float
-) -> tuple[np.ndarray, int]:
-    """Window demand sums and total reorder count for a frozen-schedule gap."""
-    windows = []
-    n_orders = 0
-    for row in D:
-        times = reorder_schedule(rep, row, p).times
-        n_orders += len(times)
-        prefix = np.concatenate([[0.0], np.cumsum(row)])
-        bounds = list(times[1:]) + [p.T + 1]
-        for tj, tnext in zip(times, bounds):
-            # periods t̂ = tj + L .. tnext + L - 1 are served by the tj order
-            ths = np.arange(tj + p.L, tnext + p.L)
-            windows.append(prefix[ths] - prefix[tj - 1])
-    return np.concatenate(windows), n_orders
 
 
 def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
@@ -238,50 +203,55 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
         raise ValueError(f"unknown mode {mode!r}")
 
     delta_cap = hi - lo
-    bps = sorted(set().union(*(delta_breakpoints(row, p) for row in D)))
-    points = [v for v in bps if 0.0 < v <= delta_cap]
-    intervals: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]  # (a, b, rep)
-    prev = 0.0
-    for v in points:
-        intervals.append((prev, v, (prev + v) / 2.0))
-        prev = v
-    if delta_cap > prev:
-        intervals.append((prev, delta_cap, (prev + delta_cap) / 2.0))
+    bps = delta_breakpoints(D, p)
+    ends = bps[(bps > 0.0) & (bps < delta_cap)].tolist() + [delta_cap]
+    starts = [0.0] + ends[:-1]
+    # (a, b, rep): the gap-0 interval, then one between each pair of adjacent
+    # points of 0, the breakpoints below delta_cap, and delta_cap
+    intervals = [(0.0, 0.0, 0.0)] + [
+        (a, b, (a + b) / 2.0) for a, b in zip(starts, ends) if b > a
+    ]
 
-    scale = D.shape[0] * p.T
+    n = len(D)
+    scale = n * p.T
+    pre = prefix_sums(D)
+    # an order in period t >= 2 is charged if the demand since the last order
+    # exceeds ORDER_EPS: at gap 0 that is period t - 1's demand, and at a
+    # positive gap the order follows a positive one, which a dataset keeps
+    # above ORDER_EPS
+    charged = D[:, : p.T - 1] > ORDER_EPS
+    # at most 2^16 interval x path x period cells per block bound the memory
+    block = max(1, 2**16 // scale)
     best: tuple[float, float, float] | None = None  # (risk, delta, S)
     n_cands = 0
-    for a, b, rep in intervals:
-        windows, n_orders = _ss_interval_windows(D, p, rep)
-        cands = np.unique(
-            np.concatenate([windows, [0.0, hi, min(max(lo + a + 1e-9, 0.0), hi)]])
-        )
-        cands = cands[(cands >= 0.0) & (cands <= hi)]
-        # feasibility: some gap in the interval must satisfy s = S - gap >= lo
-        feasible = cands - lo > a if a > 0 or b > 0 else cands - lo >= 0
-        cands = cands[feasible]
-        if not len(cands):
-            continue
-        n_cands += len(cands)
-        risks = sorted_prefix_costs(cands, windows[None, :], p)[0] / scale
-        if p.K > 0:
-            if rep == 0.0:
-                per_period = float((D[:, : p.T - 1] > ORDER_EPS).sum())
-                risks = risks + p.K * (
-                    per_period + D.shape[0] * (cands - p.x1 > ORDER_EPS)
-                ) / scale
-            else:
-                first = (cands - p.x1 > ORDER_EPS).astype(float)
-                risks = risks + p.K * (
-                    (n_orders - D.shape[0]) + D.shape[0] * first
-                ) / scale
-        # only the interval's first minimizer can improve
-        k = int(np.argmin(risks))
-        S = float(cands[k])
-        delta = 0.0 if rep == 0.0 else min(rep, S - lo)
-        cand = (float(risks[k]), delta, S)
-        if best is None or cand < best:
-            best = cand
+    for j in range(0, len(intervals), block):
+        chunk = intervals[j : j + block]
+        served = reorder_schedule(np.array([rep for _, _, rep in chunk]), D, p)
+        # period t's window runs from the order that serves it to t + L
+        windows = pre[:, p.L + 1 : p.T + p.L + 1] - pre[np.arange(n)[:, None], served - 1]
+        reorders = ((served[:, :, 1:] == np.arange(2, p.T + 1)) & charged).sum(axis=(1, 2))
+        for (a, b, rep), win, n_later in zip(chunk, windows, reorders):
+            win = win.ravel()
+            cands = np.unique(
+                np.concatenate([win, [0.0, hi, min(max(lo + a + 1e-9, 0.0), hi)]])
+            )
+            cands = cands[(cands >= 0.0) & (cands <= hi)]
+            # feasibility: some gap in the interval must satisfy s = S - gap >= lo
+            feasible = cands - lo > a if a > 0 or b > 0 else cands - lo >= 0
+            cands = cands[feasible]
+            if not len(cands):
+                continue
+            n_cands += len(cands)
+            risks = sorted_prefix_costs(cands, win[None, :], p)[0] / scale
+            if p.K > 0:
+                risks = risks + p.K * (n_later + n * (cands - p.x1 > ORDER_EPS)) / scale
+            # only the interval's first minimizer can improve
+            k = int(np.argmin(risks))
+            S = float(cands[k])
+            delta = 0.0 if rep == 0.0 else min(rep, S - lo)
+            cand = (float(risks[k]), delta, S)
+            if best is None or cand < best:
+                best = cand
 
     if best is None:
         raise ValueError("no feasible (s, S) candidate")
@@ -400,7 +370,7 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     D = demand_matrix(data, p)
     n, horizon = D.shape
     cap = fit_cap(p.level_cap())
-    pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
+    pre = prefix_sums(D)
 
     fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
     lead = lead_demand_sums(D, p.L)  # windows starting at t = 1 .. T

@@ -275,6 +275,14 @@ class TestIntrospectionFlags:
         assert "reorderPeriods 1,3" in out
         assert "gapBreakpoints 3,4,7" in out
 
+    @pytest.mark.parametrize("gap", ["nan", "-1"])
+    def test_bad_schedule_gap_prints_only_the_error(self, gap, capsys):
+        assert main(["simulate", "--policy", "ss:0,5", "--demands", "4,3,1",
+                     "--T", "3", "--x1", "-5", "--Hlo", "-5", f"--schedule={gap}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
     def test_grid_oracle_fit(self, demand_csv, capsys):
         assert main(["fit", "--class", "base-stock", "--data", demand_csv,
                      "--T", "2", "--U", "10", "--grid-oracle", "0.5"]) == 0

@@ -164,26 +164,40 @@ class TestBaseStockLoss:
             assert a == b
 
 
+def order_periods(served):
+    """The order periods of one (gap, row) schedule: its distinct entries."""
+    return tuple(sorted(set(served.tolist())))
+
+
 class TestReorderSchedule:
     def test_figure_instance(self):
         p = params(T=3)
-        d = (4.0, 3.0, 1.0)
-        assert reorder_schedule(3.0, d, p).times == (1, 2, 3)
-        assert reorder_schedule(5.0, d, p).times == (1, 3)
-        assert reorder_schedule(8.0, d, p).times == (1,)
+        served = reorder_schedule([3.0, 5.0, 8.0], np.array([[4.0, 3.0, 1.0]]), p)
+        assert served.shape == (3, 1, 3)
+        assert served[:, 0].tolist() == [[1, 2, 3], [1, 1, 3], [1, 1, 1]]
+        assert [order_periods(g[0]) for g in served] == [(1, 2, 3), (1, 3), (1,)]
 
     def test_matches_simulated_order_periods(self):
         rng = np.random.default_rng(12)
-        for _ in range(200):
+        for _ in range(60):
             T = int(rng.integers(1, 8))
             L = int(rng.integers(0, 3))
             p = params(T=T, L=L, U=6.0, Hlo=-30.0, H=60.0, x1=-30.0)
-            d = rng.uniform(0.01, 6.0, T + L)
-            delta = float(rng.uniform(0, 12.0))
-            S = float(rng.uniform(0.1, 20.0))
-            traj = simulate(SsPolicy(S - delta, S), d, p)
-            ordered = tuple(t for t in range(1, p.T + 1) if traj.q[t - 1] > 0)
-            assert ordered == reorder_schedule(delta, d, p).times
+            D = rng.uniform(0.01, 6.0, (int(rng.integers(1, 5)), T + L))
+            gaps = rng.uniform(0, 12.0, int(rng.integers(1, 5)))
+            served = reorder_schedule(gaps, D, p)
+            assert served.shape == (len(gaps), len(D), T)
+            for delta, per_row in zip(gaps, served):
+                S = float(rng.uniform(0.1, 20.0))
+                for d, row_served in zip(D, per_row):
+                    traj = simulate(SsPolicy(S - delta, S), d, p)
+                    ordered = tuple(t for t in range(1, p.T + 1) if traj.q[t - 1] > 0)
+                    assert ordered == order_periods(row_served)
+
+    @pytest.mark.parametrize("gap", [-1.0, -1e-300, math.nan])
+    def test_rejects_negative_or_nan_gap(self, gap):
+        with pytest.raises(ValueError, match="order gap must be a nonnegative number"):
+            reorder_schedule([2.0, gap], np.ones((2, 3)), params(T=3))
 
     def test_loss_constant_between_breakpoints(self):
         rng = np.random.default_rng(9)
@@ -191,7 +205,7 @@ class TestReorderSchedule:
             T = int(rng.integers(2, 8))
             p = params(T=T, L=int(rng.integers(0, 2)), U=6.0, Hlo=-40.0, H=80.0, x1=-40.0, K=1.0)
             d = rng.uniform(0.1, 6.0, p.horizon)
-            bps = delta_breakpoints(d, p)
+            bps = delta_breakpoints(d[None, :], p).tolist()
             S = float(rng.uniform(10.0, 30.0))
             grid = [0.0] + bps
             for lo, hi in zip(grid[:-1], grid[1:]):
@@ -208,10 +222,11 @@ class TestReorderSchedule:
 
 class TestDeltaBreakpoints:
     def test_figure_instance(self):
-        assert delta_breakpoints((4.0, 3.0, 1.0), params(T=3)) == [3.0, 4.0, 7.0]
+        bps = delta_breakpoints(np.array([[4.0, 3.0, 1.0]]), params(T=3))
+        assert bps.tolist() == [3.0, 4.0, 7.0]
 
     def test_zero_demand(self):
-        assert delta_breakpoints((0.0,) * 5, params(T=5, L=0)) == [0.0]
+        assert delta_breakpoints(np.zeros((1, 5)), params(T=5, L=0)).tolist() == [0.0]
 
     def test_schedule_constant_between_adjacent_breakpoints(self):
         # oracle: evaluate the schedule at midpoints and just past breakpoints
@@ -219,23 +234,42 @@ class TestDeltaBreakpoints:
         for _ in range(200):
             T = int(rng.integers(2, 9))
             p = params(T=T)
-            d = np.round(rng.uniform(0, 5.0, T), 2)
-            bps = delta_breakpoints(d, p)
+            d = np.round(rng.uniform(0, 5.0, (1, T)), 2)
+            bps = delta_breakpoints(d, p).tolist()
             assert bps == sorted(set(bps))
             assert len(bps) <= T * (T - 1) / 2
             edges = [0.0] + bps + [bps[-1] + 1.0]
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                if hi - lo <= 1e-9:
-                    continue
-                mid = reorder_schedule((lo + hi) / 2, d, p).times
-                right = reorder_schedule(hi if hi <= bps[-1] else hi + 5.0, d, p).times
-                assert mid == right
+            pairs = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo > 1e-9]
+            mid = reorder_schedule([(lo + hi) / 2 for lo, hi in pairs], d, p)
+            right = reorder_schedule(
+                [hi if hi <= bps[-1] else hi + 5.0 for _, hi in pairs], d, p
+            )
+            assert np.array_equal(mid, right)
 
     def test_schedule_changes_across_breakpoints(self):
-        d = (4.0, 3.0, 1.0)
-        p = params(T=3)
-        seen = {reorder_schedule(delta, d, p).times for delta in (0.0, 3.5, 5.0, 9.0)}
+        served = reorder_schedule([0.0, 3.5, 5.0, 9.0], np.array([[4.0, 3.0, 1.0]]), params(T=3))
+        seen = {order_periods(g[0]) for g in served}
         assert len(seen) == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_running_sums_bit_for_bit(self, data):
+        # every sum of demands i..j of periods 1..T-1, added left to right
+        T = data.draw(st.integers(1, 7))
+        n = data.draw(st.integers(1, 4))
+        cell = st.one_of(st.just(0.0), st.just(-0.0), st.integers(1, 9).map(float),
+                         st.floats(ORDER_EPS, 50.0, exclude_min=True))
+        D = np.array(data.draw(st.lists(st.lists(cell, min_size=T, max_size=T),
+                                        min_size=n, max_size=n)))
+        want = set()
+        for row in D.tolist():
+            for i in range(T - 1):
+                acc = 0.0
+                for v in row[i : T - 1]:
+                    acc += v
+                    want.add(acc)
+        got = delta_breakpoints(D, params(T=T))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in sorted(want)]
 
 
 class TestCsvRoundTrip:

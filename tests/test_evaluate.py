@@ -503,6 +503,36 @@ class TestExactSsSearch:
         best_integer_ss(pmfs[:2], replace(p, T=2, x1=-23.0))
         assert len(calls) == int((s < -23.0).sum()) == 2 * 46
 
+    def test_one_float_for_one_policy_at_x1_equal_to_S(self):
+        # at x1 == S no policy orders in period 1, so (S, S) and (S - 1, S)
+        # are one policy; the smaller gap wins the tie
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            T, L, H = int(rng.integers(1, 5)), int(rng.integers(0, 3)), int(rng.integers(1, 6))
+            p = SystemParams(T=T, L=L, h=rng.uniform(0.1, 2.0), b=rng.uniform(0.1, 9.0),
+                             K=0.0, U=4.0, x1=float(H), H=float(H), Hlo=-1.0)
+            pmfs = [rand_pmf(rng, int(rng.integers(1, 5))) for _ in range(T + L)]
+            same = exact_ss_risks(np.array([H, H - 1.0]), np.array([H, H], dtype=float), pmfs, p)
+            assert same[0].hex() == same[1].hex()
+            assert best_integer_ss(pmfs, p)[0] != SsPolicy(H - 1.0, float(H))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_below_x1_equal_to_S_matches_enumeration(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        S = data.draw(quarters(0, 4))
+        p = SystemParams(T=T, L=L, h=data.draw(st.floats(0.0, 2.0)),
+                         b=data.draw(st.floats(0.0, 2.0)), K=data.draw(st.floats(0.0, 3.0)),
+                         U=3.0, x1=S)
+        pmfs = pmf_lists(data, T + L, 3)
+        s_vals = np.array([S - data.draw(st.floats(0.0, 4.0, exclude_min=True))
+                           for _ in range(3)])
+        got = exact_ss_risks(s_vals, np.full(3, S), pmfs, p)
+        for s, risk in zip(s_vals, got):
+            want = enumerate_product_risk(SsPolicy(s, S), pmfs, p)
+            assert risk == pytest.approx(want, rel=0, abs=1e-12), s
+
     def test_empty_grid_rejected(self):
         p = SystemParams(T=2, U=3.0, H=-1.0, Hlo=-2.0)
         with pytest.raises(ValueError, match="empty"):

@@ -119,9 +119,11 @@ class TestErmBaseStock:
 
 class TestErmEoq:
     def test_gap_formula(self):
-        data = Dataset.from_matrix([[10.0] * 20])
         p = params(T=20, K=18.0, U=20.0)
-        assert square_root_gap(data, p) == pytest.approx(20.0)
+        assert square_root_gap(10.0, p) == pytest.approx(20.0)
+        for h, b in ((0.0, 9.0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="h > 0 and b > 0"):
+                square_root_gap(10.0, params(T=20, h=h, b=b, K=18.0))
 
     def test_zero_fixed_cost_reduces_to_base_stock(self):
         rng = np.random.default_rng(3)
@@ -142,11 +144,17 @@ class TestErmEoq:
             # the fixed-gap class has no reorder-point bound, so widen the
             # (s, S) search space until the fixed-gap slice is inside it and
             # fit both on that shared system
-            lo = min(p.ss_bounds()[0], -square_root_gap(data, p)) - 1.0
+            lo = min(p.ss_bounds()[0], -square_root_gap(data.as_matrix().mean(), p)) - 1.0
             wide = params(T=p.T, L=p.L, h=p.h, b=p.b, K=p.K, U=p.U, Hlo=lo, x1=lo)
             eoq = erm_eoq_base_stock(data, wide)
             full = erm_sS(data, wide, mode="exact")
             assert eoq.in_sample_risk >= full.in_sample_risk - 1e-9
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+    def test_fixed_gap_rejects_unusable_gap(self, delta):
+        data = Dataset.from_matrix([[3.0, 7.0]])
+        with pytest.raises(ValueError, match="delta must be a finite number >= 0"):
+            fit_level_fixed_gap(data, params(), delta)
 
     def test_fixed_gap_fit_matches_dense_grid(self):
         # oracle: dense S grid at the same fixed gap
@@ -226,6 +234,38 @@ class TestErmSs:
             return
         got = erm_sS(dataset, p, mode="integer-grid")
         assert got.policy == want.policy
+        assert got.in_sample_risk.hex() == want.in_sample_risk.hex()
+        assert got.diagnostics == want.diagnostics
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exact_matches_per_row_enumeration(self, data):
+        T = data.draw(st.integers(1, 5))
+        L = data.draw(st.integers(0, 2))
+        bound = st.one_of(st.none(), st.integers(-6, 12).map(float),
+                          st.integers(-24, 48).map(lambda v: v / 4))
+        H, Hlo = data.draw(bound), data.draw(bound)
+        if H is not None and Hlo is not None and Hlo > H:
+            H, Hlo = Hlo, H
+        p = ss_ready(params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+                            b=data.draw(st.sampled_from([0.0, 1.0, 9.0])),
+                            K=data.draw(st.one_of(st.sampled_from([0.0, 3.0, 18.0]),
+                                                  st.floats(0.0, 20.0))),
+                            U=6.0, H=H, Hlo=Hlo))
+        p = replace(p, x1=p.x1 - data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+        n = data.draw(st.integers(1, 5))
+        cell = data.draw(st.sampled_from([st.integers(0, 6).map(float), demand_floats(6.0)]))
+        D = data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L)))
+        dataset = Dataset.from_matrix(np.reshape(D, (n, T + L)))
+        try:
+            want = per_row_erm_sS(dataset, p)
+        except ValueError:
+            with pytest.raises(ValueError):
+                erm_sS(dataset, p, mode="exact")
+            return
+        got = erm_sS(dataset, p, mode="exact")
+        assert (got.policy.s.hex(), got.policy.S.hex()) == (
+            want.policy.s.hex(), want.policy.S.hex())
         assert got.in_sample_risk.hex() == want.in_sample_risk.hex()
         assert got.diagnostics == want.diagnostics
 
@@ -474,6 +514,77 @@ def meshgrid_lexsort_erm_sS(data, p):
     policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
     return FitResult(policy, dataset_risk(policy, data, p), "integer-grid",
                      {"candidate_count": int(len(s_vals)), "capped_bounds": capped})
+
+
+def per_row_erm_sS(data, p):
+    """erm_sS(mode="exact") row by row: Python running sums give every row's
+    gap breakpoints and, per gap interval, its reorder times and windows."""
+    D = data.as_matrix()
+    lo, hi, capped = p.ss_bounds()
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise ValueError("unbounded class")
+    bps = set()
+    for row in D.tolist():
+        for i in range(p.T - 1):
+            acc = 0.0
+            for v in row[i : p.T - 1]:
+                acc += v
+                bps.add(acc)
+    delta_cap = hi - lo
+    intervals = [(0.0, 0.0, 0.0)]
+    prev = 0.0
+    for v in sorted(v for v in bps if 0.0 < v <= delta_cap):
+        intervals.append((prev, v, (prev + v) / 2.0))
+        prev = v
+    if delta_cap > prev:
+        intervals.append((prev, delta_cap, (prev + delta_cap) / 2.0))
+
+    n = len(D)
+    scale = n * p.T
+    best = None
+    n_cands = 0
+    for a, b, rep in intervals:
+        windows, n_orders = [], 0
+        for row in D:
+            times, acc = [1], 0.0
+            for t in range(2, p.T + 1):
+                acc += row[t - 2]
+                if acc >= rep:
+                    times.append(t)
+                    acc = 0.0
+            n_orders += len(times)
+            prefix = np.concatenate([[0.0], np.cumsum(row)])
+            for tj, tnext in zip(times, times[1:] + [p.T + 1]):
+                windows.append(prefix[tj + p.L : tnext + p.L] - prefix[tj - 1])
+        windows = np.concatenate(windows)
+        cands = np.unique(
+            np.concatenate([windows, [0.0, hi, min(max(lo + a + 1e-9, 0.0), hi)]])
+        )
+        cands = cands[(cands >= 0.0) & (cands <= hi)]
+        cands = cands[cands - lo > a if a > 0 or b > 0 else cands - lo >= 0]
+        if not len(cands):
+            continue
+        n_cands += len(cands)
+        risks = evaluate.sorted_prefix_costs(cands, windows[None, :], p)[0] / scale
+        if p.K > 0:
+            first = (cands - p.x1 > ORDER_EPS).astype(float)
+            if rep == 0.0:
+                later = float((D[:, : p.T - 1] > ORDER_EPS).sum())
+            else:
+                later = n_orders - n
+            risks = risks + p.K * (later + n * first) / scale
+        k = int(np.argmin(risks))
+        S = float(cands[k])
+        cand = (float(risks[k]), 0.0 if rep == 0.0 else min(rep, S - lo), S)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        raise ValueError("no feasible (s, S) candidate")
+    _, delta, S = best
+    policy = SsPolicy(S - delta, S)
+    return FitResult(policy, dataset_risk(policy, data, p), "gap-interval-enumeration",
+                     {"candidate_count": n_cands, "interval_count": len(intervals),
+                      "capped_bounds": capped})
 
 
 def hexed(result):
