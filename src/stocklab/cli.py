@@ -19,6 +19,8 @@ import sys
 import warnings
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import __version__
 from .core import (
     BaseStock,
@@ -285,7 +287,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_perm(args: argparse.Namespace) -> int:
     data = read_demands_csv(args.data)
     p = _system_from_args(args, args.policy_class == "ss")
-    result = perm_fit(build_marginals(data), p, args.policy_class)
+    pmfs = build_marginals(data)
+    result = perm_fit(pmfs, p, args.policy_class)
+    if args.policy_class == "ss" and not all(np.array_equal(f, pmfs[0]) for f in pmfs[1:]):
+        warnings.warn("fitting a stationary (s, S) policy against non-stationary marginals")
     print(f"policy {_policy_text(result.policy)}")
     print(f"productRisk {result.in_sample_risk:.12g}")
     if args.partition:

@@ -273,12 +273,13 @@ def validate_policy(policy: Policy, p: SystemParams) -> None:
         raise TypeError(f"unknown policy type {type(policy)!r}")
 
 
-def _order_quantity(policy: Policy, position: float, t: int) -> float:
+def _order_up_to(policy: Policy, position: float, t: int) -> float:
+    """The position after period t's order; ``position`` itself if none is due."""
     if isinstance(policy, BaseStock):
-        return max(policy.S - position, 0.0)
+        return max(policy.S, position)
     if isinstance(policy, SsPolicy):
-        return policy.S - position if position <= policy.s else 0.0
-    return max(policy.levels[t - 1] - position, 0.0)
+        return policy.S if position <= policy.s else position
+    return max(policy.levels[t - 1], position)
 
 
 def simulate(
@@ -291,7 +292,9 @@ def simulate(
 
     With ``unchecked=True`` the policy-bound and initial-level checks are
     skipped; this is how deliberately out-of-bound configurations (unbounded
-    order-up-to levels, positive initial stock) are simulated.
+    order-up-to levels, positive initial stock) are simulated.  The inventory
+    position is the last order-up-to target (or x1) minus the demand since,
+    as on the exact kernels' lattice, not the level plus the orders in transit.
     """
     demands = tuple(float(v) for v in d)
     n = p.horizon
@@ -309,11 +312,15 @@ def simulate(
     loss = np.zeros(p.T)
 
     x[0] = p.x1
+    top, since = p.x1, 0.0
     for t in range(1, n + 1):
-        position = x[t - 1] + sum(q[t1 - 1] for t1 in range(max(t - p.L, 1), t))
+        position = top - since
         pos[t - 1] = position
-        order = _order_quantity(policy, position, t)
-        q[t - 1] = order if order > ORDER_EPS else 0.0
+        target = _order_up_to(policy, position, t)
+        if target - position > ORDER_EPS:
+            q[t - 1] = target - position
+            top, since = target, 0.0
+        since += demands[t - 1]
         arrival = q[t - p.L - 1] if t - p.L >= 1 else 0.0
         y[t - 1] = x[t - 1] + arrival
         x[t] = y[t - 1] - demands[t - 1]

@@ -508,19 +508,6 @@ def ss_pairs(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[order], S[order]
 
 
-def best_integer_ss(pmfs: Sequence[np.ndarray], p: SystemParams) -> tuple[SsPolicy, float]:
-    """Exact best integer (s, S) policy within the class bounds, and its risk.
-
-    Every integer pair is scored by :func:`exact_ss_risks`.  Ties break
-    toward the smaller risk, then the smaller gap S - s, then the smaller S.
-    """
-    lo, hi, _ = p.ss_bounds()
-    s, S = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
-    risks = exact_ss_risks(s, S, pmfs, p)
-    j = int(np.argmin(risks))
-    return SsPolicy(float(s[j]), float(S[j])), float(risks[j])
-
-
 def exact_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
     """Exact expected loss under independent integer demands with the given pmfs."""
     if isinstance(policy, BaseStock):
@@ -566,7 +553,8 @@ class ModelRisk:
 
     def __call__(self, policy: Policy) -> float:
         if self.atoms is not None:
-            return finite_support_risk(policy, self.atoms, self.p)
+            # the model validated its atoms once, when it was built
+            return float(policy_losses(policy, self.atoms, self.p).mean())
         if self.pmfs is not None:
             return exact_risk(policy, self.pmfs, self.p)
         if self.eval_paths is None:

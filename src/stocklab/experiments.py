@@ -34,14 +34,7 @@ from .demand import (
     make_rng,
     sample_instance,
 )
-from .evaluate import (
-    ModelRisk,
-    best_integer_ss,
-    exact_base_stock_levels,
-    exact_base_stock_risk,
-    exact_ss_risks,
-    policy_losses,
-)
+from .evaluate import ModelRisk, policy_losses
 from .fitters import (
     FitResult,
     StOptions,
@@ -49,10 +42,10 @@ from .fitters import (
     erm_base_stock,
     erm_eoq_base_stock,
     erm_sS,
+    fit_cap,
     grid_oracle,
-    square_root_gap,
 )
-from .perm import build_marginals, perm_fit, solve_dp
+from .perm import build_marginals, perm_fit
 
 EXPERIMENT_KINDS = (
     "ee-vs-T",
@@ -214,7 +207,7 @@ def _fit(policy_class: str, data: Dataset, p: SystemParams, cfg: ExperimentConfi
         return erm_sS(data, p, mode="integer-grid")
     if policy_class == "st":
         D = data.as_matrix()
-        cap = p.level_cap()
+        cap = fit_cap(p.level_cap())
         grid_points = (int(cap) + 1) ** p.horizon if cap == int(cap) else math.inf
         if np.all(D == np.rint(D)) and grid_points <= 20_000:
             return grid_oracle(data, "st", 1.0, p)
@@ -228,31 +221,14 @@ def _best_in_class(
 ) -> tuple[Policy, float]:
     """Best-in-class policy and its true risk.
 
-    It is computed exactly from the model's marginal pmfs where the class
-    admits it (order-up-to classes via DP/kink enumeration, integer
-    reorder-point grid); without pmfs it falls back to fitting on
-    ``best_in_class_samples`` fresh draws.
+    With the model's pmfs it is the exact product fit :func:`perm_fit`,
+    except for per-period levels with K > 0, which the DP does not fit;
+    otherwise the class is fitted on ``best_in_class_samples`` fresh draws.
     """
-    p, pmfs = evaluator.p, evaluator.pmfs
-    if pmfs is not None:
-        if policy_class == "st" and p.K == 0:
-            sol = solve_dp(pmfs, p)
-            levels = tuple(float(v) for v in sol.order_up_to) + (0.0,) * p.L
-            return NonStationary(levels), sol.risk
-        if policy_class == "base-stock":
-            cands = exact_base_stock_levels(pmfs, p)
-            risks = exact_base_stock_risk(cands, pmfs, p)
-            j = int(np.argmin(risks))
-            return BaseStock(float(cands[j])), float(risks[j])
-        if policy_class == "ss":
-            return best_integer_ss(pmfs, p)
-        if policy_class == "eoq":
-            mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
-            gap = square_root_gap(mu, p)
-            grid = np.arange(0.0, p.level_cap() + gap + 1e-9, 0.05)
-            risks = exact_ss_risks(grid - gap, grid, pmfs, p)
-            j = int(np.argmin(risks))
-            return SsPolicy(float(grid[j] - gap), float(grid[j])), float(risks[j])
+    p = evaluator.p
+    if evaluator.pmfs is not None and (policy_class != "st" or p.K == 0):
+        fit = perm_fit(evaluator.pmfs, p, policy_class)
+        return fit.policy, fit.in_sample_risk
     data = draw(evaluator.model, cfg.best_in_class_samples, seed_key)
     fit = _fit(policy_class, data, p, cfg)
     return fit.policy, evaluator(fit.policy)
@@ -269,12 +245,10 @@ def _random_feasible(
         S = float(rng.uniform(0, p.level_cap() + gap))
         return SsPolicy(S - gap, S)
     if policy_class == "ss":
+        # experiments fit (s, S) on the integer grid of the bounds
         lo, hi, _ = p.ss_bounds()
-        if fit.method == "integer-grid":
-            s = int(rng.integers(math.ceil(lo), math.floor(hi) + 1))
-            return SsPolicy(float(s), float(rng.integers(max(s, 0), math.floor(hi) + 1)))
-        s = float(rng.uniform(lo, hi))
-        return SsPolicy(s, float(rng.uniform(max(s, 0.0), hi)))
+        s = int(rng.integers(math.ceil(lo), math.floor(hi) + 1))
+        return SsPolicy(float(s), float(rng.integers(max(s, 0), math.floor(hi) + 1)))
     return NonStationary(tuple(rng.uniform(0, p.level_cap(), p.horizon)))
 
 
@@ -287,8 +261,6 @@ def _sanity_check_fit(
     D = data.as_matrix()
     for _ in range(20):
         other = _random_feasible(fit, policy_class, p, rng)
-        if isinstance(other, SsPolicy) and policy_class == "ss" and other.s < p.x1:
-            continue  # outside the fitter's feasible region
         alt = float(policy_losses(other, D, p).mean())
         if fit.in_sample_risk > alt + 1e-9:
             raise AssertionError(
@@ -305,8 +277,9 @@ def _sanity_check_fit(
 def run_ee_vs_T(cfg: ExperimentConfig) -> list[MetricsRecord]:
     """Estimation-error and out-of-sample ratios as the horizon grows.
 
-    Requires K = 0 and an integer demand model; the unconstrained optimum is
-    computed by exact DP per instance and used as the ratio denominator.
+    Requires K = 0 and an integer demand model.  The per-period-level class
+    is fitted once per instance by exact DP: its risk is the unconstrained
+    optimum, the ratio denominator, and also that class's best in class.
     """
     if cfg.kind != "ee-vs-T":
         raise ValueError(f"config kind {cfg.kind!r} is not ee-vs-T")
@@ -322,13 +295,14 @@ def run_ee_vs_T(cfg: ExperimentConfig) -> list[MetricsRecord]:
             evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 13, sweep_idx, inst))
             if evaluator.pmfs is None:
                 raise ValueError("the horizon sweep requires an integer demand model")
-            r_opt = solve_dp(evaluator.pmfs, p).risk
+            r_opt = perm_fit(evaluator.pmfs, p, "st").in_sample_risk
             if r_opt <= 0:
                 raise ValueError(
                     f"optimal risk is {r_opt} for instance {inst}; ratio undefined"
                 )
-            stars = {
-                c: _best_in_class(c, evaluator, cfg, (cfg.seed, 17, sweep_idx, inst, ci))
+            best = {
+                c: r_opt if c == "st" else
+                _best_in_class(c, evaluator, cfg, (cfg.seed, 17, sweep_idx, inst, ci))[1]
                 for ci, c in enumerate(cfg.classes)
             }
             ee_rep: dict[str, list[float]] = {c: [] for c in cfg.classes}
@@ -340,7 +314,7 @@ def run_ee_vs_T(cfg: ExperimentConfig) -> list[MetricsRecord]:
                     if rep == 0:
                         _sanity_check_fit(fit, c, data, p, (cfg.seed, 23, sweep_idx, inst))
                     risk = evaluator(fit.policy)
-                    ee_rep[c].append(risk - stars[c][1])
+                    ee_rep[c].append(risk - best[c])
                     oos_rep[c].append(risk)
             for c in cfg.classes:
                 ee[c].append(float(np.mean(ee_rep[c])) / r_opt)
@@ -452,8 +426,7 @@ def run_erm_vs_perm(cfg: ExperimentConfig) -> list[MetricsRecord]:
                 for rep in range(cfg.dataset_reps):
                     data = draw(model, int(n), (cfg.seed, 59, inst, n_idx, rep))
                     erm_risks.append(evaluator(_fit("st", data, p, cfg).policy))
-                    pfit = perm_fit(build_marginals(data), p, "st")
-                    perm_risks.append(evaluator(pfit.policy))
+                    perm_risks.append(evaluator(perm_fit(build_marginals(data), p, "st").policy))
                 denom = float(np.mean(perm_risks))
                 if denom <= 0:
                     raise ValueError(

@@ -3,32 +3,38 @@
 Per-period empirical marginals define a product distribution over demand
 sequences; fitting against it is equivalent to a backward DP over the
 inventory position, which is also how the exact optimum under a known
-independent integer demand process is computed.
+independent integer demand process is computed.  The same exact fit under a
+model's pmfs is the best policy in a class.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
+    BaseStock,
     BudgetError,
     Dataset,
     NonStationary,
     Policy,
+    SsPolicy,
     SystemParams,
 )
 from .evaluate import (
-    best_integer_ss,
     cost_array,
+    exact_base_stock_levels,
+    exact_base_stock_risk,
     exact_risk,
+    exact_ss_risks,
     lead_pmf,
+    ss_pairs,
 )
-from .fitters import FitResult, fit_ss_bounds
+from .fitters import FitResult, fit_cap, fit_ss_bounds, square_root_gap
 
 PARTITION_BUDGET = 1_000_000
 
@@ -165,40 +171,45 @@ def perm_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> fl
 def perm_fit(
     pmfs: Sequence[np.ndarray], p: SystemParams, policy_class: str = "st"
 ) -> FitResult:
-    """Risk minimizer against the product of the empirical marginals.
+    """Exact risk minimizer of a policy class under the product of per-period
+    pmfs: the empirical marginals for product ERM, the model's for the best in
+    class.  The bounds are checked as the data fitters check them.
 
-    ``st``: backward DP (requires K = 0); the per-period order-up-to targets
-    are the DP argmins and the fitted risk equals the DP root value.
-    ``ss``: exhaustive integer (s, S) search scored by exact DP policy
-    evaluation; stationary marginals are recommended (a warning is issued
-    otherwise).
+    ``st`` is the backward DP (K = 0): its targets are the DP argmins and its
+    risk the DP root value.  ``ss`` scores every integer pair in the bounds
+    (x1 at most Hlo) with :func:`exact_ss_risks`, and ``base-stock`` every kink
+    of the exact risk curve in [0, H].  ``eoq`` pins the square-root gap at the
+    pmf mean and approximates the best S on a 0.05 grid of [0, H + gap].  Each
+    search takes the first minimum: the smaller gap, then the smaller S.
     """
     if policy_class == "st":
         if p.K != 0:
             raise ValueError("product fitting of per-period levels requires K = 0")
         sol = solve_dp(pmfs, p)
-        levels = list(sol.order_up_to) + [0] * p.L
-        policy = NonStationary(tuple(float(v) for v in levels))
-        return FitResult(
-            policy=policy,
-            in_sample_risk=sol.risk,
-            method="backward-dp",
-            diagnostics={"grid": [sol.grid_lo, sol.grid_hi]},
-        )
-    if policy_class == "ss":
-        lo, _, _ = fit_ss_bounds(p)
-        if p.x1 > lo:
-            raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
-        if not all(np.array_equal(f, pmfs[0]) for f in pmfs[1:]):
-            warnings.warn(
-                "fitting a stationary (s, S) policy against non-stationary marginals",
-                stacklevel=2,
-            )
-        policy, risk = best_integer_ss(pmfs, p)
-        return FitResult(
-            policy=policy,
-            in_sample_risk=risk,
-            method="dp-policy-evaluation-grid",
-            diagnostics={"experimental": True},
-        )
-    raise ValueError(f"unknown policy class {policy_class!r}")
+        levels = tuple(float(v) for v in sol.order_up_to) + (0.0,) * p.L
+        return FitResult(policy=NonStationary(levels), in_sample_risk=sol.risk,
+                         method="backward-dp", diagnostics={"grid": [sol.grid_lo, sol.grid_hi]})
+    if policy_class == "base-stock":
+        fit_cap(p.level_cap())
+        S = exact_base_stock_levels(pmfs, p)
+        risks = exact_base_stock_risk(S, pmfs, p)
+        j = int(np.argmin(risks))
+        policy: Policy = BaseStock(float(S[j]))
+    else:
+        if policy_class == "ss":
+            lo, hi, _ = fit_ss_bounds(p)
+            if p.x1 > lo:
+                raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
+            s, S = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
+        elif policy_class == "eoq":
+            mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
+            gap = square_root_gap(mu, p)
+            S = np.arange(0.0, fit_cap(p.level_cap()) + gap + 1e-9, 0.05)
+            s = S - gap
+        else:
+            raise ValueError(f"unknown policy class {policy_class!r}")
+        risks = exact_ss_risks(s, S, pmfs, p)
+        j = int(np.argmin(risks))
+        policy = SsPolicy(float(s[j]), float(S[j]))
+    return FitResult(policy=policy, in_sample_risk=float(risks[j]),
+                     method=f"exact-{policy_class}-search")

@@ -194,19 +194,20 @@ class TestPerm:
 
     def test_nonstationary_ss_warning_is_one_line(self, tmp_path):
         path = tmp_path / "demands.csv"
-        path.write_text("t1,t2\n3,7\n2,5\n4,1\n")
         root = os.path.dirname(os.path.dirname(stocklab.__file__))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        out = subprocess.run(
-            [sys.executable, "-m", "stocklab.cli", "perm", "--class", "ss", "--data",
-             str(path), "--T", "2", "--U", "10"],
-            capture_output=True, text=True, cwd=tmp_path, env={**env, "PYTHONPATH": root},
-        )
-        assert out.returncode == 0
-        assert out.stdout.startswith("policy ss:")
-        assert out.stderr == (
-            "warning: fitting a stationary (s, S) policy against non-stationary marginals\n"
-        )
+        warning = "warning: fitting a stationary (s, S) policy against non-stationary marginals\n"
+        # equal columns make equal marginals, and no warning
+        for rows, want in (("3,7\n2,5\n4,1\n", warning), ("1,2\n2,1\n", "")):
+            path.write_text("t1,t2\n" + rows)
+            out = subprocess.run(
+                [sys.executable, "-m", "stocklab.cli", "perm", "--class", "ss", "--data",
+                 str(path), "--T", "2", "--U", "10"],
+                capture_output=True, text=True, cwd=tmp_path, env={**env, "PYTHONPATH": root},
+            )
+            assert out.returncode == 0
+            assert out.stdout.startswith("policy ss:")
+            assert out.stderr == want
 
     @pytest.mark.parametrize("policy_class", ["st", "ss"])
     def test_fractional_demands_rejected(self, tmp_path, capsys, policy_class):
@@ -314,6 +315,24 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "results.csv").read_bytes() == first
         assert (out / "metadata.json").exists()
+
+    @pytest.mark.parametrize("policy_class, bound", [
+        pytest.param(c, '"H": Infinity', id=f"{c}-H") for c in ("ss", "eoq", "st", "base-stock")
+    ] + [pytest.param("ss", '"Hlo": -Infinity', id="ss-Hlo")])
+    def test_infinite_bound_in_config_rejected(self, tmp_path, capsys, policy_class, bound):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"kind": "ee-vs-T", "sweep": [2], "system": {"T": 2, "K": 0.0, "U": 20.0, '
+            f'{bound}}}, "classes": ["{policy_class}"], "instance_count": 1, '
+            '"dataset_reps": 1, "n_train": 3}'
+        )
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: fitting needs a finite reorder-point bound Hlo, got -inf"
+            if "Hlo" in bound else "error: fitting needs a finite level cap H >= 0, got inf"
+        ]
 
     def test_bad_config_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -22,7 +22,6 @@ from stocklab.evaluate import (
     base_stock_kinks,
     base_stock_loss_matrix,
     base_stock_risk_curve,
-    best_integer_ss,
     dataset_risk,
     enumerate_product_risk,
     exact_base_stock_risk,
@@ -34,10 +33,12 @@ from stocklab.evaluate import (
     lead_pmf,
     policy_losses,
     ss_losses_grid,
+    ss_pairs,
     st_losses,
     st_losses_grid,
 )
 from stocklab.fitters import erm_base_stock
+from stocklab.perm import perm_fit
 
 
 def rand_pmf(rng, size):
@@ -209,6 +210,22 @@ class TestModelRisk:
         b = simulate(pol, (1.0, 2.0), p).avg_loss
         assert ModelRisk(model, p)(pol) == pytest.approx((a + b) / 2)
         assert finite_support_risk(pol, model.as_matrix(), p) == pytest.approx((a + b) / 2)
+
+    def test_finite_support_scored_without_a_dataset(self, monkeypatch):
+        # the model validated its atoms when it was built; a call copies none
+        p = SystemParams(T=2, L=0, U=8.0)
+        model = FiniteSupport(((3.0, 7.0), (1.0, 2.0), (0.0, 4.0)))
+        risk = ModelRisk(model, p)
+        built = []
+        init = Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__",
+                            lambda self: built.append(1) or init(self))
+        policies = (BaseStock(4.0), SsPolicy(1.0, 5.0), NonStationary((4.0, 6.0)))
+        got = [risk(pol) for pol in policies]
+        assert built == []
+        # the same float as the checked path
+        assert got == [finite_support_risk(pol, model.as_matrix(), p) for pol in policies]
+        assert len(built) == len(policies)
 
     def test_finite_support_rejects_dust_atom(self):
         # simulate drops the dust order and gives 0.5; the closed form gave 0.0
@@ -386,15 +403,27 @@ def quarters(lo, hi):
 
 
 class TestLatticeKernel:
+    def test_simulate_reorders_on_the_lattice_from_an_off_grid_x1(self):
+        # S - 1 == s: the reorder point lies on the lattice position S - 1.
+        # Summing x1 and the orders put simulate's position an ulp off it,
+        # which decided the other way (7.179037521725788)
+        p = SystemParams(T=4, L=1, h=1.956907295763738, b=0.8715249778263849,
+                         K=1.1596094010145266, U=1.0, x1=-1e-13)
+        policy = SsPolicy(3.5910266712068433, 4.591026671206843)
+        assert policy.S - 1 == policy.s
+        pmfs = [np.array([0.5, 0.5])] * 5
+        want = exact_ss_risk(policy, pmfs, p)
+        assert want == pytest.approx(7.75206216780092, rel=0, abs=1e-12)
+        assert enumerate_product_risk(policy, pmfs, p) == pytest.approx(want, rel=0, abs=1e-12)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_enumeration(self, data):
         # x1 and S sit on a grid of quarters, so simulate's (s, S) positions
         # are exact; s and the per-period levels may be any float.  With
-        # x1 = -1e-13 a first order up to S = 0 (or to a level 0) is dust.
-        # That x1 leaves simulate's later positions S - k off by an ulp (it
-        # adds x1 - demand to an order S - x1), so s then sits an eighth off
-        # the quarters, away from every S - k, where the ulp would decide.
+        # x1 = -1e-13 a first order up to S = 0 (or to a level 0) is dust;
+        # the positions after an order are still S - k exactly, so s may sit
+        # on them.
         T = data.draw(st.integers(1, 3))
         L = data.draw(st.integers(0, 2))
         dust = data.draw(st.booleans())
@@ -405,11 +434,7 @@ class TestLatticeKernel:
         )
         pmfs = pmf_lists(data, T + L, 3)
         S = data.draw(quarters(0, 5))
-        if dust:
-            s_values = quarters(-4, 5).map(lambda v: v + 0.125)
-        else:
-            s_values = st.one_of(quarters(-4, 5), st.floats(-4.0, 5.0))
-        s = data.draw(s_values.filter(lambda v: v <= S))
+        s = data.draw(st.one_of(quarters(-4, 5), st.floats(-4.0, 5.0)).filter(lambda v: v <= S))
         level = st.one_of(quarters(0, 5), st.floats(0.0, 5.0))
         levels = data.draw(st.lists(level, min_size=T + L, max_size=T + L))
         ss, per_period = SsPolicy(s, S), NonStationary(levels)
@@ -417,6 +442,15 @@ class TestLatticeKernel:
                             (per_period, exact_st_risk(levels, pmfs, p))):
             want = enumerate_product_risk(policy, pmfs, p)
             assert got == pytest.approx(want, rel=0, abs=1e-12), policy
+
+
+def first_min_ss(pmfs, p):
+    """The first minimum of exact_ss_risks over the integer pairs in ss_pairs order."""
+    lo, hi, _ = p.ss_bounds()
+    s, S = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
+    risks = exact_ss_risks(s, S, pmfs, p)
+    j = int(np.argmin(risks))
+    return SsPolicy(float(s[j]), float(S[j])), float(risks[j])
 
 
 def double_loop_best_ss(pmfs, p):
@@ -435,11 +469,11 @@ def double_loop_best_ss(pmfs, p):
 class TestExactSsSearch:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
-    def test_best_integer_ss_matches_double_loop(self, data):
+    def test_integer_ss_search_matches_double_loop(self, data):
         T = data.draw(st.integers(1, 4))
         L = data.draw(st.integers(0, 2))
         x1 = data.draw(st.one_of(st.integers(-4, 2).map(float), st.floats(-4.0, 2.0)))
-        # Hlo < x1, so the pairs with s < x1 take the exact_ss_risk fallback
+        # Hlo < x1, so the pairs with s < x1 take the lattice kernel
         Hlo = float(math.floor(x1) - data.draw(st.integers(1, 3)))
         p = SystemParams(
             T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 3.0)),
@@ -447,10 +481,16 @@ class TestExactSsSearch:
             H=float(data.draw(st.integers(max(math.ceil(Hlo), 0), 6))), Hlo=Hlo,
         )
         pmfs = pmf_lists(data, T + L, 4)
-        policy, risk = best_integer_ss(pmfs, p)
         want_policy, want_risk = double_loop_best_ss(pmfs, p)
+        policy, risk = first_min_ss(pmfs, p)
         assert policy == want_policy
         assert risk == want_risk  # the same float, bit for bit
+        # from x1 at or below Hlo, the product fit is that search
+        low = replace(p, x1=Hlo - data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+        fit = perm_fit(pmfs, low, "ss")
+        assert (fit.policy, fit.in_sample_risk) == double_loop_best_ss(pmfs, low)
+        with pytest.raises(ValueError, match="reorder-point bound"):
+            perm_fit(pmfs, p, "ss")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -497,10 +537,11 @@ class TestExactSsSearch:
         p = SystemParams(T=20, h=0.0, b=0.0, K=0.0, U=20.0, x1=-25.0, H=45.0, Hlo=-25.0)
         s, S = evaluate.ss_pairs(np.arange(-25, 46))
         assert (s[0], S[0]) == (0.0, 0.0)
-        assert best_integer_ss(pmfs, p) == (SsPolicy(0.0, 0.0), 0.0)
+        fit = perm_fit(pmfs, p, "ss")
+        assert (fit.policy, fit.in_sample_risk) == (SsPolicy(0.0, 0.0), 0.0)
         assert calls == []
         # the pairs with s < x1 are the ones scored on the lattice
-        best_integer_ss(pmfs[:2], replace(p, T=2, x1=-23.0))
+        first_min_ss(pmfs[:2], replace(p, T=2, x1=-23.0))
         assert len(calls) == int((s < -23.0).sum()) == 2 * 46
 
     def test_one_float_for_one_policy_at_x1_equal_to_S(self):
@@ -514,7 +555,7 @@ class TestExactSsSearch:
             pmfs = [rand_pmf(rng, int(rng.integers(1, 5))) for _ in range(T + L)]
             same = exact_ss_risks(np.array([H, H - 1.0]), np.array([H, H], dtype=float), pmfs, p)
             assert same[0].hex() == same[1].hex()
-            assert best_integer_ss(pmfs, p)[0] != SsPolicy(H - 1.0, float(H))
+            assert first_min_ss(pmfs, p)[0] != SsPolicy(H - 1.0, float(H))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -534,9 +575,12 @@ class TestExactSsSearch:
             assert risk == pytest.approx(want, rel=0, abs=1e-12), s
 
     def test_empty_grid_rejected(self):
-        p = SystemParams(T=2, U=3.0, H=-1.0, Hlo=-2.0)
         with pytest.raises(ValueError, match="empty"):
-            best_integer_ss([np.array([0.5, 0.5])] * 2, p)
+            ss_pairs(np.arange(-2, 0))
+        # the product fit rejects the negative cap before it builds the grid
+        p = SystemParams(T=2, U=3.0, H=-1.0, Hlo=-2.0, x1=-2.0)
+        with pytest.raises(ValueError, match="level cap H >= 0, got -1.0"):
+            perm_fit([np.array([0.5, 0.5])] * 2, p, "ss")
 
     def test_reorder_decided_by_position_not_rounded_gap(self):
         # S - s rounds to 1.0, but the position S - 1 = 0 stays above s, so

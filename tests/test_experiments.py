@@ -10,9 +10,11 @@ import pytest
 from stocklab.core import BaseStock, Dataset, NonStationary, SystemParams
 from stocklab.demand import IndependentNormals, InstanceHyper, draw, marginal_pmfs
 from stocklab.emit import emit_results, write_records_csv
+from stocklab import perm
 from stocklab.experiments import (
     ExperimentConfig,
     MetricsRecord,
+    _best_in_class,
     _crossing_point,
     run_ee_vs_T,
     run_erm_vs_perm,
@@ -155,6 +157,31 @@ class TestRunners:
                 assert r.value >= 1.0 - 1e-9  # denominator is the exact optimum
             if r.metric == "ee-ratio":
                 assert r.value >= -1e-9
+
+    def test_ee_vs_T_solves_one_dp_per_horizon_and_instance(self, monkeypatch):
+        calls = []
+        solve = perm.solve_dp
+        monkeypatch.setattr(perm, "solve_dp", lambda *args: calls.append(1) or solve(*args))
+        cfg = ExperimentConfig(
+            kind="ee-vs-T", sweep=(2, 3), system=small_system(),
+            instance_count=2, dataset_reps=1, n_train=3, seed=3,
+        )
+        assert "st" in cfg.classes
+        run_ee_vs_T(cfg)
+        assert len(calls) == 2 * 2
+
+    def test_best_in_class_with_pmfs_is_the_product_fit(self):
+        model = IndependentNormals((4.0, 6.0, 5.0), (2.0, 3.0, 1.5), cap=8.0)
+        cfg = ExperimentConfig(kind="oos-vs-N-sS", sweep=(2,), system=small_system(K=4.0))
+        for K, classes in ((0.0, ("base-stock", "eoq", "ss", "st")),
+                           (4.0, ("base-stock", "eoq", "ss"))):
+            p = small_system(K=K, U=8.0)
+            evaluator = ModelRisk(model, p)
+            for c in classes:
+                fit = perm.perm_fit(evaluator.pmfs, p, c)
+                policy, risk = _best_in_class(c, evaluator, cfg, (1,))
+                assert (policy, risk) == (fit.policy, fit.in_sample_risk)
+                assert risk == pytest.approx(evaluator(policy), rel=1e-12)
 
     def test_ee_vs_T_requires_zero_fixed_cost(self):
         cfg = ExperimentConfig(kind="ee-vs-T", sweep=(2,), system=small_system(K=1.0),

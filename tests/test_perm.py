@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -15,8 +16,14 @@ from stocklab.core import (
     SystemParams,
     simulate,
 )
-from stocklab.evaluate import enumerate_product_risk, exact_risk
-from stocklab.fitters import erm_St
+from stocklab.evaluate import (
+    enumerate_product_risk,
+    exact_base_stock_levels,
+    exact_base_stock_risk,
+    exact_risk,
+    exact_ss_risks,
+)
+from stocklab.fitters import erm_St, square_root_gap
 from stocklab.perm import (
     build_marginals,
     perm_fit,
@@ -181,20 +188,56 @@ class TestPermFit:
             levels = tuple(float(v) for v in rng.integers(0, 5, 2))
             assert perm_risk(NonStationary(levels), pmfs, p) >= res.in_sample_risk - 1e-9
 
-    def test_ss_fit_warns_on_nonstationary(self):
+    def test_ss_fit_on_nonstationary_is_optimal_and_silent(self):
+        # the best-in-class search fits non-stationary pmfs on purpose, so
+        # the library does not warn; `stocklab perm` does
         p = params(T=2, K=5.0, U=4.0, H=6.0, Hlo=-4.0, x1=-4.0)
         pmfs = build_marginals(Dataset.from_matrix([[1.0, 3.0], [2.0, 4.0]]))
-        with pytest.warns(UserWarning, match="stationary"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = perm_fit(pmfs, p, "ss")
         # the fitted pair is optimal among a sample of integer pairs
         for s in range(-4, 4):
             for S in range(max(s, 0), 7):
                 assert perm_risk(SsPolicy(float(s), float(S)), pmfs, p) >= res.in_sample_risk - 1e-9
-        # equal columns make equal pmfs, and no warning
-        stationary = build_marginals(Dataset.from_matrix([[1.0, 2.0], [2.0, 1.0]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            perm_fit(stationary, p, "ss")
+
+    def test_base_stock_fit_is_the_best_level(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            T, L = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+            p = params(T=T, L=L, h=rng.uniform(0.1, 2.0), b=rng.uniform(0.1, 9.0),
+                       K=rng.uniform(0.0, 3.0), U=4.0, x1=-float(rng.integers(0, 3)))
+            D = rng.integers(0, 5, (3, T + L)).astype(float)
+            pmfs = build_marginals(Dataset.from_matrix(D))
+            res = perm_fit(pmfs, p, "base-stock")
+            assert res.policy.S in exact_base_stock_levels(pmfs, p)
+            assert res.in_sample_risk == exact_risk(res.policy, pmfs, p)
+            levels = rng.uniform(0.0, p.level_cap(), 50)
+            assert (exact_base_stock_risk(levels, pmfs, p) >= res.in_sample_risk - 1e-12).all()
+
+    def test_eoq_fit_pins_the_square_root_gap(self):
+        p = params(T=3, K=6.0, U=4.0, H=5.0)
+        D = np.array([[1.0, 3.0, 2.0], [2.0, 4.0, 0.0]])
+        pmfs = build_marginals(Dataset.from_matrix(D))
+        res = perm_fit(pmfs, p, "eoq")
+        gap = square_root_gap(float(D.mean()), p)
+        assert res.policy.S - res.policy.s == pytest.approx(gap, rel=1e-12)
+        # the best S on the 0.05 grid of [0, H + gap]
+        S = np.arange(0.0, 5.0 + gap + 1e-9, 0.05)
+        assert res.in_sample_risk == exact_ss_risks(S - gap, S, pmfs, p).min()
+        assert res.in_sample_risk == exact_risk(res.policy, pmfs, p)
+
+    @pytest.mark.parametrize("policy_class, bound, message", [
+        ("base-stock", {"H": math.inf}, "finite level cap H >= 0, got inf"),
+        ("eoq", {"H": math.inf}, "finite level cap H >= 0, got inf"),
+        ("ss", {"H": math.inf}, "finite level cap H >= 0, got inf"),
+        ("ss", {"Hlo": -math.inf, "x1": -3.0}, "finite reorder-point bound Hlo, got -inf"),
+        ("ss", {"x1": 0.0, "Hlo": -1.0}, "must not exceed the reorder-point bound"),
+    ])
+    def test_bounds_checked_as_the_data_fitters_do(self, policy_class, bound, message):
+        pmfs = build_marginals(Dataset.from_matrix([[1.0, 3.0], [2.0, 4.0]]))
+        with pytest.raises(ValueError, match=message):
+            perm_fit(pmfs, params(K=2.0, **bound), policy_class)
 
     def test_st_requires_zero_fixed_cost(self):
         pmfs = build_marginals(Dataset.from_matrix([[1.0]]))
