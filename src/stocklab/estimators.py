@@ -89,6 +89,15 @@ class GeReport:
     exact_sup: bool
 
 
+def _base_stock_true_risks(
+    levels: np.ndarray, pmfs: list[np.ndarray] | None, D_eval: np.ndarray | None, p: SystemParams
+) -> np.ndarray:
+    """True risks of base-stock levels: exact under pmfs, else the mean loss on D_eval."""
+    if pmfs is not None:
+        return exact_base_stock_risk(levels, pmfs, p)
+    return base_stock_loss_matrix(levels, D_eval, p).mean(axis=1)
+
+
 def ge_estimate(
     model: DemandModel,
     n_train: int,
@@ -106,10 +115,18 @@ def ge_estimate(
     linear in the level and every kink of either is a candidate.  For the
     reorder-point and per-period-level classes the supremum is taken over a
     parameter grid and the report is flagged approximate.
+
+    The true risks are computed once per call when the model fixes them (a
+    finite support, or exact pmfs for the base-stock class): the base-stock
+    curve on its own kinks, which hold every kink of a draw from the model,
+    and the grid classes chunk by chunk.  The values are those of scoring
+    each rep afresh.  A model with neither draws a fresh Monte-Carlo
+    evaluation sample in every rep.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     exact = policy_class == "base-stock"
+    atoms = support_atoms(model)
     if policy_class == "ss":
         lo, hi, _ = fit_ss_bounds(p)
         axis = grid_axis(lo, hi, grid_step)
@@ -118,44 +135,52 @@ def ge_estimate(
         if int((np.flatnonzero(axis >= 0.0) + 1).sum()) > grid_budget:
             raise BudgetError("(s, S) grid exceeds budget")
         s_vals, S_vals = ss_pairs(axis)
+        grid = lambda: [(s_vals, S_vals)]
+        risks = lambda pairs, X: ss_losses_grid(*pairs, X, p).mean(axis=1)
     elif policy_class == "st":
         axis = grid_axis(0.0, fit_cap(p.level_cap()), grid_step)
         if len(axis) ** p.horizon > grid_budget:
             raise BudgetError("per-period grid exceeds budget")
+        # the last L levels never reach the loss, so the first T span every gap
+        n_paths = max(n_train, eval_samples if atoms is None else len(atoms))
+        grid = lambda: st_level_grid(axis, p, n_paths)
+        risks = lambda levels, X: st_losses_grid(levels, X, p).mean(axis=1)
     elif not exact:
         raise ValueError(f"unknown policy class {policy_class!r}")
-    values = []
-    atoms = support_atoms(model)
     pmfs = marginal_pmfs(model) if atoms is None and exact else None
+    # a finite support or exact pmfs make the true side the same in every rep
+    fixed = atoms is not None or pmfs is not None
+    if exact and fixed:
+        true_kinks = (exact_base_stock_levels(pmfs, p) if pmfs is not None
+                      else base_stock_kinks(atoms, p))
+        true_risks = _base_stock_true_risks(true_kinks, pmfs, atoms, p)
+    elif fixed:
+        true_chunks = [risks(chunk, atoms) for chunk in grid()]
+    values = []
     for rep in range(reps):
         D = draw(model, n_train, (seed, rep, 0)).as_matrix()
         D_eval = atoms
-        if D_eval is None and pmfs is None:
+        if not fixed:
             D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
         if exact:
             # every kink of the true and the empirical risk curve is a candidate
-            if pmfs is not None:
-                cands = np.union1d(base_stock_kinks(D, p), exact_base_stock_levels(pmfs, p))
-                true_risks = exact_base_stock_risk(cands, pmfs, p)
+            if not fixed:
+                true_kinks = base_stock_kinks(D_eval, p)
+            cands = np.union1d(base_stock_kinks(D, p), true_kinks)
+            # a draw from a fixed true side has no kink off the true curve's,
+            # so the risks computed once serve every rep
+            if fixed and len(cands) == len(true_kinks):
+                true = true_risks
             else:
-                cands = np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
-                true_risks = base_stock_loss_matrix(cands, D_eval, p).mean(axis=1)
+                true = _base_stock_true_risks(cands, pmfs, D_eval, p)
             emp = base_stock_loss_matrix(cands, D, p).mean(axis=1)
-            values.append(float((true_risks - emp).max()))
-        elif policy_class == "ss":
-            emp = ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)
-            true_risks = ss_losses_grid(s_vals, S_vals, D_eval, p).mean(axis=1)
-            values.append(float((true_risks - emp).max()))
+            values.append(float((true - emp).max()))
         else:
-            # the last L levels never reach the loss, so the first T span every gap
-            best = -math.inf
-            for levels in st_level_grid(axis, p, max(len(D), len(D_eval))):
-                gaps = (
-                    st_losses_grid(levels, D_eval, p).mean(axis=1)
-                    - st_losses_grid(levels, D, p).mean(axis=1)
-                )
-                best = max(best, float(gaps.max()))
-            values.append(best)
+            gaps = (
+                (true_chunks[k] if fixed else risks(chunk, D_eval)) - risks(chunk, D)
+                for k, chunk in enumerate(grid())
+            )
+            values.append(max(float(gap.max()) for gap in gaps))
     arr = np.asarray(values)
     return GeReport(
         mean_ge=float(arr.mean()),

@@ -331,10 +331,11 @@ def exact_base_stock_levels(pmfs: Sequence[np.ndarray], p: SystemParams) -> np.n
     """Every kink of the exact base-stock risk curve in [0, cap], plus the cap.
 
     Lead-time demand is integer and at most (L + 1) times the largest
-    per-period demand, so the curve is linear between those integers.
+    per-period demand, so the curve is linear between those integers; none
+    of them lies above a fractional cap.
     """
     umax = max(len(f) for f in pmfs) - 1
-    cands = np.arange(0.0, min((p.L + 1) * umax, p.level_cap()) + 1.0)
+    cands = np.arange(0.0, math.floor(min((p.L + 1) * umax, p.level_cap())) + 1.0)
     return np.unique(np.append(cands, p.level_cap()))
 
 

@@ -98,7 +98,9 @@ class DpSolution:
         return self.reorder_points is None
 
 
-def solve_dp(pmfs: Sequence[np.ndarray], p: SystemParams) -> DpSolution:
+def solve_dp(
+    pmfs: Sequence[np.ndarray], p: SystemParams, cap: float | None = None
+) -> DpSolution:
     """Exact optimum over all policies for independent integer demands.
 
     State is the pre-order inventory position on an integer grid; the cost
@@ -107,16 +109,25 @@ def solve_dp(pmfs: Sequence[np.ndarray], p: SystemParams) -> DpSolution:
     order is placed.  With K = 0 the optimal action is order-up-to and the
     per-period targets are returned; with K > 0 a reorder threshold is
     extracted as well.
+
+    With ``cap`` (K = 0 only) each target is the best integer level in
+    [0, cap], which makes the solution the best policy of the per-period
+    class within its level bounds: the cost-to-go W is convex, so every
+    position below the target still orders up to it.
     """
     if len(pmfs) != p.horizon:
         raise ValueError(f"need {p.horizon} per-period pmfs")
     if p.x1 != int(p.x1):
         raise ValueError("DP requires an integer initial level")
+    if cap is not None and p.K != 0:
+        raise ValueError("a level cap bounds order-up-to targets, which need K = 0")
     umax = max(len(f) - 1 for f in pmfs)
     bottom = min(int(p.x1), 0) - p.horizon * umax
     top = max((p.L + 1) * umax, int(p.x1)) + 1
     grid = np.arange(bottom, top + 1)
     size = len(grid)
+    # the grid indices a target may take: all, or the integers in [0, cap]
+    span = slice(0, size) if cap is None else slice(-bottom, math.floor(cap) - bottom + 1)
     V = np.zeros(size)
     levels: list[int] = []
     thresholds: list[int] = []
@@ -135,7 +146,7 @@ def solve_dp(pmfs: Sequence[np.ndarray], p: SystemParams) -> DpSolution:
                 shifted = np.concatenate([np.full(k, V[0]), V[:-k]]) if k else V
                 EV += fk * shifted
         W = Ec + EV
-        j = int(np.argmin(W))
+        j = span.start + int(np.argmin(W[span]))
         levels.append(int(grid[j]))
         if p.K == 0:
             V = W.copy()
@@ -175,17 +186,18 @@ def perm_fit(
     pmfs: the empirical marginals for product ERM, the model's for the best in
     class.  The bounds are checked as the data fitters check them.
 
-    ``st`` is the backward DP (K = 0): its targets are the DP argmins and its
-    risk the DP root value.  ``ss`` scores every integer pair in the bounds
-    (x1 at most Hlo) with :func:`exact_ss_risks`, and ``base-stock`` every kink
-    of the exact risk curve in [0, H].  ``eoq`` pins the square-root gap at the
-    pmf mean and approximates the best S on a 0.05 grid of [0, H + gap].  Each
-    search takes the first minimum: the smaller gap, then the smaller S.
+    ``st`` is the backward DP (K = 0): its targets are the DP argmins over
+    the integers in [0, H] and its risk the DP root value.  ``ss`` scores
+    every integer pair in the bounds (x1 at most Hlo) with
+    :func:`exact_ss_risks`, and ``base-stock`` every kink of the exact risk
+    curve in [0, H].  ``eoq`` pins the square-root gap at the pmf mean and
+    approximates the best S on a 0.05 grid of [0, H + gap].  Each search
+    takes the first minimum: the smaller gap, then the smaller S.
     """
     if policy_class == "st":
         if p.K != 0:
             raise ValueError("product fitting of per-period levels requires K = 0")
-        sol = solve_dp(pmfs, p)
+        sol = solve_dp(pmfs, p, fit_cap(p.level_cap()))
         levels = tuple(float(v) for v in sol.order_up_to) + (0.0,) * p.L
         return FitResult(policy=NonStationary(levels), in_sample_risk=sol.risk,
                          method="backward-dp", diagnostics={"grid": [sol.grid_lo, sol.grid_hi]})

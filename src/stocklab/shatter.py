@@ -1,10 +1,11 @@
 """Margin-shattering instances for the policy classes, with exhaustive checks.
 
 Each generated instance packages a dataset, per-sample witnesses, a margin,
-and a map from subsets to policies; the verifier simulates every subset's
-policy on every sample and checks the two-sided witness inequalities.
-Verification is exponential in the dataset size by construction, so it is
-capped (override via the verifier's ``cap`` argument).
+and a map from subsets to policies; the verifier scores blocks of subsets'
+policies on every sample with the batch kernels of :mod:`stocklab.evaluate`
+and checks the two-sided witness inequalities.  Verification is exponential
+in the dataset size by construction, so it is capped (override via the
+verifier's ``cap`` argument).
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ from .core import (
     SystemParams,
     simulate,
 )
-from .evaluate import policy_losses, ss_losses_grid, ss_pairs
+from .evaluate import policy_losses, ss_losses_grid, ss_pairs, st_losses_grid
 
 SUBSET_CAP = 16
+
+# Policy x path x period cells per kernel call of the verifier: a block of
+# subsets this small keeps the kernels' temporaries to a few tens of KiB.
+_SHATTER_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,24 @@ class ShatterReport:
     achieved: np.ndarray | None = None  # (2^m, m) losses when collected
 
 
+def _block_losses(policies: list[Policy], D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Losses of a block of policies on every row of D, shape (n_policies, N).
+
+    One batch kernel call when the block is all per-period levels or all
+    (s, S) pairs; any other block scores one policy at a time.  Each policy's
+    row is computed on its own either way, so it is the float
+    :func:`policy_losses` gives.
+    """
+    kinds = {type(policy) for policy in policies}
+    if kinds == {NonStationary}:
+        return st_losses_grid(np.stack([policy.as_array() for policy in policies]), D, p)
+    if kinds == {SsPolicy}:
+        s = np.array([policy.s for policy in policies])
+        S = np.array([policy.S for policy in policies])
+        return ss_losses_grid(s, S, D, p)
+    return np.stack([policy_losses(policy, D, p) for policy in policies])
+
+
 def verify_shattering(
     inst: ShatterInstance,
     gamma: float | None = None,
@@ -87,10 +110,14 @@ def verify_shattering(
 ) -> ShatterReport:
     """Check every subset's policy against the witness inequalities.
 
+    The subsets are walked in blocks, in the order of their bit patterns;
+    each block's policies are scored on every sample in one batch kernel call
+    and compared with the witnesses as one (subsets x samples) array.
     Comparisons are exact (strictly above witness + margin on the high side,
     at or below witness - margin on the low side).  Returns the failing
-    (subset, sample) pairs with achieved values; with ``collect`` the full
-    (subset, sample) value matrix is attached for export.
+    (subset, sample) pairs with achieved values, by subset and then high
+    before low; with ``collect`` the full (subset, sample) value matrix is
+    attached for export.
     """
     m = inst.size
     if m > cap:
@@ -102,30 +129,32 @@ def verify_shattering(
         simulate(inst.policy_for_subset(frozenset()), D[0], inst.params)
     witnesses = np.asarray(inst.witnesses)
     failures = []
-    collected = np.empty((2**m, m)) if collect else None
-    for bits in range(2**m):
-        subset = frozenset(i for i in range(m) if bits >> i & 1)
-        policy = inst.policy_for_subset(subset)
-        values = policy_losses(policy, D, inst.params)
+    n_subsets = 2**m
+    collected = np.empty((n_subsets, m)) if collect else None
+    block = max(1, _SHATTER_CELLS // D.size)
+    for lo in range(0, n_subsets, block):
+        bits = range(lo, min(lo + block, n_subsets))
+        member = (np.array(bits)[:, None] >> np.arange(m) & 1).astype(bool)
+        policies = [
+            inst.policy_for_subset(frozenset(i for i in range(m) if b >> i & 1)) for b in bits
+        ]
+        values = _block_losses(policies, D, inst.params)
         if collected is not None:
-            collected[bits] = values
-        member = np.array([i in subset for i in range(m)])
+            collected[lo : lo + len(bits)] = values
         high = member if inst.high_side == "in" else ~member
         bad_high = high & ~(values > witnesses + g)
         bad_low = ~high & ~(values <= witnesses - g)
-        for i in np.flatnonzero(bad_high):
-            failures.append(
-                ShatterFailure(tuple(sorted(subset)), int(i), float(values[i]),
-                               float(witnesses[i]), "high")
-            )
-        for i in np.flatnonzero(bad_low):
-            failures.append(
-                ShatterFailure(tuple(sorted(subset)), int(i), float(values[i]),
-                               float(witnesses[i]), "low")
-            )
+        for r in np.flatnonzero((bad_high | bad_low).any(axis=1)):
+            subset = tuple(np.flatnonzero(member[r]).tolist())
+            for bad, side in ((bad_high[r], "high"), (bad_low[r], "low")):
+                for i in np.flatnonzero(bad):
+                    failures.append(
+                        ShatterFailure(subset, int(i), float(values[r, i]),
+                                       float(witnesses[i]), side)
+                    )
     return ShatterReport(
         ok=not failures,
-        subsets_checked=2**m,
+        subsets_checked=n_subsets,
         failures=tuple(failures),
         achieved=collected,
     )

@@ -192,6 +192,19 @@ class TestPerm:
         out = capsys.readouterr().out
         assert "productRisk" in out
 
+    @pytest.mark.parametrize("bound, policy", [
+        (["--H", "2"], "st:2,2"),
+        (["--b", "0"], "st:0,0"),
+    ])
+    def test_st_levels_in_the_class_bounds(self, tmp_path, capsys, bound, policy):
+        # the product fit keeps to [0, H] as the data fit does
+        path = tmp_path / "demands.csv"
+        path.write_text("t1,t2\n5,5\n6,4\n")
+        for command in ("perm", "fit"):
+            argv = [command, "--class", "st", "--data", str(path), "--T", "2"] + bound
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"policy {policy}"
+
     def test_nonstationary_ss_warning_is_one_line(self, tmp_path):
         path = tmp_path / "demands.csv"
         root = os.path.dirname(os.path.dirname(stocklab.__file__))

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from stocklab import estimators, evaluate
 from stocklab.core import ORDER_EPS, BaseStock, BudgetError, Dataset, SystemParams, simulate
-from stocklab.demand import FiniteSupport, IndependentNormals, draw, support_atoms
+from stocklab.demand import (
+    FiniteSupport,
+    IndependentNormals,
+    draw,
+    marginal_pmfs,
+    support_atoms,
+)
 from stocklab.evaluate import st_losses
 from stocklab.estimators import (
     base_stock_kinks,
@@ -200,6 +206,46 @@ class TestGeEstimate:
         assert chunked == whole
         assert list(chunked.values) == product_loop_ge_st(model, 3, p, **kw)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_true_side_scored_once_matches_scoring_every_rep(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        p = params(T=T, L=L, h=data.draw(st.sampled_from([0.5, 1.0])),
+                   b=data.draw(st.sampled_from([1.0, 3.0])),
+                   K=data.draw(st.sampled_from([0.0, 1.5])), U=4.0,
+                   x1=data.draw(st.sampled_from([0.0, -1e-13, -2.0])), H=2.0, Hlo=-2.0)
+        if data.draw(st.booleans()):
+            mu = data.draw(st.lists(st.floats(0.0, 4.0), min_size=T + L, max_size=T + L))
+            model = IndependentNormals(tuple(mu), (1.5,) * (T + L), cap=4.0, integerize=True)
+            policy_class = "base-stock"
+        else:
+            cell = st.one_of(st.integers(0, 4).map(float),
+                             st.floats(0.0, 4.0).filter(lambda v: v == 0.0 or v > ORDER_EPS))
+            atoms = data.draw(st.lists(st.tuples(*[cell] * (T + L)), min_size=1, max_size=5))
+            model = FiniteSupport(tuple(atoms))
+            policy_class = data.draw(st.sampled_from(["base-stock", "ss", "st"]))
+        kw = dict(policy_class=policy_class, reps=4, eval_samples=30, grid_step=1.0,
+                  seed=data.draw(st.integers(0, 9)))
+        n_train = data.draw(st.integers(1, 4))
+        got = ge_estimate(model, n_train, p, **kw)
+        if policy_class == "st":
+            want = product_loop_ge_st(model, n_train, p, **kw)
+        else:
+            want = rescored_ge(model, n_train, p, policy_class, kw["reps"], kw["seed"])
+        assert [v.hex() for v in got.values] == [v.hex() for v in want]
+
+    def test_integer_pmfs_score_the_true_curve_once(self, monkeypatch):
+        # every empirical kink of integer demands is an integer level of the
+        # exact curve, so one call scores every rep's true risks
+        p = params(T=3, U=6.0)
+        model = IndependentNormals((2.0, 3.0, 1.0), (1.0, 2.0, 1.0), cap=6.0, integerize=True)
+        calls = []
+        monkeypatch.setattr(estimators, "exact_base_stock_risk",
+                            lambda S, *a: calls.append(len(S)) or evaluate.exact_base_stock_risk(S, *a))
+        ge_estimate(model, 5, p, reps=20, seed=1)
+        assert calls == [7]
+
     def test_regression_slope(self):
         assert regression_slope([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == pytest.approx(2.0)
 
@@ -219,4 +265,28 @@ def product_loop_ge_st(model, n_train, p, policy_class, reps, eval_samples, grid
             lv = np.asarray(combo)
             best = max(best, float(st_losses(lv, D_eval, p).mean() - st_losses(lv, D, p).mean()))
         values.append(best)
+    return values
+
+
+def rescored_ge(model, n_train, p, policy_class, reps, seed):
+    """ge_estimate's per-rep values for the base-stock class or (s, S) pairs
+    on a unit grid, with every rep's true risks scored in a call of their own."""
+    atoms = support_atoms(model)
+    values = []
+    for rep in range(reps):
+        D = draw(model, n_train, (seed, rep, 0)).as_matrix()
+        if policy_class == "ss":
+            s, S = evaluate.ss_pairs(evaluate.grid_axis(p.Hlo, p.H, 1.0))
+            true = evaluate.ss_losses_grid(s, S, atoms, p).mean(axis=1)
+            emp = evaluate.ss_losses_grid(s, S, D, p).mean(axis=1)
+        else:
+            if atoms is None:
+                pmfs = marginal_pmfs(model)
+                cands = np.union1d(base_stock_kinks(D, p), evaluate.exact_base_stock_levels(pmfs, p))
+                true = evaluate.exact_base_stock_risk(cands, pmfs, p)
+            else:
+                cands = np.union1d(base_stock_kinks(D, p), base_stock_kinks(atoms, p))
+                true = base_stock_loss_matrix(cands, atoms, p).mean(axis=1)
+            emp = base_stock_loss_matrix(cands, D, p).mean(axis=1)
+        values.append(float((true - emp).max()))
     return values

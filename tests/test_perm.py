@@ -22,6 +22,7 @@ from stocklab.evaluate import (
     exact_base_stock_risk,
     exact_risk,
     exact_ss_risks,
+    exact_st_risk,
 )
 from stocklab.fitters import erm_St, square_root_gap
 from stocklab.perm import (
@@ -215,6 +216,13 @@ class TestPermFit:
             levels = rng.uniform(0.0, p.level_cap(), 50)
             assert (exact_base_stock_risk(levels, pmfs, p) >= res.in_sample_risk - 1e-12).all()
 
+    def test_base_stock_fit_keeps_to_a_fractional_cap(self):
+        # demand is always 4, so the risk falls with S up to the cap H = 2.5
+        pmfs = [np.array([0.0, 0.0, 0.0, 0.0, 1.0])] * 2
+        p = params(h=0.1, H=2.5)
+        assert exact_base_stock_levels(pmfs, p).tolist() == [0.0, 1.0, 2.0, 2.5]
+        assert perm_fit(pmfs, p, "base-stock").policy == BaseStock(2.5)
+
     def test_eoq_fit_pins_the_square_root_gap(self):
         p = params(T=3, K=6.0, U=4.0, H=5.0)
         D = np.array([[1.0, 3.0, 2.0], [2.0, 4.0, 0.0]])
@@ -238,6 +246,41 @@ class TestPermFit:
         pmfs = build_marginals(Dataset.from_matrix([[1.0, 3.0], [2.0, 4.0]]))
         with pytest.raises(ValueError, match=message):
             perm_fit(pmfs, params(K=2.0, **bound), policy_class)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_st_fit_is_the_best_integer_grid_policy_in_the_bounds(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 1))
+        p = params(T=T, L=L, h=float(data.draw(st.sampled_from([0, 1, 2]))),
+                   b=float(data.draw(st.sampled_from([0, 1, 4]))), U=4.0,
+                   x1=float(data.draw(st.integers(-2, 2))),
+                   H=data.draw(st.sampled_from([0.0, 1.0, 2.0, 2.5, 6.0])))
+        rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=T + L, max_size=T + L),
+                                  min_size=1, max_size=4))
+        pmfs = build_marginals(Dataset.from_matrix(np.array(rows, dtype=float)))
+        res = perm_fit(pmfs, p, "st")
+        levels = res.policy.levels
+        assert all(0.0 <= v <= p.H for v in levels[:T])
+        assert res.in_sample_risk == pytest.approx(exact_st_risk(levels, pmfs, p), abs=1e-9)
+        best = min(
+            exact_st_risk(combo + (0.0,) * L, pmfs, p)
+            for combo in itertools.product(np.arange(math.floor(p.H) + 1.0), repeat=T)
+        )
+        assert res.in_sample_risk == pytest.approx(best, abs=1e-9)
+
+    def test_st_levels_stay_in_the_class_bounds(self):
+        # the unbounded DP would order up to (6, 5) at H = 2, and to negative
+        # levels at b = 0, where every level in [0, H] has risk 0
+        pmfs = build_marginals(Dataset.from_matrix([[5.0, 5.0], [6.0, 4.0]]))
+        assert perm_fit(pmfs, params(H=2.0), "st").policy.levels == (2.0, 2.0)
+        assert perm_fit(pmfs, params(b=0.0), "st").policy.levels == (0.0, 0.0)
+        with pytest.raises(ValueError, match="finite level cap H >= 0, got inf"):
+            perm_fit(pmfs, params(H=math.inf), "st")
+
+    def test_level_cap_needs_order_up_to_targets(self):
+        with pytest.raises(ValueError, match="K = 0"):
+            solve_dp([np.array([0.5, 0.5])], params(T=1, K=1.0), cap=2.0)
 
     def test_st_requires_zero_fixed_cost(self):
         pmfs = build_marginals(Dataset.from_matrix([[1.0]]))

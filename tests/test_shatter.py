@@ -1,8 +1,15 @@
-import pytest
+from unittest import mock
 
-from stocklab.core import BudgetError
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stocklab import shatter
+from stocklab.core import BaseStock, BudgetError, Dataset, NonStationary, SsPolicy, SystemParams
 from stocklab.evaluate import policy_losses
 from stocklab.shatter import (
+    ShatterFailure,
     ShatterInstance,
     discretization_gap,
     first_primes,
@@ -121,6 +128,77 @@ class TestVerifier:
         for inst in (gen_st_shatter(5), gen_st_K_shatter(9, 0.5), gen_sS_prime_shatter(2, 0.3)):
             assert verify_shattering(inst).ok
             assert verify_shattering(inst, gamma=inst.gamma / 2).ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_one_policy_losses_call_per_subset(self, data):
+        m = data.draw(st.integers(1, 5))
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 1))
+        p = SystemParams(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         b=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
+                         K=data.draw(st.sampled_from([0.0, 0.7])), U=3.0,
+                         x1=float(data.draw(st.integers(-2, 1))))
+        cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.001, 3.0))
+        rows = data.draw(st.lists(st.lists(cell, min_size=T + L, max_size=T + L),
+                                  min_size=m, max_size=m))
+        # each sample in a subset moves the policy by its own step
+        base = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=T + L, max_size=T + L)))
+        steps = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+                                            min_size=m, max_size=m)))
+        kind = data.draw(st.sampled_from(["st", "ss", "base-stock", "mixed"]))
+
+        def policy_for(subset):
+            shift = float(steps[sorted(subset)].sum())
+            pick = kind if kind != "mixed" else ("st", "ss", "base-stock")[len(subset) % 3]
+            if pick == "st":
+                return NonStationary(tuple(base + shift))
+            if pick == "ss":
+                return SsPolicy(float(base[0]) - 1.0, float(base[0]) + shift)
+            return BaseStock(float(base[-1]) + shift)
+
+        inst = ShatterInstance(
+            dataset=Dataset.from_matrix(rows),
+            witnesses=tuple(data.draw(st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m))),
+            gamma=data.draw(st.sampled_from([0.0, 0.05, 0.5])),
+            params=p,
+            policy_for_subset=policy_for,
+            high_side=data.draw(st.sampled_from(["in", "out"])),
+            unchecked=True,
+        )
+        want = subset_loop_report(inst)
+        got = [verify_shattering(inst, collect=True)]
+        with mock.patch.object(shatter, "_SHATTER_CELLS", 1):  # one subset per block
+            got.append(verify_shattering(inst, collect=True))
+        for report in got:
+            assert report.subsets_checked == 2**m
+            assert (report.ok, report.failures) == want[:2]
+            assert report.achieved.tobytes() == want[2].tobytes()
+
+
+def subset_loop_report(inst):
+    """(ok, failures, achieved) of ``verify_shattering(inst, collect=True)``
+    by one ``policy_losses`` call per subset."""
+    m = inst.size
+    D = inst.dataset.as_matrix()
+    witnesses = np.asarray(inst.witnesses)
+    failures = []
+    achieved = np.empty((2**m, m))
+    for bits in range(2**m):
+        subset = frozenset(i for i in range(m) if bits >> i & 1)
+        values = policy_losses(inst.policy_for_subset(subset), D, inst.params)
+        achieved[bits] = values
+        member = np.array([i in subset for i in range(m)])
+        high = member if inst.high_side == "in" else ~member
+        bad_high = high & ~(values > witnesses + inst.gamma)
+        bad_low = ~high & ~(values <= witnesses - inst.gamma)
+        for bad, side in ((bad_high, "high"), (bad_low, "low")):
+            failures.extend(
+                ShatterFailure(tuple(sorted(subset)), int(i), float(values[i]),
+                               float(witnesses[i]), side)
+                for i in np.flatnonzero(bad)
+            )
+    return not failures, tuple(failures), achieved
 
 
 class TestDiscretizationGap:
