@@ -39,6 +39,7 @@ from .fitters import (
     FitResult,
     StOptions,
     erm_St,
+    erm_St_batch,
     erm_base_stock,
     erm_eoq_base_stock,
     erm_sS,
@@ -86,6 +87,7 @@ __all__ = [
     "draw",
     "emit_results",
     "erm_St",
+    "erm_St_batch",
     "erm_base_stock",
     "erm_eoq_base_stock",
     "erm_sS",

@@ -100,6 +100,13 @@ def base_stock_loss_matrix(levels: np.ndarray, D: np.ndarray, p: SystemParams) -
     Requires ``S >= 0 >= x1`` so that the position is replenished to S every
     period; then the level at the end of each charged period t is S minus
     the demand of periods t-L .. t.
+
+    A first order S - x1 in (0, ``ORDER_EPS``] is placed here, and
+    :func:`~stocklab.core.simulate` drops it, so until the first positive
+    demand the level sits above simulate's by at most ``ORDER_EPS``.  A
+    path's loss then differs from simulate's ``avg_loss`` by at most
+    max(h, b) ``ORDER_EPS``, and never by a K charge on demands a Dataset
+    accepts (0 or above ``ORDER_EPS``).
     """
     _check_closed_form_x1(p)
     lv = np.asarray(levels, dtype=float)
@@ -171,6 +178,13 @@ def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.nda
     evaluated at t - L minus the demand accumulated through t.  Only periods
     1 .. T order anything that arrives in time, so the last L levels are
     never read.
+
+    A first order S^1 - x1 in (0, ``ORDER_EPS``] is placed here, and
+    :func:`~stocklab.core.simulate` drops it, so until simulate's first
+    order the level sits above simulate's by at most ``ORDER_EPS``.  A
+    path's loss then differs from simulate's ``avg_loss`` by at most
+    max(h, b) ``ORDER_EPS``, and never by a K charge unless a later score
+    S^t + D[1, t-1] lies within 2 ``ORDER_EPS`` above x1.
     """
     lv = np.asarray(levels, dtype=float)
     n, horizon = D.shape

@@ -38,7 +38,7 @@ from .evaluate import ModelRisk, policy_losses
 from .fitters import (
     FitResult,
     StOptions,
-    erm_St,
+    erm_St_batch,
     erm_base_stock,
     erm_eoq_base_stock,
     erm_sS,
@@ -198,21 +198,32 @@ def _aggregate(
 # ---------------------------------------------------------------------------
 
 
-def _fit(policy_class: str, data: Dataset, p: SystemParams, cfg: ExperimentConfig) -> FitResult:
+def _fits(
+    policy_class: str, datasets: Sequence[Dataset], p: SystemParams, cfg: ExperimentConfig
+) -> list[FitResult]:
+    """One fit of the class per dataset.  Per-period levels are fitted by
+    ``grid_oracle`` on integer data when the unit grid is small, and every
+    other dataset's fit is one ``erm_St_batch`` call."""
     if policy_class == "base-stock":
-        return erm_base_stock(data, p)
+        return [erm_base_stock(data, p) for data in datasets]
     if policy_class == "eoq":
-        return erm_eoq_base_stock(data, p)
+        return [erm_eoq_base_stock(data, p) for data in datasets]
     if policy_class == "ss":
-        return erm_sS(data, p, mode="integer-grid")
-    if policy_class == "st":
-        D = data.as_matrix()
-        cap = fit_cap(p.level_cap())
-        grid_points = (int(cap) + 1) ** p.horizon if cap == int(cap) else math.inf
-        if np.all(D == np.rint(D)) and grid_points <= 20_000:
-            return grid_oracle(data, "st", 1.0, p)
-        return erm_St(data, p, StOptions(restarts=cfg.st_restarts, seed=cfg.seed))
-    raise ValueError(f"unknown policy class {policy_class!r}")
+        return [erm_sS(data, p, mode="integer-grid") for data in datasets]
+    if policy_class != "st":
+        raise ValueError(f"unknown policy class {policy_class!r}")
+    cap = fit_cap(p.level_cap())
+    grid_points = (int(cap) + 1) ** p.horizon if cap == int(cap) else math.inf
+    on_grid = [
+        grid_points <= 20_000 and bool(np.all(D == np.rint(D)))
+        for D in (data.as_matrix() for data in datasets)
+    ]
+    descents = iter(erm_St_batch(
+        [data for data, grid in zip(datasets, on_grid) if not grid], p,
+        StOptions(restarts=cfg.st_restarts, seed=cfg.seed),
+    ))
+    return [grid_oracle(data, "st", 1.0, p) if grid else next(descents)
+            for data, grid in zip(datasets, on_grid)]
 
 
 def _best_in_class(
@@ -230,7 +241,7 @@ def _best_in_class(
         fit = perm_fit(evaluator.pmfs, p, policy_class)
         return fit.policy, fit.in_sample_risk
     data = draw(evaluator.model, cfg.best_in_class_samples, seed_key)
-    fit = _fit(policy_class, data, p, cfg)
+    (fit,) = _fits(policy_class, [data], p, cfg)
     return fit.policy, evaluator(fit.policy)
 
 
@@ -269,6 +280,21 @@ def _sanity_check_fit(
             )
 
 
+def _cell_risks(
+    cfg: ExperimentConfig, evaluator: ModelRisk, n: int,
+    draw_key: tuple[int, ...], check_key: tuple[int, ...],
+) -> dict[str, list[float]]:
+    """One sweep cell: draw its ``dataset_reps`` datasets of n paths, fit
+    each class over all of them (one ``_fits`` call per class), check every
+    class's rep-0 fit against random policies, and score every fit."""
+    p = evaluator.p
+    datasets = [draw(evaluator.model, n, draw_key + (rep,)) for rep in range(cfg.dataset_reps)]
+    fits = {c: _fits(c, datasets, p, cfg) for c in cfg.classes}
+    for c in cfg.classes:
+        _sanity_check_fit(fits[c][0], c, datasets[0], p, check_key)
+    return {c: [evaluator(fit.policy) for fit in fits[c]] for c in cfg.classes}
+
+
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
@@ -305,20 +331,11 @@ def run_ee_vs_T(cfg: ExperimentConfig) -> list[MetricsRecord]:
                 _best_in_class(c, evaluator, cfg, (cfg.seed, 17, sweep_idx, inst, ci))[1]
                 for ci, c in enumerate(cfg.classes)
             }
-            ee_rep: dict[str, list[float]] = {c: [] for c in cfg.classes}
-            oos_rep: dict[str, list[float]] = {c: [] for c in cfg.classes}
-            for rep in range(cfg.dataset_reps):
-                data = draw(model, cfg.n_train, (cfg.seed, 19, sweep_idx, inst, rep))
-                for c in cfg.classes:
-                    fit = _fit(c, data, p, cfg)
-                    if rep == 0:
-                        _sanity_check_fit(fit, c, data, p, (cfg.seed, 23, sweep_idx, inst))
-                    risk = evaluator(fit.policy)
-                    ee_rep[c].append(risk - best[c])
-                    oos_rep[c].append(risk)
+            risks = _cell_risks(cfg, evaluator, cfg.n_train, (cfg.seed, 19, sweep_idx, inst),
+                                (cfg.seed, 23, sweep_idx, inst))
             for c in cfg.classes:
-                ee[c].append(float(np.mean(ee_rep[c])) / r_opt)
-                oos[c].append(float(np.mean(oos_rep[c])) / r_opt)
+                ee[c].append(float(np.mean([r - best[c] for r in risks[c]])) / r_opt)
+                oos[c].append(float(np.mean(risks[c])) / r_opt)
         for c in cfg.classes:
             records.append(_aggregate(cfg.kind, T, c, "ee-ratio", ee[c], cfg.seed))
             records.append(_aggregate(cfg.kind, T, c, "oos-ratio", oos[c], cfg.seed))
@@ -370,14 +387,8 @@ def run_oos_vs_N(cfg: ExperimentConfig) -> list[MetricsRecord]:
                 f"best-in-class risk is {r_star} for instance {inst}; ratio undefined"
             )
         for n_idx, n in enumerate(cfg.sweep):
-            risks: dict[str, list[float]] = {c: [] for c in cfg.classes}
-            for rep in range(cfg.dataset_reps):
-                data = draw(model, int(n), (cfg.seed, 41, inst, n_idx, rep))
-                for c in cfg.classes:
-                    fit = _fit(c, data, p, cfg)
-                    if rep == 0:
-                        _sanity_check_fit(fit, c, data, p, (cfg.seed, 43, inst, n_idx))
-                    risks[c].append(evaluator(fit.policy))
+            risks = _cell_risks(cfg, evaluator, int(n), (cfg.seed, 41, inst, n_idx),
+                                (cfg.seed, 43, inst, n_idx))
             for c in cfg.classes:
                 per_instance[(c, n)].append(float(np.mean(risks[c])) / r_star)
     records = []
@@ -425,7 +436,7 @@ def run_erm_vs_perm(cfg: ExperimentConfig) -> list[MetricsRecord]:
                 perm_risks = []
                 for rep in range(cfg.dataset_reps):
                     data = draw(model, int(n), (cfg.seed, 59, inst, n_idx, rep))
-                    erm_risks.append(evaluator(_fit("st", data, p, cfg).policy))
+                    erm_risks.append(evaluator(_fits("st", [data], p, cfg)[0].policy))
                     perm_risks.append(evaluator(perm_fit(build_marginals(data), p, "st").policy))
                 denom = float(np.mean(perm_risks))
                 if denom <= 0:
@@ -448,7 +459,7 @@ def run_erm_vs_perm(cfg: ExperimentConfig) -> list[MetricsRecord]:
                 model = sample_instance(cfg.kind, (cfg.seed, 61, inst), p, hyper)
                 evaluator = ModelRisk(model, p)
                 data = Dataset.from_matrix(evaluator.atoms)
-                erm_policy = _fit("st", data, p, cfg).policy
+                erm_policy = _fits("st", [data], p, cfg)[0].policy
                 perm_policy = perm_fit(build_marginals(data), p, "st").policy
                 denom = evaluator(perm_policy)
                 if denom <= 0:

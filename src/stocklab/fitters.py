@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -282,69 +283,68 @@ def _coordinate_minima(
     p: SystemParams,
     cap: float,
 ) -> np.ndarray:
-    """Exact minimizer over [0, cap] of each restart's empirical risk in coordinate t.
+    """Exact minimizer over [0, cap] of each row's empirical risk in coordinate t.
 
-    ``levels`` holds one restart per row, shape (R, T + L), and ``head`` each
-    restart's running maximum of S^i + D[1, i-1] over the periods i < t,
-    shape (R, N).  Each charged period t̂ >= t + L contributes a piece that
-    is flat until the coordinate's score overtakes the running maximum of
-    the other levels, then follows the one-period cost; the total is
-    piecewise linear, so it is minimized by sweeping its slope-change events.
-    Events at or beyond the cap can never be picked, so they are dropped
-    before the sort; each row's remaining events are padded at the cap with
-    zero slope change, which leaves its running sums unchanged.
+    ``levels`` holds one descent per row, shape (rows, T + L); ``pre`` the
+    running demand sums of each row's dataset, shape (rows, N, T + L + 1);
+    and ``head`` each row's running maximum of S^i + D[1, i-1] over the
+    periods i < t, shape (rows, N).  Each charged period t̂ >= t + L
+    contributes a piece that is flat until the coordinate's score overtakes
+    the running maximum G of the other levels, then follows the one-period
+    cost; the total is piecewise linear, so it is minimized by sweeping its
+    slope-change events.
+
+    Every event of a path's period lies at or above its v1 = G - A, which
+    rises along the periods, so G, v1 and the windows W are built over the
+    first 4, 8, ... periods of the suffix until the last one's v1 reaches
+    the cap on every row and path.  Past that window a period's cost does
+    not depend on the coordinate, so the line is scored up to a constant,
+    from 0 at level 0, with slopes c_h h + c_b b from integer counts of h-
+    and b-units.  Events at or beyond the cap are dropped; each row's others
+    are padded at the cap with no units.  A flat piece then adds exactly 0
+    whenever c_h h + c_b b is exactly 0, as it is for integer h and b, so
+    the pick, the first minimum, is the smallest level among exact ties; and
+    no row's floats depend on the other rows or on the window's width.
     """
-    R = len(levels)
-    scale = pre.shape[0] * p.T
-    # running max over the order periods j = t .. T of x1, the earlier
-    # periods' scores and the later ones'
-    later = levels[:, None, t : p.T] + pre[None, :, t : p.T]
-    G = np.maximum.accumulate(
-        np.concatenate([np.maximum(head, p.x1)[:, :, None], later], axis=2), axis=2
-    )
-    A = pre[:, t - 1][:, None]
-    W = pre[:, t + p.L : p.T + p.L + 1]
-    gap = np.maximum(G, A) - W
-    base = (p.h * np.maximum(gap, 0.0) - p.b * np.minimum(gap, 0.0)).reshape(R, -1).sum(
-        axis=1
-    ) / scale
-
-    # every event of a path's period lies at or above its v1 = G - A, which
-    # rises along the periods, so periods from the first one whose v1 reaches
-    # the cap on every row and path hold no event that can be picked
-    v1 = G - A
-    m = int(np.searchsorted(v1.min(axis=(0, 1)), cap))
-    v1 = v1[:, :, :m].reshape(R, -1)
-    v2 = np.broadcast_to((W - A)[:, :m].ravel(), v1.shape)
-    # events: sloped v1, sloped v2, unsloped v1, each in path-major order
+    rows = len(head)
+    suffix = p.T - t + 1
+    A = pre[:, :, t - 1 : t]
+    first = np.maximum(head, p.x1)[:, :, None]
+    width = 4
+    while True:
+        w = min(width, suffix)
+        later = levels[:, None, t : t + w - 1] + pre[:, :, t : t + w - 1]
+        v1 = np.maximum.accumulate(np.concatenate([first, later], axis=2), axis=2) - A
+        floor = v1.min(axis=(0, 1))
+        if w == suffix or floor[-1] >= cap:
+            break
+        width *= 2
+    m = int(np.searchsorted(floor, cap))
+    v2 = (pre[:, :, t + p.L : t + p.L + m] - A).reshape(rows, -1)
+    v1 = v1[:, :, :m].reshape(rows, -1)
+    # events of kind 0: sloped v1 (-1 b-unit), 1: sloped v2 (+1 b-unit,
+    # +1 h-unit), 2: unsloped v1 (+1 h-unit), each in path-major order; kind
+    # 3 pads a row at the cap with no units
     sloped = v1 < v2
     positions = np.concatenate([v1, v2, v1], axis=1)
     keep = np.concatenate([sloped, sloped, ~sloped], axis=1) & (positions < cap)
-    deltas = np.repeat(np.array([-p.b, p.b + p.h, p.h]) / scale, v1.shape[1])
     counts = keep.sum(axis=1)
     filled = np.arange(counts.max(initial=0))[None, :] < counts[:, None]
     pos = np.full(filled.shape, cap)
     pos[filled] = positions[keep]
-    step = np.zeros(filled.shape)
-    step[filled] = np.broadcast_to(deltas, keep.shape)[keep]
+    kinds = np.full(filled.shape, 3)
+    kinds[filled] = np.broadcast_to(np.repeat(np.arange(3), v1.shape[1]), keep.shape)[keep]
 
     order = np.argsort(pos, axis=1, kind="stable")
-    rows = np.arange(R)[:, None]
-    pos = pos[rows, order]
-    step = step[rows, order]
-    start = np.minimum((pos <= 0.0).sum(axis=1), counts)
-    # the slope at 0 sums each row's first events in sorted order
-    slope0 = np.array([step[r, : start[r]].sum() for r in range(R)])
-    lead = np.arange(pos.shape[1])[None, :] < start[:, None]
-    zero = np.zeros((R, 1))
-    pts = np.concatenate([zero, np.where(lead, 0.0, pos), np.full((R, 1), cap)], axis=1)
-    slopes = slope0[:, None] + np.concatenate(
-        [zero, np.cumsum(np.where(lead, 0.0, step), axis=1)], axis=1
-    )
-    values = base[:, None] + np.concatenate(
-        [zero, np.cumsum(slopes * np.diff(pts, axis=1), axis=1)], axis=1
-    )
-    return pts[np.arange(R), np.argmin(values, axis=1)]
+    ix = np.arange(rows)[:, None]
+    kinds = kinds[ix, order]
+    c_h = np.cumsum(np.array([0, 1, 1, 0])[kinds], axis=1)
+    c_b = np.cumsum(np.array([-1, 1, 0, 0])[kinds], axis=1)
+    zero = np.zeros((rows, 1))
+    pts = np.concatenate([zero, np.maximum(pos[ix, order], 0.0), np.full((rows, 1), cap)], axis=1)
+    slopes = np.concatenate([zero, c_h * p.h + c_b * p.b], axis=1)
+    values = np.concatenate([zero, np.cumsum(slopes * np.diff(pts, axis=1), axis=1)], axis=1)
+    return pts[np.arange(rows), np.argmin(values, axis=1)]
 
 
 def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> FitResult:
@@ -355,69 +355,101 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     x1 = min(x1, 0) where its closed form holds (with K = 0 the fitted level
     does not depend on x1); later restarts start from per-period
     critical-fractile quantiles of lead-time demand plus seeded uniform
-    jitter.  Each coordinate step is an exact line minimization, so every
-    sweep is monotone.
+    jitter.  Each coordinate step is an exact line minimization (its tie
+    rule: the smallest level among exact ties; see ``_coordinate_minima``),
+    so every sweep is monotone.
 
     The restarts share one leading axis: every sweep runs one batched line
     search per coordinate over the restarts still descending, and a restart
     leaves that set at the sweep where its risk improves by less than
     ``tol``.  The best restart is the first with the smallest final risk;
-    ``sweeps`` counts the sweeps of all restarts.
+    ``sweeps`` counts the sweeps of all restarts.  This is the one-dataset
+    case of :func:`erm_St_batch`.
+    """
+    return erm_St_batch([data], p, opts)[0]
+
+
+def erm_St_batch(
+    datasets: Sequence[Dataset], p: SystemParams, opts: StOptions | None = None
+) -> list[FitResult]:
+    """:func:`erm_St` on each of B datasets with the same number of paths, in
+    one descent.
+
+    The B x R (dataset, restart) pairs share the leading axis, dataset-major,
+    and each row carries its dataset's prefix sums.  Each dataset keeps its
+    own restarts (drawn as ``erm_St`` draws them, from ``opts.seed``), its
+    own live set, convergence flags and ``sweeps`` count.  A row's line
+    searches and risks do not depend on the other rows, so every fit is bit
+    for bit the one ``erm_St`` makes on its dataset alone.
     """
     if p.K != 0:
         raise ValueError("per-period-level fitting requires K = 0")
     opts = opts or StOptions()
-    D = demand_matrix(data, p)
-    n, horizon = D.shape
+    Ds = [demand_matrix(data, p) for data in datasets]
+    if len({len(D) for D in Ds}) > 1:
+        raise ValueError("a batch of per-period-level fits needs datasets of equal N")
     cap = fit_cap(p.level_cap())
-    pre = prefix_sums(D)
+    if not Ds:
+        return []
 
     fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
-    lead = lead_demand_sums(D, p.L)  # windows starting at t = 1 .. T
-    quantiles = np.quantile(lead, fractile, axis=0)
     jitter = opts.jitter if opts.jitter is not None else 0.05 * cap
     rng = make_rng(opts.seed)
+    noise = [rng.uniform(-jitter, jitter, p.T) for _ in range(max(opts.restarts - 1, 0))]
+    R = len(noise) + 1
+    levels = np.zeros((len(Ds) * R, p.horizon))
+    for k, (data, D) in enumerate(zip(datasets, Ds)):
+        quantiles = np.quantile(lead_demand_sums(D, p.L), fractile, axis=0)
+        start = erm_base_stock(data, replace(p, x1=min(p.x1, 0.0))).policy.S
+        starts = [np.full(p.T, start)] + [np.clip(quantiles + e, 0.0, cap) for e in noise]
+        levels[k * R : (k + 1) * R, : p.T] = np.clip(starts, 0.0, cap)
 
-    start = erm_base_stock(data, replace(p, x1=min(p.x1, 0.0))).policy.S
-    starts = [np.full(p.T, start)]
-    for _ in range(max(opts.restarts - 1, 0)):
-        starts.append(
-            np.clip(quantiles + rng.uniform(-jitter, jitter, p.T), 0.0, cap)
-        )
+    pre = np.stack([prefix_sums(D) for D in Ds])
+    owner = np.repeat(np.arange(len(Ds)), R)
 
-    levels = np.zeros((len(starts), horizon))
-    levels[:, : p.T] = np.clip(starts, 0.0, cap)
-    risk = st_losses_grid(levels, D, p).mean(axis=1)
-    converged = np.zeros(len(starts), dtype=bool)
-    live = np.arange(len(starts))
-    sweeps_used = 0
+    def mean_losses(rows: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        out = np.empty(len(rows))
+        for k in np.unique(owner[rows]):
+            mine = owner[rows] == k
+            out[mine] = st_losses_grid(lv[mine], Ds[k], p).mean(axis=1)
+        return out
+
+    live = np.arange(len(levels))
+    risk = mean_losses(live, levels)
+    converged = np.zeros(len(levels), dtype=bool)
+    sweeps = np.zeros(len(Ds), dtype=int)
     for _ in range(opts.max_sweeps):
         if not len(live):
             break
         cur = levels[live]
-        head = np.full((len(live), n), -np.inf)  # running max of periods < t
+        rpre = pre[owner[live]]
+        head = np.full(rpre.shape[:2], -np.inf)  # running max of periods < t
         for t in range(1, p.T + 1):
-            cur[:, t - 1] = _coordinate_minima(cur, t, head, pre, p, cap)
-            head = np.maximum(head, cur[:, t - 1 : t] + pre[None, :, t - 1])
+            cur[:, t - 1] = _coordinate_minima(cur, t, head, rpre, p, cap)
+            head = np.maximum(head, cur[:, t - 1 : t] + rpre[:, :, t - 1])
         levels[live] = cur
-        new_risk = st_losses_grid(cur, D, p).mean(axis=1)
-        sweeps_used += len(live)
+        new_risk = mean_losses(live, cur)
+        sweeps += np.bincount(owner[live], minlength=len(Ds))
         done = risk[live] - new_risk < opts.tol
         risk[live] = np.where(done, np.minimum(risk[live], new_risk), new_risk)
         converged[live[done]] = True
         live = live[~done]
-    best = int(np.argmin(risk))
-    return FitResult(
-        policy=NonStationary(tuple(levels[best])),
-        in_sample_risk=float(st_losses(levels[best], D, p).mean()),
-        method="coordinate-descent",
-        diagnostics={
-            "restarts": len(starts),
-            "converged": bool(converged[best]),
-            "sweeps": sweeps_used,
-            "tol": opts.tol,
-        },
-    )
+
+    fits = []
+    for k, D in enumerate(Ds):
+        best = k * R + int(np.argmin(risk[k * R : (k + 1) * R]))
+        fits.append(FitResult(
+            policy=NonStationary(tuple(levels[best])),
+            in_sample_risk=float(st_losses(levels[best], D, p).mean()),
+            method="coordinate-descent",
+            diagnostics={
+                "restarts": R,
+                "converged": bool(converged[best]),
+                "sweeps": int(sweeps[k]),
+                "tol": opts.tol,
+            },
+        ))
+    return fits
 
 
 # ---------------------------------------------------------------------------

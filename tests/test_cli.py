@@ -390,6 +390,7 @@ class TestHelpAudit:
         "erm_eoq_base_stock": ("fit", ["eoq"]),
         "erm_sS": ("fit", ["integer-grid"]),
         "erm_St": ("fit", ["--restarts"]),
+        "erm_St_batch": ("experiment", ["ee-vs-T", "oos-vs-N-St"]),
         "grid_oracle": ("fit", ["--grid-oracle"]),
         "build_marginals": ("perm", ["--data"]),
         "perm_fit": ("perm", ["--class"]),

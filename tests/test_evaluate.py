@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stocklab.core import (
+    ORDER_EPS,
     BaseStock,
     Dataset,
     NonStationary,
@@ -400,6 +401,47 @@ def pmf_lists(data, n, max_size):
 
 def quarters(lo, hi):
     return st.integers(4 * lo, 4 * hi).map(lambda k: k / 4)
+
+
+class TestDustFirstOrder:
+    # simulate drops a first order in (0, ORDER_EPS] that the batch kernels
+    # place; their docstrings bound the gap at max(h, b) ORDER_EPS per path,
+    # with no K charge.  Levels and demands sit on a grid of 1/64, so no
+    # other order is dust-sized and the floats carry little rounding.
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_gap_to_simulate_is_within_the_documented_bound(self, data):
+        def sixty_fourths(hi):
+            return st.integers(0, 64 * hi).map(lambda k: k / 64)
+
+        T = data.draw(st.integers(1, 5))
+        L = data.draw(st.integers(0, 2))
+        dust = data.draw(st.floats(0.0, ORDER_EPS, exclude_min=True))
+        at_zero = data.draw(st.booleans())
+        x1 = -dust if at_zero else data.draw(sixty_fourths(2))
+        p = SystemParams(
+            T=T, L=L, h=data.draw(sixty_fourths(2)), b=data.draw(sixty_fourths(2)),
+            K=data.draw(st.sampled_from([0.0, 0.7, 3.0])), U=4.0, x1=x1,
+        )
+        first = 0.0 if at_zero else x1 + dust
+        assume(0.0 < first - x1 <= ORDER_EPS)
+        n = data.draw(st.integers(1, 4))
+        cell = st.one_of(st.integers(0, 4).map(float), sixty_fourths(4))
+        D = np.reshape(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))),
+                       (n, T + L))
+        bound = max(p.h, p.b) * ORDER_EPS + 1e-14
+
+        rest = data.draw(st.lists(sixty_fourths(int(p.level_cap())),
+                                  min_size=T + L - 1, max_size=T + L - 1))
+        policy = NonStationary((first, *rest))
+        got = st_losses(np.array(policy.levels), D, p)
+        want = [simulate(policy, row, p, unchecked=True).avg_loss for row in D]
+        assert np.all(np.abs(got - want) <= bound)
+
+        if p.x1 <= 0:
+            got = base_stock_loss_matrix([first], D, p)[0]
+            want = [simulate(BaseStock(first), row, p).avg_loss for row in D]
+            assert np.all(np.abs(got - want) <= bound)
 
 
 class TestLatticeKernel:

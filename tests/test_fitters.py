@@ -20,13 +20,21 @@ from stocklab.core import (
 )
 from stocklab import evaluate, fitters
 from stocklab.demand import make_rng
-from stocklab.evaluate import dataset_risk, lead_demand_sums, ss_losses_grid, st_losses
+from stocklab.evaluate import (
+    dataset_risk,
+    lead_demand_sums,
+    prefix_sums,
+    ss_losses_grid,
+    st_losses,
+    st_losses_grid,
+)
 from stocklab.perm import build_marginals, perm_fit
 
 from stocklab.fitters import (
     FitResult,
     StOptions,
     erm_St,
+    erm_St_batch,
     erm_base_stock,
     erm_eoq_base_stock,
     erm_sS,
@@ -390,6 +398,75 @@ class TestErmSt:
             assert hexed(got) == hexed(per_restart_erm_St(data, p, opts))
         assert not erm_St(data, p, StOptions(max_sweeps=1, seed=3)).diagnostics["converged"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_one_fit_per_dataset(self, data):
+        T = data.draw(st.integers(1, 8))
+        L = data.draw(st.integers(0, 2))
+        U = float(data.draw(st.sampled_from([3, 8, 20])))
+        p = params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.3])),
+                   b=data.draw(st.sampled_from([0.0, 1.0, 3.0, 9.0])), U=U,
+                   x1=data.draw(st.sampled_from([0.0, -2.0, -0.25, 1.5])),
+                   H=data.draw(st.sampled_from([None, 0.0, 2.5, 6.0])))
+        n = data.draw(st.integers(1, 5))
+        cell = st.one_of(st.integers(0, int(U)).map(float),
+                         st.integers(0, 4 * int(U)).map(lambda v: v / 4),
+                         demand_floats(U))
+        datasets = [
+            Dataset.from_matrix(np.reshape(data.draw(st.lists(
+                cell, min_size=n * (T + L), max_size=n * (T + L))), (n, T + L)))
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        opts = StOptions(restarts=data.draw(st.sampled_from([1, 3, 8])),
+                         max_sweeps=data.draw(st.sampled_from([1, 2, 100])),
+                         seed=data.draw(st.integers(0, 50)))
+        got = erm_St_batch(datasets, p, opts)
+        assert [hexed(fit) for fit in got] == [hexed(erm_St(d, p, opts)) for d in datasets]
+
+    def test_batch_needs_equal_path_counts(self):
+        p = params()
+        assert erm_St_batch([], p) == []
+        with pytest.raises(ValueError, match="equal N"):
+            erm_St_batch([Dataset.from_matrix([[1.0, 2.0]]),
+                          Dataset.from_matrix([[1.0, 2.0], [3.0, 4.0]])], p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_line_search_reaches_the_best_event(self, data):
+        # oracle: score 0, the cap and every event position of every path
+        # and order period t .. T with coordinate t replaced
+        T = data.draw(st.one_of(st.integers(1, 8), st.sampled_from([20, 60, 100])))
+        L = data.draw(st.integers(0, 2))
+        p = params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.3])),
+                   b=data.draw(st.sampled_from([0.0, 1.0, 3.0, 9.0])), U=20.0,
+                   x1=data.draw(st.sampled_from([0.0, -3.0, -0.25, 2.5])),
+                   H=data.draw(st.sampled_from([None, 0.0, 7.5])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 4))
+        D = rng.integers(0, 21, (n, T + L)).astype(float)
+        if data.draw(st.booleans()):
+            D = np.round(rng.uniform(0.0, 20.0, D.shape), 3)
+        cap = p.level_cap()
+        levels = np.zeros(T + L)
+        levels[:T] = rng.choice([0.0, cap, *rng.uniform(0.0, cap, 3)], T)
+        t = data.draw(st.integers(1, T))
+        pre = prefix_sums(D)
+        scores = levels[None, :T] + pre[:, :T]
+        head = np.max(scores[:, : t - 1], axis=1, initial=-np.inf)[None, :]
+        pick = fitters._coordinate_minima(levels[None, :], t, head, pre[None], p, cap)[0]
+
+        scores[:, t - 1] = -np.inf
+        G = np.maximum.accumulate(np.maximum(scores, p.x1), axis=1)[:, t - 1 :]
+        A = pre[:, t - 1 : t]
+        events = np.concatenate([(G - A).ravel(), (pre[:, t + L : T + L + 1] - A).ravel()])
+        cands = np.concatenate([[0.0, cap], events[(events >= 0.0) & (events <= cap)], [pick]])
+        grid = np.repeat(levels[None, :], len(cands), axis=0)
+        grid[:, t - 1] = cands
+        risks = st_losses_grid(grid, D, p).mean(axis=1)
+        best = risks[:-1].min()
+        assert 0.0 <= pick <= cap
+        assert risks[-1] <= best + 1e-12 * abs(best)
+
     @pytest.mark.parametrize("H", [math.inf, -1.0])
     def test_rejects_unusable_level_cap(self, H):
         data = Dataset.from_matrix([[3.0, 7.0]])
@@ -413,7 +490,9 @@ class TestErmSt:
 
 
 def per_restart_coordinate_minimum(S, t, D, pre, p, cap):
-    """One restart's exact line search in coordinate t, event by event."""
+    """One restart's exact line search in coordinate t, event by event over
+    the whole suffix t .. T, scored from 0 at level 0 with slopes
+    c_h h + c_b b from integer unit counts."""
     n, horizon = D.shape
     scores = S[None, :] + pre[:, :horizon]
     scores[:, t - 1] = -np.inf
@@ -423,32 +502,22 @@ def per_restart_coordinate_minimum(S, t, D, pre, p, cap):
     W = pre[:, t + p.L : p.T + p.L + 1]
     v1 = (G - A).ravel()
     v2 = (W - A).ravel()
-    scale = n * p.T
-    base = float(
-        (
-            p.h * np.maximum(np.maximum(G, A) - W, 0.0)
-            - p.b * np.minimum(np.maximum(G, A) - W, 0.0)
-        ).sum()
-    ) / scale
     sloped = v1 < v2
     positions = np.concatenate([v1[sloped], v2[sloped], v1[~sloped]])
-    deltas = np.concatenate(
-        [
-            np.full(sloped.sum(), -p.b),
-            np.full(sloped.sum(), p.b + p.h),
-            np.full((~sloped).sum(), p.h),
-        ]
-    ) / scale
+    k, rest = int(sloped.sum()), int((~sloped).sum())
+    h_units = np.concatenate([np.zeros(k, int), np.ones(k, int), np.ones(rest, int)])
+    b_units = np.concatenate([-np.ones(k, int), np.ones(k, int), np.zeros(rest, int)])
     order = np.argsort(positions, kind="stable")
     positions = positions[order]
-    deltas = deltas[order]
+    h_units = h_units[order]
+    b_units = b_units[order]
     start = int(np.searchsorted(positions, 0.0, side="right"))
     stop = int(np.searchsorted(positions, cap, side="left"))
-    slope0 = float(deltas[:start].sum())
-    inner = positions[start:stop]
-    pts = np.concatenate([[0.0], inner, [cap]])
-    slopes = slope0 + np.concatenate([[0.0], np.cumsum(deltas[start:stop])])
-    values = base + np.concatenate([[0.0], np.cumsum(slopes * np.diff(pts))])
+    c_h = int(h_units[:start].sum()) + np.concatenate([[0], np.cumsum(h_units[start:stop])])
+    c_b = int(b_units[:start].sum()) + np.concatenate([[0], np.cumsum(b_units[start:stop])])
+    pts = np.concatenate([[0.0], positions[start:stop], [cap]])
+    slopes = c_h * p.h + c_b * p.b
+    values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(pts))])
     return float(pts[int(np.argmin(values))])
 
 
