@@ -377,10 +377,11 @@ def erm_St_batch(
 
     The B x R (dataset, restart) pairs share the leading axis, dataset-major,
     and each row carries its dataset's prefix sums.  Each dataset keeps its
-    own restarts (drawn as ``erm_St`` draws them, from ``opts.seed``), its
-    own live set, convergence flags and ``sweeps`` count.  A row's line
-    searches and risks do not depend on the other rows, so every fit is bit
-    for bit the one ``erm_St`` makes on its dataset alone.
+    own restarts (its base-stock start and quantiles, with the jitter drawn
+    from ``opts.seed``, the same for every dataset), live set, convergence
+    flags and ``sweeps`` count.  A row's line searches and risks do not
+    depend on the other rows, so every fit is bit for bit the fit of its
+    dataset alone.  Datasets of unequal N raise ValueError.
     """
     if p.K != 0:
         raise ValueError("per-period-level fitting requires K = 0")
