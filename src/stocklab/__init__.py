@@ -28,7 +28,6 @@ from .demand import (
 )
 from .estimators import ge_estimate, rademacher_estimate
 from .evaluate import (
-    base_stock_loss,
     dataset_risk,
     exact_risk,
     finite_support_risk,
@@ -79,7 +78,6 @@ __all__ = [
     "StOptions",
     "SystemParams",
     "Trajectory",
-    "base_stock_loss",
     "build_marginals",
     "dataset_risk",
     "delta_breakpoints",

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--mode", default="exact", choices=["exact", "integer-grid"],
                      help="(s, S) search mode")
     fit.add_argument("--restarts", type=int, default=8,
-                     help="restarts for the per-period-level search")
+                     help="restarts for the per-period-level search (at least 1)")
     fit.add_argument("--seed", type=int, default=0, help="restart seed")
     fit.add_argument("--grid-oracle", type=float, metavar="STEP", default=None,
                      help="use the exhaustive grid oracle at this step instead "
@@ -174,21 +174,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo complexity estimates for the base-stock loss class",
         description="Monte-Carlo Rademacher complexity of the base-stock loss "
                     "class on a dataset, or (with --ge) its generalization "
-                    "error under a sampled demand model.",
+                    "error under a sampled demand model.  The true risks of "
+                    "--ge are exact: every model kind has per-period pmfs or "
+                    "a finite support.",
     )
     rad.add_argument("--data", help="demand CSV (rows = sequences)")
     rad.add_argument("--draws", type=int, default=200, help="sign-vector draws")
     rad.add_argument("--seed", type=int, default=0, help="draw seed")
     rad.add_argument("--ge", action="store_true",
-                     help="estimate the generalization error instead")
+                     help="estimate the generalization error instead, with "
+                          "exact true risks (the model's pmfs or its finite "
+                          "support)")
     rad.add_argument("--model-kind", default="ee-vs-T",
                      help="instance sampler kind for --ge")
     rad.add_argument("--n-train", type=int, default=20,
                      help="training sample size for --ge")
     rad.add_argument("--reps", type=int, default=100,
                      help="dataset replications for --ge")
-    rad.add_argument("--eval-samples", type=int, default=2000,
-                     help="fresh draws for the true-risk side of --ge")
     rad.add_argument("--out", help="directory for the estimate and metadata")
     _add_system_flags(rad)
 
@@ -365,8 +367,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
     p = _system_from_args(args, False)
     if args.ge:
         model = sample_instance(args.model_kind, args.seed, p, InstanceHyper())
-        ge = ge_estimate(model, args.n_train, p, reps=args.reps,
-                         eval_samples=args.eval_samples, seed=args.seed)
+        ge = ge_estimate(model, args.n_train, p, reps=args.reps, seed=args.seed)
         print(f"meanGE {ge.mean_ge:.6g}")
         print(f"stderr {ge.stderr:.6g}")
         if args.out:

@@ -152,22 +152,6 @@ def base_stock_kinks(D: np.ndarray, p: SystemParams) -> np.ndarray:
     return np.unique(cands[(cands >= 0.0) & (cands <= hi)])
 
 
-def base_stock_loss(S: float, d: Sequence[float], p: SystemParams) -> float:
-    """Time-averaged loss of the base-stock policy with level S on one path.
-
-    Requires ``S >= 0 >= x1`` so that the position is replenished to S every
-    period; then the level after replenishment in period t is
-    ``S - (d^{t-L} + ... + d^{t-1})`` and an order of size ``d^{t-1}`` is
-    placed in every period t >= 2.  The path gets a dataset's demand checks.
-    """
-    D = Dataset.from_matrix([d]).as_matrix()
-    if D.shape[1] != p.horizon:
-        raise ValueError(f"demand length {D.shape[1]} != T + L = {p.horizon}")
-    if S < 0:
-        raise ValueError("base-stock level must be nonnegative")
-    return float(base_stock_loss_matrix([S], D, p)[0, 0])
-
-
 def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
     """Losses of many per-period order-up-to policies on every row of D.
 

@@ -56,15 +56,29 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# The per-period-level descent: a restart stops at the sweep where its risk
+# improves by less than ST_TOL, and restarts after the first jitter their
+# quantile starts uniformly by up to ST_JITTER times the level cap.
+ST_TOL = 1e-8
+ST_JITTER = 0.05
+
+# Most points grid_oracle enumerates before it raises BudgetError.
+GRID_BUDGET = 2_000_000
+
+
 @dataclass(frozen=True)
 class StOptions:
     """Options for the per-period-level local search."""
 
     restarts: int = 8
     max_sweeps: int = 100
-    tol: float = 1e-8
     seed: int = 0
-    jitter: float | None = None  # default: 5% of the level cap
+
+    def __post_init__(self) -> None:
+        for name in ("restarts", "max_sweeps"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def fit_cap(cap: float) -> float:
@@ -362,7 +376,7 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     The restarts share one leading axis: every sweep runs one batched line
     search per coordinate over the restarts still descending, and a restart
     leaves that set at the sweep where its risk improves by less than
-    ``tol``.  The best restart is the first with the smallest final risk;
+    ``ST_TOL``.  The best restart is the first with the smallest final risk;
     ``sweeps`` counts the sweeps of all restarts.  This is the one-dataset
     case of :func:`erm_St_batch`.
     """
@@ -394,9 +408,9 @@ def erm_St_batch(
         return []
 
     fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
-    jitter = opts.jitter if opts.jitter is not None else 0.05 * cap
+    jitter = ST_JITTER * cap
     rng = make_rng(opts.seed)
-    noise = [rng.uniform(-jitter, jitter, p.T) for _ in range(max(opts.restarts - 1, 0))]
+    noise = [rng.uniform(-jitter, jitter, p.T) for _ in range(opts.restarts - 1)]
     R = len(noise) + 1
     levels = np.zeros((len(Ds) * R, p.horizon))
     for k, (data, D) in enumerate(zip(datasets, Ds)):
@@ -431,7 +445,7 @@ def erm_St_batch(
         levels[live] = cur
         new_risk = mean_losses(live, cur)
         sweeps += np.bincount(owner[live], minlength=len(Ds))
-        done = risk[live] - new_risk < opts.tol
+        done = risk[live] - new_risk < ST_TOL
         risk[live] = np.where(done, np.minimum(risk[live], new_risk), new_risk)
         converged[live[done]] = True
         live = live[~done]
@@ -447,7 +461,7 @@ def erm_St_batch(
                 "restarts": R,
                 "converged": bool(converged[best]),
                 "sweeps": int(sweeps[k]),
-                "tol": opts.tol,
+                "tol": ST_TOL,
             },
         ))
     return fits
@@ -463,12 +477,11 @@ def grid_oracle(
     policy_class: str,
     step: float,
     p: SystemParams,
-    budget: int = 2_000_000,
 ) -> FitResult:
     """Exhaustive minimizer over a parameter grid, for tests and benchmarks.
 
     ``policy_class`` is one of ``base-stock``, ``ss``, ``st``.  Raises
-    BudgetError when the grid would exceed ``budget`` points.
+    BudgetError when the grid would exceed ``GRID_BUDGET`` points.
 
     For ``st`` the grid has ``len(axis) ** (T + L)`` points, but the last L
     levels never reach the loss, so :func:`st_level_grid` enumerates the
@@ -480,7 +493,7 @@ def grid_oracle(
 
     if policy_class == "base-stock":
         grid = grid_axis(0.0, fit_cap(p.level_cap()), step)
-        if len(grid) > budget:
+        if len(grid) > GRID_BUDGET:
             raise BudgetError("base-stock grid exceeds budget")
         best = int(np.argmin(base_stock_risk_curve(grid, D, p)))
         policy: Policy = BaseStock(float(grid[best]))
@@ -488,7 +501,7 @@ def grid_oracle(
     elif policy_class == "ss":
         lo, hi, _ = fit_ss_bounds(p)
         axis = grid_axis(lo, hi, step)
-        if len(axis) * np.count_nonzero(axis >= 0.0) > budget:
+        if len(axis) * np.count_nonzero(axis >= 0.0) > GRID_BUDGET:
             raise BudgetError("(s, S) grid exceeds budget")
         s_vals, S_vals = ss_pairs(axis)
         # listed in tie-break order, so the first minimum wins
@@ -498,7 +511,7 @@ def grid_oracle(
     elif policy_class == "st":
         axis = grid_axis(0.0, fit_cap(p.level_cap()), step)
         count = len(axis) ** p.horizon
-        if count > budget:
+        if count > GRID_BUDGET:
             raise BudgetError("per-period grid exceeds budget")
         best_levels = None
         best_risk = math.inf

@@ -56,19 +56,17 @@ def build_marginals(data: Dataset) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def product_partition(
-    n: int, periods: int, budget: int = PARTITION_BUDGET
-) -> list[list[tuple[int, ...]]]:
+def product_partition(n: int, periods: int) -> list[list[tuple[int, ...]]]:
     """Partition all n^periods index tuples into n^(periods-1) groups of n.
 
     Group (j_1, ..., j_{periods-1}) holds, for each i, the tuple whose
     period-t entry is shifted cyclically by j_t.  Within a group every
     original (sample, period) entry appears exactly once; indices are
-    0-based.
+    0-based.  More than ``PARTITION_BUDGET`` tuples raise BudgetError.
     """
     if n < 1 or periods < 1:
         raise ValueError("n and periods must be >= 1")
-    if n**periods > budget:
+    if n**periods > PARTITION_BUDGET:
         raise BudgetError(f"{n}^{periods} tuples exceed the enumeration budget")
     groups = []
     for shifts in itertools.product(range(n), repeat=periods - 1):
@@ -89,38 +87,32 @@ class DpSolution:
 
     risk: float
     order_up_to: tuple[int, ...]
-    reorder_points: tuple[int, ...] | None
     grid_lo: int
     grid_hi: int
-
-    @property
-    def is_order_up_to(self) -> bool:
-        return self.reorder_points is None
 
 
 def solve_dp(
     pmfs: Sequence[np.ndarray], p: SystemParams, cap: float | None = None
 ) -> DpSolution:
-    """Exact optimum over all policies for independent integer demands.
+    """Exact optimum over all policies for independent integer demands, K = 0.
 
     State is the pre-order inventory position on an integer grid; the cost
     of ordering up to y in period t is the expected holding/backlog cost of
-    y net of lead-time demand, charged 1/T per period, plus K/T when an
-    order is placed.  With K = 0 the optimal action is order-up-to and the
-    per-period targets are returned; with K > 0 a reorder threshold is
-    extracted as well.
+    y net of lead-time demand, charged 1/T per period.  Without a fixed cost
+    the optimal action is order-up-to, and the per-period targets are
+    returned; any K != 0 raises ValueError.
 
-    With ``cap`` (K = 0 only) each target is the best integer level in
-    [0, cap], which makes the solution the best policy of the per-period
-    class within its level bounds: the cost-to-go W is convex, so every
-    position below the target still orders up to it.
+    With ``cap`` each target is the best integer level in [0, cap], which
+    makes the solution the best policy of the per-period class within its
+    level bounds: the cost-to-go W is convex, so every position below the
+    target still orders up to it.
     """
     if len(pmfs) != p.horizon:
         raise ValueError(f"need {p.horizon} per-period pmfs")
     if p.x1 != int(p.x1):
         raise ValueError("DP requires an integer initial level")
-    if cap is not None and p.K != 0:
-        raise ValueError("a level cap bounds order-up-to targets, which need K = 0")
+    if p.K != 0:
+        raise ValueError("the backward DP finds order-up-to targets, which need K = 0")
     umax = max(len(f) - 1 for f in pmfs)
     bottom = min(int(p.x1), 0) - p.horizon * umax
     top = max((p.L + 1) * umax, int(p.x1)) + 1
@@ -130,7 +122,6 @@ def solve_dp(
     span = slice(0, size) if cap is None else slice(-bottom, math.floor(cap) - bottom + 1)
     V = np.zeros(size)
     levels: list[int] = []
-    thresholds: list[int] = []
     for t in range(p.T, 0, -1):
         lead = lead_pmf(pmfs, t, p.L)
         diffs = grid[:, None] - np.arange(len(lead))[None, :]
@@ -148,22 +139,12 @@ def solve_dp(
         W = Ec + EV
         j = span.start + int(np.argmin(W[span]))
         levels.append(int(grid[j]))
-        if p.K == 0:
-            V = W.copy()
-            V[:j] = W[j]
-        else:
-            suffix = np.minimum.accumulate(W[::-1])[::-1]
-            order_value = p.K / p.T + suffix
-            V = np.minimum(W, order_value)
-            below = np.flatnonzero(order_value < W)
-            thresholds.append(int(grid[below.max()]) if len(below) else bottom - 1)
+        V = W.copy()
+        V[:j] = W[j]
     levels.reverse()
-    thresholds.reverse()
-    root = float(V[int(p.x1) - bottom])
     return DpSolution(
-        risk=root,
+        risk=float(V[int(p.x1) - bottom]),
         order_up_to=tuple(levels),
-        reorder_points=tuple(thresholds) if p.K > 0 else None,
         grid_lo=bottom,
         grid_hi=top,
     )

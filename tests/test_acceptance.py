@@ -34,7 +34,7 @@ from stocklab.estimators import (
     rademacher_estimate,
     regression_slope,
 )
-from stocklab.evaluate import base_stock_loss, exact_base_stock_risk
+from stocklab.evaluate import exact_base_stock_risk
 from stocklab.experiments import ExperimentConfig, run_experiment
 from stocklab.fitters import erm_St, erm_base_stock, erm_sS, grid_oracle
 from stocklab.perm import build_marginals, product_partition
@@ -69,7 +69,7 @@ def test_criterion_1_dynamics_oracle_equivalence():
         )
         d = rng.uniform(0, 10.0, T + L)
         S = float(rng.uniform(0, p.level_cap()))
-        closed = base_stock_loss(S, d, p)
+        closed = float(base_stock_loss_matrix([S], Dataset.from_matrix([d]).as_matrix(), p)[0, 0])
         traj = simulate(BaseStock(S), d, p).avg_loss
         scale = max(abs(traj), 1e-9)
         worst = max(worst, abs(closed - traj) / scale)

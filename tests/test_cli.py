@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import stocklab
+from stocklab import experiments
 from stocklab.cli import build_parser, main, parse_policy
 from stocklab.core import BaseStock, Dataset, NonStationary, SsPolicy, write_demands_csv
 
@@ -167,6 +168,14 @@ class TestFit:
         # the per-period class still fits from positive initial stock
         assert main(["fit", "--class", "st", "--data", str(path), "--T", "3", "--x1", "1"]) == 0
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_no_restarts_rejected(self, demand_csv, capsys, value):
+        assert main(["fit", "--class", "st", "--data", demand_csv, "--T", "2",
+                     f"--restarts={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: restarts must be >= 1, got {value}"
+
     def test_empty_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -269,8 +278,7 @@ class TestRademacherAndGap:
 
     def test_ge_mode(self, capsys):
         assert main(["rademacher", "--ge", "--T", "2", "--U", "20",
-                     "--n-train", "5", "--reps", "3", "--eval-samples", "100",
-                     "--seed", "2"]) == 0
+                     "--n-train", "5", "--reps", "3", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("meanGE ")
 
@@ -383,7 +391,6 @@ class TestHelpAudit:
     # that reach it
     OPERATION_COVERAGE = {
         "simulate": ("simulate", ["--policy", "--demands"]),
-        "base_stock_loss": ("simulate", ["--policy"]),
         "reorder_schedule": ("simulate", ["--schedule"]),
         "delta_breakpoints": ("simulate", ["--breakpoints"]),
         "erm_base_stock": ("fit", ["base-stock"]),
@@ -422,9 +429,16 @@ class TestHelpAudit:
         for name, sub in parser._subparsers._group_actions[0].choices.items():
             texts[name] = sub.format_help().replace("\n", "").replace("  ", " ")
         for op, (sub, markers) in self.OPERATION_COVERAGE.items():
+            assert hasattr(stocklab, op) or hasattr(experiments, op), f"{op}: no such operation"
             assert sub in texts, f"{op}: no subcommand {sub}"
             for marker in markers:
                 assert marker in texts[sub], f"{op}: {marker!r} not in {sub} help"
+
+    def test_public_names_resolve(self):
+        names = stocklab.__all__
+        assert names == sorted(set(names))
+        for name in names:
+            assert hasattr(stocklab, name), name
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

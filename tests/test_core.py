@@ -19,7 +19,7 @@ from stocklab.core import (
     simulate,
     write_demands_csv,
 )
-from stocklab.evaluate import base_stock_loss
+from stocklab.evaluate import base_stock_loss_matrix, policy_losses
 
 
 def params(**kw):
@@ -105,13 +105,20 @@ class TestSimulate:
             assert traj.avg_loss <= bound + 1e-9
 
 
+def path_loss(S, d, p):
+    """The closed-form loss of base-stock level S on one demand path."""
+    return float(policy_losses(BaseStock(S), demand_matrix(Dataset.from_matrix([d]), p), p)[0])
+
+
 class TestBaseStockLoss:
     def test_worked_examples(self):
         p = params()
-        assert base_stock_loss(7.0, (3.0, 7.0), p) == 2.0
-        assert base_stock_loss(0.0, (3.0, 7.0), p) == 45.0
+        assert path_loss(7.0, (3.0, 7.0), p) == 2.0
+        assert path_loss(0.0, (3.0, 7.0), p) == 45.0
+        # the closed form charges K on demands above ORDER_EPS, and a dataset
+        # holds no dust demand in (0, ORDER_EPS]
         with pytest.raises(ValueError, match="ORDER_EPS"):
-            base_stock_loss(1e-12, (1e-12, 0.0), params(h=0.0, b=1.0, K=1.0))
+            Dataset.from_matrix([[1e-12, 0.0]])
 
     def test_matches_simulation_on_random_cases(self):
         # oracle: the step-by-step simulator
@@ -127,7 +134,7 @@ class TestBaseStockLoss:
             )
             d = rng.uniform(0, 10.0, T + L)
             S = float(rng.uniform(0, p.level_cap()))
-            closed = base_stock_loss(S, d, p)
+            closed = path_loss(S, d, p)
             simulated = simulate(BaseStock(S), d, p).avg_loss
             assert closed == pytest.approx(simulated, rel=1e-12, abs=1e-12)
 
@@ -147,8 +154,8 @@ class TestBaseStockLoss:
         s1 = data.draw(st.floats(0, 30))
         s2 = data.draw(st.floats(0, 30))
         mid = lam * s1 + (1 - lam) * s2
-        lhs = base_stock_loss(mid, d, p)
-        rhs = lam * base_stock_loss(s1, d, p) + (1 - lam) * base_stock_loss(s2, d, p)
+        lhs, loss1, loss2 = base_stock_loss_matrix([mid, s1, s2], np.array([d]), p)[:, 0]
+        rhs = lam * loss1 + (1 - lam) * loss2
         assert lhs <= rhs + 1e-9
 
     def test_nonstationary_equal_levels_matches_base_stock(self):

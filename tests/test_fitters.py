@@ -365,6 +365,13 @@ class TestErmSt:
         assert a.policy == b.policy
         assert a.in_sample_risk == b.in_sample_risk
 
+    @pytest.mark.parametrize("field", ["restarts", "max_sweeps"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_options_need_a_positive_count(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            StOptions(**{field: value})
+        assert getattr(StOptions(**{field: 1}), field) == 1
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_per_restart_loop(self, data):
@@ -530,7 +537,7 @@ def per_restart_erm_St(data, p, opts):
     pre = np.concatenate([np.zeros((n, 1)), np.cumsum(D, axis=1)], axis=1)
     fractile = p.b / (p.b + p.h) if p.b + p.h > 0 else 0.5
     quantiles = np.quantile(lead_demand_sums(D, p.L), fractile, axis=0)
-    jitter = opts.jitter if opts.jitter is not None else 0.05 * cap
+    jitter = fitters.ST_JITTER * cap
     rng = make_rng(opts.seed)
     base = erm_base_stock(data, replace(p, x1=min(p.x1, 0.0))).policy.S
     starts = [np.full(p.T, base)]
@@ -547,7 +554,7 @@ def per_restart_erm_St(data, p, opts):
                 levels[t - 1] = per_restart_coordinate_minimum(levels, t, D, pre, p, cap)
             new_risk = float(st_losses(levels, D, p).mean())
             sweeps_used += 1
-            if risk - new_risk < opts.tol:
+            if risk - new_risk < fitters.ST_TOL:
                 risk = min(risk, new_risk)
                 ok = True
                 break
@@ -560,7 +567,7 @@ def per_restart_erm_St(data, p, opts):
         in_sample_risk=dataset_risk(policy, data, p),
         method="coordinate-descent",
         diagnostics={"restarts": len(starts), "converged": converged,
-                     "sweeps": sweeps_used, "tol": opts.tol},
+                     "sweeps": sweeps_used, "tol": fitters.ST_TOL},
     )
 
 

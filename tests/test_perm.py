@@ -326,15 +326,11 @@ class TestOptimalDp:
         pmfs = [np.array([0.0, 0.0, 1.0])] * 3  # demand always 2
         sol = solve_dp(pmfs, p)
         assert sol.risk == pytest.approx(0.0)
-        assert sol.is_order_up_to
+        assert sol.order_up_to == (2, 2, 2)
 
-    def test_hand_computed_fixed_cost_case(self):
-        # deterministic demand (1, 1), K=3: a single order of 2 beats two of 1
-        p = params(T=2, K=3.0, U=2.0)
-        pmfs = [np.array([0.0, 1.0])] * 2
-        sol = solve_dp(pmfs, p)
-        assert sol.risk == pytest.approx(2.0)
-        assert not sol.is_order_up_to
+    def test_fixed_cost_rejected(self):
+        with pytest.raises(ValueError, match="K = 0"):
+            solve_dp([np.array([0.0, 1.0])] * 2, params(T=2, K=3.0, U=2.0))
 
     def test_extracted_policy_achieves_dp_value(self):
         rng = np.random.default_rng(4)
