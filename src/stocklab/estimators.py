@@ -89,13 +89,40 @@ class GeReport:
     exact_sup: bool
 
 
-def _base_stock_true_risks(
-    levels: np.ndarray, pmfs: list[np.ndarray] | None, D_eval: np.ndarray | None, p: SystemParams
-) -> np.ndarray:
-    """True risks of base-stock levels: exact under pmfs, else the mean loss on D_eval."""
-    if pmfs is not None:
-        return exact_base_stock_risk(levels, pmfs, p)
-    return base_stock_loss_matrix(levels, D_eval, p).mean(axis=1)
+# Path x max(T + L, levels) cells per base_stock_loss_matrix call of
+# ge_estimate's fixed-true-side blocks: a block of reps this small keeps each
+# of the kernel's temporaries to about 64 KiB, so stacking the reps' paths
+# does not raise a run's peak memory.
+_GE_CELLS = 1 << 13
+
+
+def _fixed_base_stock_values(
+    model: DemandModel, n_train: int, p: SystemParams, reps: int, seed: int,
+    kinks: np.ndarray, true_risks: np.ndarray,
+) -> list[float]:
+    """Each rep's sup over base-stock levels of true minus empirical risk,
+    when ``true_risks`` on ``kinks`` fix the true side.
+
+    Every rep draws its training set under its own key; a block of reps has
+    its paths stacked and scored in one kernel call, and each path's losses
+    are the floats of scoring its rep alone.  A draw from the model has no
+    kink off the true curve's, so ``kinks`` hold every candidate of every
+    rep; a block that breaks this raises.
+    """
+    block = max(1, _GE_CELLS // (n_train * max(p.horizon, len(kinks))))
+    values: list[float] = []
+    for lo in range(0, reps, block):
+        n_reps = min(block, reps - lo)
+        stacked = np.concatenate(
+            [draw(model, n_train, (seed, rep, 0)).as_matrix() for rep in range(lo, lo + n_reps)]
+        )
+        if not np.isin(base_stock_kinks(stacked, p), kinks).all():
+            raise AssertionError(
+                f"a draw in reps {lo}..{lo + n_reps - 1} has a kink off the true risk curve"
+            )
+        emp = base_stock_loss_matrix(kinks, stacked, p).reshape(len(kinks), n_reps, n_train)
+        values.extend((true_risks[:, None] - emp.mean(axis=2)).max(axis=0).tolist())
+    return values
 
 
 def ge_estimate(
@@ -119,9 +146,10 @@ def ge_estimate(
     The true risks are computed once per call when the model fixes them (a
     finite support, or exact pmfs for the base-stock class): the base-stock
     curve on its own kinks, which hold every kink of a draw from the model,
-    and the grid classes chunk by chunk.  The values are those of scoring
-    each rep afresh.  A model with neither draws a fresh Monte-Carlo
-    evaluation sample in every rep.
+    and the grid classes chunk by chunk.  The base-stock class then scores
+    blocks of reps, their paths stacked, in one kernel call each.  The values
+    are those of scoring each rep afresh.  A model with neither draws a fresh
+    Monte-Carlo evaluation sample in every rep.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -151,36 +179,34 @@ def ge_estimate(
     # a finite support or exact pmfs make the true side the same in every rep
     fixed = atoms is not None or pmfs is not None
     if exact and fixed:
-        true_kinks = (exact_base_stock_levels(pmfs, p) if pmfs is not None
-                      else base_stock_kinks(atoms, p))
-        true_risks = _base_stock_true_risks(true_kinks, pmfs, atoms, p)
-    elif fixed:
-        true_chunks = [risks(chunk, atoms) for chunk in grid()]
-    values = []
-    for rep in range(reps):
-        D = draw(model, n_train, (seed, rep, 0)).as_matrix()
-        D_eval = atoms
-        if not fixed:
-            D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
-        if exact:
-            # every kink of the true and the empirical risk curve is a candidate
-            if not fixed:
-                true_kinks = base_stock_kinks(D_eval, p)
-            cands = np.union1d(base_stock_kinks(D, p), true_kinks)
-            # a draw from a fixed true side has no kink off the true curve's,
-            # so the risks computed once serve every rep
-            if fixed and len(cands) == len(true_kinks):
-                true = true_risks
-            else:
-                true = _base_stock_true_risks(cands, pmfs, D_eval, p)
-            emp = base_stock_loss_matrix(cands, D, p).mean(axis=1)
-            values.append(float((true - emp).max()))
+        if pmfs is not None:
+            true_kinks = exact_base_stock_levels(pmfs, p)
+            true_risks = exact_base_stock_risk(true_kinks, pmfs, p)
         else:
-            gaps = (
-                (true_chunks[k] if fixed else risks(chunk, D_eval)) - risks(chunk, D)
-                for k, chunk in enumerate(grid())
-            )
-            values.append(max(float(gap.max()) for gap in gaps))
+            true_kinks = base_stock_kinks(atoms, p)
+            true_risks = base_stock_loss_matrix(true_kinks, atoms, p).mean(axis=1)
+        values = _fixed_base_stock_values(model, n_train, p, reps, seed, true_kinks, true_risks)
+    else:
+        if fixed:
+            true_chunks = [risks(chunk, atoms) for chunk in grid()]
+        values = []
+        for rep in range(reps):
+            D = draw(model, n_train, (seed, rep, 0)).as_matrix()
+            D_eval = atoms
+            if not fixed:
+                D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
+            if exact:
+                # every kink of the true and the empirical risk curve is a candidate
+                cands = np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
+                true = base_stock_loss_matrix(cands, D_eval, p).mean(axis=1)
+                emp = base_stock_loss_matrix(cands, D, p).mean(axis=1)
+                values.append(float((true - emp).max()))
+            else:
+                gaps = (
+                    (true_chunks[k] if fixed else risks(chunk, D_eval)) - risks(chunk, D)
+                    for k, chunk in enumerate(grid())
+                )
+                values.append(max(float(gap.max()) for gap in gaps))
     arr = np.asarray(values)
     return GeReport(
         mean_ge=float(arr.mean()),

@@ -35,6 +35,11 @@ from .demand import DemandModel, draw, marginal_pmfs, support_atoms
 # keep each kernel's temporaries to a few times this size.
 _BLOCK_CELLS = 1 << 20
 
+# Policy x path x period cells per st_losses_grid call of block_losses: its
+# temporaries stay at a few hundred KiB, below the peak memory that scoring
+# the block's policies one at a time already reaches.
+_POLICY_BLOCK_CELLS = 1 << 14
+
 
 def cost_array(x: np.ndarray, p: SystemParams) -> np.ndarray:
     """Elementwise holding/backlogging cost."""
@@ -262,6 +267,31 @@ def policy_losses(policy: Policy, D: np.ndarray, p: SystemParams) -> np.ndarray:
     if isinstance(policy, NonStationary):
         return st_losses(policy.as_array(), D, p)
     raise TypeError(f"unknown policy type {type(policy)!r}")
+
+
+def block_losses(policies: Sequence[Policy], D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Losses of a block of policies on every row of D, shape (n_policies, N).
+
+    One batch kernel call when the block is all (s, S) pairs or all
+    base-stock levels with x1 <= 0, and one per ``_POLICY_BLOCK_CELLS``
+    cells when it is all per-period levels; any other block scores one
+    policy at a time.  Each policy's row is computed on its own either way,
+    so it is the float :func:`policy_losses` gives.
+    """
+    kinds = {type(policy) for policy in policies}
+    if kinds == {NonStationary}:
+        levels = np.stack([policy.as_array() for policy in policies])
+        step = max(1, _POLICY_BLOCK_CELLS // D.size)
+        return np.concatenate(
+            [st_losses_grid(levels[i : i + step], D, p) for i in range(0, len(levels), step)]
+        )
+    if kinds == {SsPolicy}:
+        s = np.array([policy.s for policy in policies])
+        S = np.array([policy.S for policy in policies])
+        return ss_losses_grid(s, S, D, p)
+    if kinds == {BaseStock} and p.x1 <= 0:
+        return base_stock_loss_matrix([policy.S for policy in policies], D, p)
+    return np.stack([policy_losses(policy, D, p) for policy in policies])
 
 
 def dataset_risk(policy: Policy, data: Dataset, p: SystemParams) -> float:

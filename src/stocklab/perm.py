@@ -176,8 +176,6 @@ def perm_fit(
     takes the first minimum: the smaller gap, then the smaller S.
     """
     if policy_class == "st":
-        if p.K != 0:
-            raise ValueError("product fitting of per-period levels requires K = 0")
         sol = solve_dp(pmfs, p, fit_cap(p.level_cap()))
         levels = tuple(float(v) for v in sol.order_up_to) + (0.0,) * p.L
         return FitResult(policy=NonStationary(levels), in_sample_risk=sol.risk,

@@ -3,9 +3,11 @@
 Each generated instance packages a dataset, per-sample witnesses, a margin,
 and a map from subsets to policies; the verifier scores blocks of subsets'
 policies on every sample with the batch kernels of :mod:`stocklab.evaluate`
-and checks the two-sided witness inequalities.  Verification is exponential
-in the dataset size by construction, so it is capped (override via the
-verifier's ``cap`` argument).
+and checks the two-sided witness inequalities.  The per-period-level
+instances also map a whole block of subsets to one array of levels, which
+the verifier scores without building a policy per subset.  Verification is
+exponential in the dataset size by construction, so it is capped (override
+via the verifier's ``cap`` argument).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
     SystemParams,
     simulate,
 )
-from .evaluate import policy_losses, ss_losses_grid, ss_pairs, st_losses_grid
+from .evaluate import block_losses, ss_losses_grid, ss_pairs, st_losses_grid
 
 SUBSET_CAP = 16
 
@@ -42,6 +44,11 @@ class ShatterInstance:
     subset's policy must push the loss strictly above witness + margin on
     subset members (and at or below witness - margin off the subset);
     ``"out"`` swaps the roles.  Both conventions realize all sign patterns.
+
+    ``levels_for_block``, when set, is the map in block form for a
+    per-period-level class: it takes a block's (subsets x m) membership
+    array and returns the subsets' levels, shape (subsets, T + L), each row
+    the levels of ``policy_for_subset`` on that row's subset.
     """
 
     dataset: Dataset
@@ -53,6 +60,7 @@ class ShatterInstance:
     unchecked: bool = False
     label: str = ""
     meta: dict = field(default_factory=dict)
+    levels_for_block: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if len(self.witnesses) != len(self.dataset):
@@ -84,24 +92,6 @@ class ShatterReport:
     achieved: np.ndarray | None = None  # (2^m, m) losses when collected
 
 
-def _block_losses(policies: list[Policy], D: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Losses of a block of policies on every row of D, shape (n_policies, N).
-
-    One batch kernel call when the block is all per-period levels or all
-    (s, S) pairs; any other block scores one policy at a time.  Each policy's
-    row is computed on its own either way, so it is the float
-    :func:`policy_losses` gives.
-    """
-    kinds = {type(policy) for policy in policies}
-    if kinds == {NonStationary}:
-        return st_losses_grid(np.stack([policy.as_array() for policy in policies]), D, p)
-    if kinds == {SsPolicy}:
-        s = np.array([policy.s for policy in policies])
-        S = np.array([policy.S for policy in policies])
-        return ss_losses_grid(s, S, D, p)
-    return np.stack([policy_losses(policy, D, p) for policy in policies])
-
-
 def verify_shattering(
     inst: ShatterInstance,
     gamma: float | None = None,
@@ -112,7 +102,9 @@ def verify_shattering(
 
     The subsets are walked in blocks, in the order of their bit patterns;
     each block's policies are scored on every sample in one batch kernel call
-    and compared with the witnesses as one (subsets x samples) array.
+    and compared with the witnesses as one (subsets x samples) array.  An
+    instance with ``levels_for_block`` gives the block's levels as one array,
+    so no policy object is built per subset.
     Comparisons are exact (strictly above witness + margin on the high side,
     at or below witness - margin on the low side).  Returns the failing
     (subset, sample) pairs with achieved values, by subset and then high
@@ -135,10 +127,14 @@ def verify_shattering(
     for lo in range(0, n_subsets, block):
         bits = range(lo, min(lo + block, n_subsets))
         member = (np.array(bits)[:, None] >> np.arange(m) & 1).astype(bool)
-        policies = [
-            inst.policy_for_subset(frozenset(i for i in range(m) if b >> i & 1)) for b in bits
-        ]
-        values = _block_losses(policies, D, inst.params)
+        if inst.levels_for_block is not None:
+            values = st_losses_grid(inst.levels_for_block(member), D, inst.params)
+        else:
+            policies = [
+                inst.policy_for_subset(frozenset(i for i in range(m) if b >> i & 1))
+                for b in bits
+            ]
+            values = block_losses(policies, D, inst.params)
         if collected is not None:
             collected[lo : lo + len(bits)] = values
         high = member if inst.high_side == "in" else ~member
@@ -160,6 +156,19 @@ def verify_shattering(
     )
 
 
+def _one_subset_policy(
+    levels_for_block: Callable[[np.ndarray], np.ndarray], m: int
+) -> Callable[[frozenset[int]], Policy]:
+    """``policy_for_subset`` of a block-form map: the levels of a one-row block."""
+
+    def policy_for(subset: frozenset[int]) -> Policy:
+        member = np.zeros((1, m), dtype=bool)
+        member[0, list(subset)] = True
+        return NonStationary(tuple(levels_for_block(member)[0].tolist()))
+
+    return policy_for
+
+
 # ---------------------------------------------------------------------------
 # per-period-level class, no fixed cost: one spike per sample
 # ---------------------------------------------------------------------------
@@ -179,19 +188,19 @@ def gen_st_shatter(T: int) -> ShatterInstance:
     np.fill_diagonal(rows, 1.0)
     dataset = Dataset.from_matrix(rows)
 
-    def policy_for(subset: frozenset[int]) -> Policy:
-        levels = tuple(0.5 if t in subset else 1.0 for t in range(T))
-        return NonStationary(levels)
+    def levels_for(member: np.ndarray) -> np.ndarray:
+        return np.where(member, 0.5, 1.0)
 
     return ShatterInstance(
         dataset=dataset,
         witnesses=(0.0,) * T,
         gamma=0.0,
         params=p,
-        policy_for_subset=policy_for,
+        policy_for_subset=_one_subset_policy(levels_for, T),
         high_side="in",
         label="st-spike",
         meta={"loss_high": 1.0 / (2 * T)},
+        levels_for_block=levels_for,
     )
 
 
@@ -220,16 +229,18 @@ def gen_st_K_shatter(T: int, K: float) -> ShatterInstance:
         rows[i - 1, m] = (m - i) * delta
     dataset = Dataset.from_matrix(rows)
 
-    def policy_for(subset: frozenset[int]) -> Policy:
-        levels = [0.0] * T
-        levels[0] = 1.0
-        for i in subset:  # 0-based sample i corresponds to spike period i+1
-            t = i + 1
-            levels[t + 1 - 1] = 1.0 - (t - 1) * delta
-        levels[m + 1] = 1.0 - (m - 1.0 / 3.0) * delta
-        levels[m + 2] = 1.0 - (m - 2.0 / 3.0) * delta
-        levels[m + 3] = 1.0 - (m - 1.0) * delta
-        return NonStationary(tuple(levels))
+    # 0-based sample i spikes in period i + 1; in the next period (index
+    # i + 1) the level is 1 - i delta when i is in the subset, else 0
+    tops = 1.0 - np.arange(m) * delta
+    tail = [1.0 - (m - 1.0 / 3.0) * delta, 1.0 - (m - 2.0 / 3.0) * delta,
+            1.0 - (m - 1.0) * delta]
+
+    def levels_for(member: np.ndarray) -> np.ndarray:
+        levels = np.zeros((len(member), T))
+        levels[:, 0] = 1.0
+        levels[:, 1 : m + 1] = np.where(member, tops, 0.0)
+        levels[:, m + 1 :] = tail
+        return levels
 
     tau = 2.0 * K / T
     return ShatterInstance(
@@ -237,12 +248,13 @@ def gen_st_K_shatter(T: int, K: float) -> ShatterInstance:
         witnesses=(tau,) * m,
         gamma=0.9 * K / T,
         params=p,
-        policy_for_subset=policy_for,
+        policy_for_subset=_one_subset_policy(levels_for, m),
         high_side="out",
         unchecked=True,
         label="st-fixed-cost",
         meta={"m": m, "delta": delta, "loss_low": K / T, "loss_high": 3 * K / T,
               "margin_sup": K / T},
+        levels_for_block=levels_for,
     )
 
 

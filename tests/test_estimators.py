@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,6 +235,54 @@ class TestGeEstimate:
         else:
             want = rescored_ge(model, n_train, p, policy_class, kw["reps"], kw["seed"])
         assert [v.hex() for v in got.values] == [v.hex() for v in want]
+        with mock.patch.object(estimators, "_GE_CELLS", 1):  # one rep per block
+            assert ge_estimate(model, n_train, p, **kw) == got
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 7, None])
+    @pytest.mark.parametrize("kind", ["pmfs", "atoms"])
+    def test_rep_blocks_match_scoring_each_rep(self, monkeypatch, kind, per_block):
+        # 7 reps in blocks of per_block reps (the last one short), or in the
+        # blocks of the default cell bound
+        p = params(T=3, L=1, h=0.5, b=3.0, K=1.5, U=4.0, x1=-1.0, H=6.0)
+        if kind == "pmfs":
+            model = IndependentNormals((1.0, 3.0, 2.0, 4.0), (1.5,) * 4, cap=4.0, integerize=True)
+            kinks = evaluate.exact_base_stock_levels(marginal_pmfs(model), p)
+        else:
+            model = FiniteSupport(((1.0, 0.5, 3.0, 2.25), (4.0, 0.0, 1.0, 1.0), (2.0, 2.0, 0.0, 3.5)))
+            kinks = base_stock_kinks(support_atoms(model), p)
+        n_train, reps = 5, 7
+        if per_block is not None:
+            cells = n_train * max(p.horizon, len(kinks))
+            monkeypatch.setattr(estimators, "_GE_CELLS", cells * per_block + cells - 1)
+        paths = []
+        monkeypatch.setattr(estimators, "base_stock_loss_matrix",
+                            lambda lv, D, p: paths.append(len(D)) or base_stock_loss_matrix(lv, D, p))
+        got = ge_estimate(model, n_train, p, reps=reps, seed=3)
+        block = per_block or reps
+        sizes = [min(block, reps - lo) * n_train for lo in range(0, reps, block)]
+        true_side = [] if kind == "pmfs" else [len(support_atoms(model))]
+        assert paths == true_side + sizes
+        want = rescored_ge(model, n_train, p, "base-stock", reps, 3)
+        assert [v.hex() for v in got.values] == [v.hex() for v in want]
+
+    def test_off_curve_kink_raises(self, monkeypatch):
+        # a fractional demand planted in rep 2 gives a kink between the
+        # integer levels of the exact curve
+        p = params(T=2, U=6.0)
+        model = IndependentNormals((2.0, 3.0), (1.0, 2.0), cap=6.0, integerize=True)
+
+        def planted(model_, n, key):
+            data = draw(model_, n, key)
+            if key[1] != 2:
+                return data
+            rows = data.as_matrix().copy()
+            rows[0, 0] = 2.5
+            return Dataset.from_matrix(rows)
+
+        monkeypatch.setattr(estimators, "draw", planted)
+        assert len(ge_estimate(model, 4, p, reps=2, seed=1).values) == 2
+        with pytest.raises(AssertionError, match="kink off the true risk curve"):
+            ge_estimate(model, 4, p, reps=3, seed=1)
 
     def test_integer_pmfs_score_the_true_curve_once(self, monkeypatch):
         # every empirical kink of integer demands is an integer level of the

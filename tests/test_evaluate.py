@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from stocklab.evaluate import (
     base_stock_kinks,
     base_stock_loss_matrix,
     base_stock_risk_curve,
+    block_losses,
     dataset_risk,
     enumerate_product_risk,
     exact_base_stock_risk,
@@ -135,6 +137,37 @@ class TestBatchLossesMatchSimulate:
             np.testing.assert_array_equal(row, st_losses(lv, D, p))
             want = [simulate(NonStationary(tuple(lv)), d, p).avg_loss for d in D]
             assert row == pytest.approx(want, rel=0, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_block_rows_match_one_policy_losses_call_each(self, data):
+        # base-stock blocks take the closed form at x1 <= 0 (dust-sized first
+        # orders included) and the one-at-a-time path above it
+        T = data.draw(st.integers(1, 4))
+        L = data.draw(st.integers(0, 2))
+        p = SystemParams(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         b=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
+                         K=data.draw(st.sampled_from([0.0, 0.7])), U=3.0,
+                         x1=data.draw(st.sampled_from([-2.0, -0.5, -1e-13, 0.0, 1.0])))
+        n = data.draw(st.integers(1, 4))
+        cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.001, 3.0))
+        D = np.asarray(data.draw(st.lists(st.lists(cell, min_size=T + L, max_size=T + L),
+                                          min_size=n, max_size=n)))
+        level = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 3.0))
+        policies = {
+            "base-stock": level.map(BaseStock),
+            "ss": st.tuples(level, level).map(lambda v: SsPolicy(min(v) - 1.0, max(v))),
+            "st": st.lists(level, min_size=T + L, max_size=T + L).map(NonStationary),
+        }
+        kind = data.draw(st.sampled_from(["base-stock", "ss", "st", "mixed"]))
+        policy = st.one_of(*policies.values()) if kind == "mixed" else policies[kind]
+        block = data.draw(st.lists(policy, min_size=1, max_size=6))
+        got = block_losses(block, D, p)
+        assert got.shape == (len(block), n)
+        for row, pol in zip(got, block):
+            assert row.tobytes() == policy_losses(pol, D, p).tobytes()
+        with mock.patch.object(evaluate, "_POLICY_BLOCK_CELLS", 1):  # one policy per call
+            assert block_losses(block, D, p).tobytes() == got.tobytes()
 
     def test_st_grid_rejects_width_mismatch(self):
         p = SystemParams(T=2, L=1)

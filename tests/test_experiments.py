@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stocklab.core import BaseStock, Dataset, NonStationary, SystemParams
-from stocklab.demand import IndependentNormals, InstanceHyper, draw, marginal_pmfs
+from stocklab.demand import IndependentNormals, InstanceHyper, draw, make_rng, marginal_pmfs
 from stocklab.emit import emit_results, write_records_csv
 from stocklab import perm
 from stocklab.experiments import (
@@ -16,13 +16,15 @@ from stocklab.experiments import (
     MetricsRecord,
     _best_in_class,
     _crossing_point,
+    _random_feasible,
+    _sanity_check_fit,
     run_ee_vs_T,
     run_erm_vs_perm,
     run_experiment,
     run_oos_vs_N,
 )
-from stocklab.evaluate import ModelRisk, exact_risk
-from stocklab.fitters import erm_St
+from stocklab.evaluate import ModelRisk, exact_risk, policy_losses
+from stocklab.fitters import FitResult, erm_St
 
 
 def small_system(**kw):
@@ -140,6 +142,29 @@ class TestEvaluator:
             risk = evaluator(fit)
         assert evaluator.eval_paths is None
         assert risk == exact_risk(fit, marginal_pmfs(model), p)
+
+
+class TestSanityCheck:
+    @pytest.mark.parametrize("policy_class", ["base-stock", "ss", "st", "eoq"])
+    def test_planted_bad_fit_names_the_first_beater(self, policy_class):
+        p = small_system(L=1, K=2.0, x1=-1.0)
+        data = draw(IndependentNormals((10.0,) * 4, (5.0,) * 4), 6, (3, 0))
+        fit = FitResult(policy=BaseStock(0.0), in_sample_risk=0.0, method="planted",
+                        diagnostics={"delta": 4.0})
+        # the 20 random policies, drawn and scored one at a time
+        rng = make_rng(9, 1)
+        others = [_random_feasible(fit, policy_class, p, rng) for _ in range(20)]
+        alts = [float(policy_losses(o, data.as_matrix(), p).mean()) for o in others]
+        best = int(np.argmin(alts))
+        _sanity_check_fit(dataclasses.replace(fit, in_sample_risk=alts[best]),
+                          policy_class, data, p, (9, 1))
+        # only the best random policy beats a fit just above it; one above
+        # every random policy is beaten first by the first one drawn
+        for risk, first in ((alts[best] + 2e-9, best), (max(alts) + 1.0, 0)):
+            with pytest.raises(AssertionError) as caught:
+                _sanity_check_fit(dataclasses.replace(fit, in_sample_risk=risk),
+                                  policy_class, data, p, (9, 1))
+            assert str(caught.value).endswith(f"beaten by {others[first]} ({alts[first]})")
 
 
 class TestRunners:

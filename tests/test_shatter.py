@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -123,6 +124,66 @@ class TestPrimeInstance:
         assert verify_shattering(inst, gamma=inst.gamma / 2).ok
 
 
+def spike_levels(T, subset):
+    """gen_st_shatter's levels for one subset, written per period."""
+    return [0.5 if t in subset else 1.0 for t in range(T)]
+
+
+def fixed_cost_levels(T, subset):
+    """gen_st_K_shatter's levels for one subset, written per period."""
+    m = T - 4
+    delta = 1.0 / m
+    levels = [0.0] * T
+    levels[0] = 1.0
+    for i in subset:  # sample i spikes in period i + 1
+        levels[i + 1] = 1.0 - i * delta
+    levels[m + 1] = 1.0 - (m - 1.0 / 3.0) * delta
+    levels[m + 2] = 1.0 - (m - 2.0 / 3.0) * delta
+    levels[m + 3] = 1.0 - (m - 1.0) * delta
+    return levels
+
+
+class TestBlockForm:
+    @pytest.mark.parametrize("inst,levels", [
+        *[(gen_st_shatter(T), spike_levels) for T in range(1, 7)],
+        (gen_st_K_shatter(9, 0.5), fixed_cost_levels),
+        (gen_st_K_shatter(10, 1.0), fixed_cost_levels),
+    ], ids=lambda v: getattr(v, "label", "") + str(getattr(v, "size", "")))
+    def test_block_rows_are_the_subset_policies(self, inst, levels):
+        m, T = inst.size, inst.params.horizon
+        bits = np.arange(2**m)
+        member = (bits[:, None] >> np.arange(m) & 1).astype(bool)
+        rows = inst.levels_for_block(member)
+        assert rows.shape == (2**m, T)
+        for b in bits:
+            subset = frozenset(np.flatnonzero(member[b]).tolist())
+            policy = inst.policy_for_subset(subset)
+            assert rows[b].tobytes() == policy.as_array().tobytes()
+            assert rows[b].tobytes() == np.asarray(levels(T, subset)).tobytes()
+
+    @pytest.mark.parametrize("inst", [gen_st_shatter(7), gen_st_K_shatter(11, 0.4)],
+                             ids=lambda inst: inst.label)
+    def test_verifier_builds_no_policy_per_subset(self, inst):
+        calls = []
+
+        def counted(subset):
+            calls.append(subset)
+            return inst.policy_for_subset(subset)
+
+        blocked = dataclasses.replace(inst, policy_for_subset=counted)
+        gammas = (None, 0.0, 2 * inst.gamma + 0.01)
+        got = [verify_shattering(blocked, gamma=g, collect=True) for g in gammas]
+        # only the bound check of a checked instance asks for a policy
+        assert len(calls) == (0 if inst.unchecked else len(gammas))
+        by_policy = dataclasses.replace(inst, levels_for_block=None)
+        for g, report in zip(gammas, got):
+            want = verify_shattering(by_policy, gamma=g, collect=True)
+            assert (report.ok, report.subsets_checked, report.failures) == \
+                (want.ok, want.subsets_checked, want.failures)
+            assert report.achieved.tobytes() == want.achieved.tobytes()
+        assert not got[-1].ok
+
+
 class TestVerifier:
     def test_gamma_monotonicity_on_generated_instances(self):
         for inst in (gen_st_shatter(5), gen_st_K_shatter(9, 0.5), gen_sS_prime_shatter(2, 0.3)):
@@ -138,7 +199,7 @@ class TestVerifier:
         p = SystemParams(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
                          b=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
                          K=data.draw(st.sampled_from([0.0, 0.7])), U=3.0,
-                         x1=float(data.draw(st.integers(-2, 1))))
+                         x1=data.draw(st.sampled_from([-2.0, -1.0, -0.5, -1e-13, 0.0, 1.0])))
         cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.001, 3.0))
         rows = data.draw(st.lists(st.lists(cell, min_size=T + L, max_size=T + L),
                                   min_size=m, max_size=m))
