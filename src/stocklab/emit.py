@@ -18,6 +18,9 @@ from .demand import RNG_NAME
 from .experiments import ExperimentConfig, MetricsRecord
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+# The size of every chart, in pixels.
+CHART_WIDTH = 640
+CHART_HEIGHT = 420
 
 
 def _fmt(x: float) -> str:
@@ -52,14 +55,9 @@ def _svg_text(x: float, y: float, text: str, anchor: str = "middle", size: int =
     )
 
 
-def render_line_chart(
-    series: dict[str, list[tuple[float, float]]],
-    title: str,
-    width: int = 640,
-    height: int = 420,
-) -> str:
+def render_line_chart(series: dict[str, list[tuple[float, float]]], title: str) -> str:
     """Minimal deterministic SVG line chart: one polyline per series."""
-    margin = 60
+    width, height, margin = CHART_WIDTH, CHART_HEIGHT, 60
     xs = [pt[0] for pts in series.values() for pt in pts]
     ys = [pt[1] for pts in series.values() for pt in pts]
     if not xs:

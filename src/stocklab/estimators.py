@@ -89,40 +89,15 @@ class GeReport:
     exact_sup: bool
 
 
-# Path x max(T + L, levels) cells per base_stock_loss_matrix call of
-# ge_estimate's fixed-true-side blocks: a block of reps this small keeps each
-# of the kernel's temporaries to about 64 KiB, so stacking the reps' paths
-# does not raise a run's peak memory.
+# Path x max(T + L, candidates) cells per scoring call of a block of
+# ge_estimate's reps: a block of reps this small keeps each of the kernels'
+# temporaries to about 64 KiB (times T for a per-period chunk), so stacking
+# the reps' paths does not raise a run's peak memory.
 _GE_CELLS = 1 << 13
 
-
-def _fixed_base_stock_values(
-    model: DemandModel, n_train: int, p: SystemParams, reps: int, seed: int,
-    kinks: np.ndarray, true_risks: np.ndarray,
-) -> list[float]:
-    """Each rep's sup over base-stock levels of true minus empirical risk,
-    when ``true_risks`` on ``kinks`` fix the true side.
-
-    Every rep draws its training set under its own key; a block of reps has
-    its paths stacked and scored in one kernel call, and each path's losses
-    are the floats of scoring its rep alone.  A draw from the model has no
-    kink off the true curve's, so ``kinks`` hold every candidate of every
-    rep; a block that breaks this raises.
-    """
-    block = max(1, _GE_CELLS // (n_train * max(p.horizon, len(kinks))))
-    values: list[float] = []
-    for lo in range(0, reps, block):
-        n_reps = min(block, reps - lo)
-        stacked = np.concatenate(
-            [draw(model, n_train, (seed, rep, 0)).as_matrix() for rep in range(lo, lo + n_reps)]
-        )
-        if not np.isin(base_stock_kinks(stacked, p), kinks).all():
-            raise AssertionError(
-                f"a draw in reps {lo}..{lo + n_reps - 1} has a kink off the true risk curve"
-            )
-        emp = base_stock_loss_matrix(kinks, stacked, p).reshape(len(kinks), n_reps, n_train)
-        values.extend((true_risks[:, None] - emp.mean(axis=2)).max(axis=0).tolist())
-    return values
+# Most (s, S) pairs or per-period level vectors ge_estimate's grid classes
+# score before it raises BudgetError.
+GE_GRID_BUDGET = 200_000
 
 
 def ge_estimate(
@@ -134,7 +109,6 @@ def ge_estimate(
     eval_samples: int = 2000,
     seed: int = 0,
     grid_step: float = 1.0,
-    grid_budget: int = 200_000,
 ) -> GeReport:
     """Mean over dataset replications of sup_policy (true risk - empirical risk).
 
@@ -143,77 +117,90 @@ def ge_estimate(
     reorder-point and per-period-level classes the supremum is taken over a
     parameter grid and the report is flagged approximate.
 
-    The true risks are computed once per call when the model fixes them (a
-    finite support, or exact pmfs for the base-stock class): the base-stock
-    curve on its own kinks, which hold every kink of a draw from the model,
-    and the grid classes chunk by chunk.  The base-stock class then scores
-    blocks of reps, their paths stacked, in one kernel call each.  The values
-    are those of scoring each rep afresh.  A model with neither draws a fresh
-    Monte-Carlo evaluation sample in every rep.
+    Every class runs one loop over blocks of reps.  A block stacks its reps'
+    training paths, drawn under keys ``(seed, rep, 0)``, and scores each
+    chunk of candidates on them in one kernel call; each rep's value is the
+    max over chunks of its true minus empirical risks, the floats of scoring
+    the rep alone.  When the model fixes the true side (a finite support, or
+    exact pmfs for the base-stock class), the true risks are computed once
+    per call: the base-stock candidates are then the true curve's kinks,
+    which hold every kink of a draw from the model (a block that breaks this
+    raises).  Otherwise each rep is a block of its own with a fresh
+    Monte-Carlo evaluation sample, key ``(seed, rep, 1)``, and the
+    base-stock candidates are the kinks of both draws.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    exact = policy_class == "base-stock"
     atoms = support_atoms(model)
-    if policy_class == "ss":
+    pmfs = marginal_pmfs(model) if atoms is None and policy_class == "base-stock" else None
+    # a finite support or exact pmfs make the true side the same in every rep
+    fixed = atoms is not None or pmfs is not None
+    if policy_class == "base-stock":
+        if fixed:
+            kinks = base_stock_kinks(atoms, p) if pmfs is None else exact_base_stock_levels(pmfs, p)
+        # a Monte-Carlo true side takes every kink of the true and the empirical curve
+        chunks = lambda D, D_eval: [
+            kinks if fixed else np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
+        ]
+        score = lambda levels, X: base_stock_loss_matrix(levels, X, p)
+    elif policy_class == "ss":
         lo, hi, _ = fit_ss_bounds(p)
         axis = grid_axis(lo, hi, grid_step)
         # the pairs s <= S with S >= 0: the j-th point of the sorted axis pairs
         # with the j + 1 points up to it
-        if int((np.flatnonzero(axis >= 0.0) + 1).sum()) > grid_budget:
+        if int((np.flatnonzero(axis >= 0.0) + 1).sum()) > GE_GRID_BUDGET:
             raise BudgetError("(s, S) grid exceeds budget")
-        s_vals, S_vals = ss_pairs(axis)
-        grid = lambda: [(s_vals, S_vals)]
-        risks = lambda pairs, X: ss_losses_grid(*pairs, X, p).mean(axis=1)
+        pairs = np.stack(ss_pairs(axis), axis=1)
+        chunks = lambda D, D_eval: [pairs]
+        score = lambda pairs, X: ss_losses_grid(pairs[:, 0], pairs[:, 1], X, p)
     elif policy_class == "st":
         axis = grid_axis(0.0, fit_cap(p.level_cap()), grid_step)
-        if len(axis) ** p.horizon > grid_budget:
+        if len(axis) ** p.horizon > GE_GRID_BUDGET:
             raise BudgetError("per-period grid exceeds budget")
         # the last L levels never reach the loss, so the first T span every gap
         n_paths = max(n_train, eval_samples if atoms is None else len(atoms))
-        grid = lambda: st_level_grid(axis, p, n_paths)
-        risks = lambda levels, X: st_losses_grid(levels, X, p).mean(axis=1)
-    elif not exact:
-        raise ValueError(f"unknown policy class {policy_class!r}")
-    pmfs = marginal_pmfs(model) if atoms is None and exact else None
-    # a finite support or exact pmfs make the true side the same in every rep
-    fixed = atoms is not None or pmfs is not None
-    if exact and fixed:
-        if pmfs is not None:
-            true_kinks = exact_base_stock_levels(pmfs, p)
-            true_risks = exact_base_stock_risk(true_kinks, pmfs, p)
-        else:
-            true_kinks = base_stock_kinks(atoms, p)
-            true_risks = base_stock_loss_matrix(true_kinks, atoms, p).mean(axis=1)
-        values = _fixed_base_stock_values(model, n_train, p, reps, seed, true_kinks, true_risks)
+        chunks = lambda D, D_eval: st_level_grid(axis, p, n_paths)
+        score = lambda levels, X: st_losses_grid(levels, X, p)
     else:
-        if fixed:
-            true_chunks = [risks(chunk, atoms) for chunk in grid()]
-        values = []
-        for rep in range(reps):
-            D = draw(model, n_train, (seed, rep, 0)).as_matrix()
-            D_eval = atoms
-            if not fixed:
-                D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
-            if exact:
-                # every kink of the true and the empirical risk curve is a candidate
-                cands = np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
-                true = base_stock_loss_matrix(cands, D_eval, p).mean(axis=1)
-                emp = base_stock_loss_matrix(cands, D, p).mean(axis=1)
-                values.append(float((true - emp).max()))
-            else:
-                gaps = (
-                    (true_chunks[k] if fixed else risks(chunk, D_eval)) - risks(chunk, D)
-                    for k, chunk in enumerate(grid())
+        raise ValueError(f"unknown policy class {policy_class!r}")
+    block = 1
+    if fixed:
+        if pmfs is not None:
+            true_risks = exact_base_stock_risk(kinks, pmfs, p)
+        else:
+            true_risks = np.concatenate([score(c, atoms).mean(axis=1) for c in chunks(None, atoms)])
+        widest = len(next(iter(chunks(None, atoms))))
+        block = max(1, _GE_CELLS // (n_train * max(p.horizon, widest)))
+    values: list[float] = []
+    for lo in range(0, reps, block):
+        n_reps = min(block, reps - lo)
+        D = np.concatenate(
+            [draw(model, n_train, (seed, rep, 0)).as_matrix() for rep in range(lo, lo + n_reps)]
+        )
+        D_eval = atoms if fixed else draw(model, eval_samples, (seed, lo, 1)).as_matrix()
+        if fixed and policy_class == "base-stock":
+            if not np.isin(base_stock_kinks(D, p), kinks).all():
+                raise AssertionError(
+                    f"a draw in reps {lo}..{lo + n_reps - 1} has a kink off the true risk curve"
                 )
-                values.append(max(float(gap.max()) for gap in gaps))
+        best = np.full(n_reps, -np.inf)
+        done = 0  # candidates scored so far: where this chunk's fixed true risks start
+        for chunk in chunks(D, D_eval):
+            if fixed:
+                true = true_risks[done : done + len(chunk)]
+            else:
+                true = score(chunk, D_eval).mean(axis=1)
+            done += len(chunk)
+            emp = score(chunk, D).reshape(len(chunk), n_reps, n_train).mean(axis=2)
+            best = np.maximum(best, (true[:, None] - emp).max(axis=0))
+        values.extend(best.tolist())
     arr = np.asarray(values)
     return GeReport(
         mean_ge=float(arr.mean()),
         stderr=float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
         reps=reps,
-        values=tuple(float(v) for v in arr),
-        exact_sup=exact,
+        values=tuple(values),
+        exact_sup=policy_class == "base-stock",
     )
 
 

@@ -44,6 +44,7 @@ from .fitters import (
     erm_sS,
     fit_cap,
     grid_oracle,
+    integer_ss_axis,
 )
 from .perm import build_marginals, perm_fit
 
@@ -257,9 +258,9 @@ def _random_feasible(
         return SsPolicy(S - gap, S)
     if policy_class == "ss":
         # experiments fit (s, S) on the integer grid of the bounds
-        lo, hi, _ = p.ss_bounds()
-        s = int(rng.integers(math.ceil(lo), math.floor(hi) + 1))
-        return SsPolicy(float(s), float(rng.integers(max(s, 0), math.floor(hi) + 1)))
+        axis = integer_ss_axis(p)
+        s = int(rng.integers(axis[0], axis[-1] + 1))
+        return SsPolicy(float(s), float(rng.integers(max(s, 0), axis[-1] + 1)))
     return NonStationary(tuple(rng.uniform(0, p.level_cap(), p.horizon)))
 
 
@@ -422,59 +423,45 @@ def run_erm_vs_perm(cfg: ExperimentConfig) -> list[MetricsRecord]:
 
     The independent kind sweeps the sample size; the correlated kind sweeps
     the correlation coefficient with both policies fitted directly on the
-    model's finite support (the infinite-training-data regime).  Fixed costs
-    must be zero.
+    model's finite support (the infinite-training-data regime).  Each
+    instance's ratio is the mean true risk of the trajectory fits over that
+    of the product fits, on its ``dataset_reps`` draws or its one support.
+    Fixed costs must be zero.
     """
     if cfg.system.K != 0:
         raise ValueError("product-fit comparisons require K = 0")
+    if cfg.kind not in ("erm-vs-perm-ind", "erm-vs-perm-corr"):
+        raise ValueError(f"config kind {cfg.kind!r} is not an erm-vs-perm kind")
     p = cfg.system
-    records: list[MetricsRecord] = []
-    if cfg.kind == "erm-vs-perm-ind":
-        for n_idx, n in enumerate(cfg.sweep):
-            ratios: list[float] = []
-            for inst in range(cfg.instance_count):
-                model = sample_instance(cfg.kind, (cfg.seed, 47, inst), p, cfg.hyper)
-                evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 53, inst))
-                erm_risks = []
-                perm_risks = []
-                for rep in range(cfg.dataset_reps):
-                    data = draw(model, int(n), (cfg.seed, 59, inst, n_idx, rep))
-                    erm_risks.append(evaluator(_fits("st", [data], p, cfg)[0].policy))
-                    perm_risks.append(evaluator(perm_fit(build_marginals(data), p, "st").policy))
-                denom = float(np.mean(perm_risks))
-                if denom <= 0:
-                    raise ValueError(
-                        f"product-fit risk is {denom} for instance {inst}; ratio undefined"
-                    )
-                ratios.append(float(np.mean(erm_risks)) / denom)
-            records.append(
-                _aggregate(cfg.kind, n, "st", "erm-perm-ratio", ratios, cfg.seed)
-            )
-        return records
-    if cfg.kind == "erm-vs-perm-corr":
+    corr = cfg.kind == "erm-vs-perm-corr"
+    if corr:
         for rho in cfg.sweep:
             if not -1.0 <= rho <= 1.0:
                 raise ValueError(f"sweep value {rho} is not a correlation")
-        for rho in cfg.sweep:
-            ratios = []
-            hyper = replace(cfg.hyper, rho=float(rho))
-            for inst in range(cfg.instance_count):
-                model = sample_instance(cfg.kind, (cfg.seed, 61, inst), p, hyper)
-                evaluator = ModelRisk(model, p)
-                data = Dataset.from_matrix(evaluator.atoms)
-                erm_policy = _fits("st", [data], p, cfg)[0].policy
-                perm_policy = perm_fit(build_marginals(data), p, "st").policy
-                denom = evaluator(perm_policy)
-                if denom <= 0:
-                    raise ValueError(
-                        f"product-fit risk is {denom} for instance {inst}; ratio undefined"
-                    )
-                ratios.append(evaluator(erm_policy) / denom)
-            records.append(
-                _aggregate(cfg.kind, rho, "st", "erm-perm-ratio", ratios, cfg.seed)
-            )
-        return records
-    raise ValueError(f"config kind {cfg.kind!r} is not an erm-vs-perm kind")
+    records: list[MetricsRecord] = []
+    for idx, value in enumerate(cfg.sweep):
+        ratios: list[float] = []
+        for inst in range(cfg.instance_count):
+            # the fits of one (sweep value, instance): the draws, or the support
+            if corr:
+                hyper = replace(cfg.hyper, rho=float(value))
+                evaluator = ModelRisk(sample_instance(cfg.kind, (cfg.seed, 61, inst), p, hyper), p)
+                datasets = [Dataset.from_matrix(evaluator.atoms)]
+            else:
+                model = sample_instance(cfg.kind, (cfg.seed, 47, inst), p, cfg.hyper)
+                evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 53, inst))
+                datasets = [draw(model, int(value), (cfg.seed, 59, inst, idx, rep))
+                            for rep in range(cfg.dataset_reps)]
+            erm = [evaluator(fit.policy) for fit in _fits("st", datasets, p, cfg)]
+            perm = [evaluator(perm_fit(build_marginals(data), p, "st").policy) for data in datasets]
+            denom = float(np.mean(perm))
+            if denom <= 0:
+                raise ValueError(
+                    f"product-fit risk is {denom} for instance {inst}; ratio undefined"
+                )
+            ratios.append(float(np.mean(erm)) / denom)
+        records.append(_aggregate(cfg.kind, value, "st", "erm-perm-ratio", ratios, cfg.seed))
+    return records
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRecord]:

@@ -96,6 +96,13 @@ def fit_ss_bounds(p: SystemParams) -> tuple[float, float, bool]:
     return lo, fit_cap(hi), capped
 
 
+def integer_ss_axis(p: SystemParams) -> np.ndarray:
+    """The integers in the (s, S) bounds of :func:`fit_ss_bounds`: the axis
+    of the integer (s, S) searches."""
+    lo, hi, _ = fit_ss_bounds(p)
+    return np.arange(math.ceil(lo), math.floor(hi) + 1)
+
+
 # ---------------------------------------------------------------------------
 # stationary base-stock
 # ---------------------------------------------------------------------------
@@ -188,9 +195,10 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     ``exact`` mode enumerates gap intervals between demand-sum breakpoints;
     within an interval every sample's reorder schedule is frozen and the risk
     is convex piecewise-linear in S with kinks at the in-window demand sums.
-    ``integer-grid`` mode is a brute-force search over integer (s, S) pairs
-    and requires integer-valued demands.  Ties break toward the smallest gap,
-    then the smallest S.
+    ``integer-grid`` mode is ``grid_oracle``'s (s, S) brute force on the
+    integers in the bounds, under the same ``GRID_BUDGET``, and requires
+    integer-valued demands.  Ties break toward the smallest gap, then the
+    smallest S.
     """
     lo, hi, capped = fit_ss_bounds(p)
     if p.x1 > lo:
@@ -200,18 +208,12 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     if mode == "integer-grid":
         if not np.all(D == np.rint(D)):
             raise ValueError("integer-grid mode requires integer demands")
-        span = math.floor(hi) - math.ceil(lo) + 1
-        if span > 0 and span * span > 4_000_000:
-            raise BudgetError(f"integer grid of {span}^2 pairs exceeds budget")
-        s_vals, S_vals = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
-        # listed in tie-break order, so the first minimum wins
-        k = int(np.argmin(ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)))
-        policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
+        policy, count = _ss_grid_search(integer_ss_axis(p), D, p)
         return FitResult(
             policy=policy,
             in_sample_risk=dataset_risk(policy, data, p),
             method="integer-grid",
-            diagnostics={"candidate_count": int(len(s_vals)), "capped_bounds": capped},
+            diagnostics={"candidate_count": count, "capped_bounds": capped},
         )
 
     if mode != "exact":
@@ -472,6 +474,18 @@ def erm_St_batch(
 # ---------------------------------------------------------------------------
 
 
+def _ss_grid_search(axis: np.ndarray, D: np.ndarray, p: SystemParams) -> tuple[SsPolicy, int]:
+    """The first minimum of the empirical risk over every pair s <= S on
+    ``axis`` with S >= 0, and the number of pairs; raises BudgetError when
+    the grid would exceed ``GRID_BUDGET`` points."""
+    if len(axis) * np.count_nonzero(axis >= 0.0) > GRID_BUDGET:
+        raise BudgetError("(s, S) grid exceeds budget")
+    s_vals, S_vals = ss_pairs(axis)
+    # listed in tie-break order, so the first minimum wins
+    k = int(np.argmin(ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)))
+    return SsPolicy(float(s_vals[k]), float(S_vals[k])), len(s_vals)
+
+
 def grid_oracle(
     data: Dataset,
     policy_class: str,
@@ -500,14 +514,7 @@ def grid_oracle(
         count = len(grid)
     elif policy_class == "ss":
         lo, hi, _ = fit_ss_bounds(p)
-        axis = grid_axis(lo, hi, step)
-        if len(axis) * np.count_nonzero(axis >= 0.0) > GRID_BUDGET:
-            raise BudgetError("(s, S) grid exceeds budget")
-        s_vals, S_vals = ss_pairs(axis)
-        # listed in tie-break order, so the first minimum wins
-        k = int(np.argmin(ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)))
-        policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
-        count = len(s_vals)
+        policy, count = _ss_grid_search(grid_axis(lo, hi, step), D, p)
     elif policy_class == "st":
         axis = grid_axis(0.0, fit_cap(p.level_cap()), step)
         count = len(axis) ** p.horizon

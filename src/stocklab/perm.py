@@ -34,7 +34,7 @@ from .evaluate import (
     lead_pmf,
     ss_pairs,
 )
-from .fitters import FitResult, fit_cap, fit_ss_bounds, square_root_gap
+from .fitters import FitResult, fit_cap, fit_ss_bounds, integer_ss_axis, square_root_gap
 
 PARTITION_BUDGET = 1_000_000
 
@@ -188,10 +188,10 @@ def perm_fit(
         policy: Policy = BaseStock(float(S[j]))
     else:
         if policy_class == "ss":
-            lo, hi, _ = fit_ss_bounds(p)
+            lo = fit_ss_bounds(p)[0]
             if p.x1 > lo:
                 raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
-            s, S = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1))
+            s, S = ss_pairs(integer_ss_axis(p))
         elif policy_class == "eoq":
             mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
             gap = square_root_gap(mu, p)

@@ -163,12 +163,12 @@ class TestGeEstimate:
         monkeypatch.setattr(estimators, "ss_pairs",
                             lambda a: seen.append(a.tolist()) or evaluate.ss_pairs(a))
         n_pairs = len(evaluate.ss_pairs(axis)[0])
-        ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20,
-                    grid_budget=n_pairs)
+        monkeypatch.setattr(estimators, "GE_GRID_BUDGET", n_pairs)
+        ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20)
         assert seen == [axis.tolist()]
+        monkeypatch.setattr(estimators, "GE_GRID_BUDGET", n_pairs - 1)
         with pytest.raises(BudgetError):
-            ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20,
-                        grid_budget=n_pairs - 1)
+            ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20)
         assert len(seen) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -217,8 +217,10 @@ class TestGeEstimate:
                    K=data.draw(st.sampled_from([0.0, 1.5])), U=4.0,
                    x1=data.draw(st.sampled_from([0.0, -1e-13, -2.0])), H=2.0, Hlo=-2.0)
         if data.draw(st.booleans()):
+            # integer draws have exact pmfs; continuous ones a Monte-Carlo true side
             mu = data.draw(st.lists(st.floats(0.0, 4.0), min_size=T + L, max_size=T + L))
-            model = IndependentNormals(tuple(mu), (1.5,) * (T + L), cap=4.0, integerize=True)
+            model = IndependentNormals(tuple(mu), (1.5,) * (T + L), cap=4.0,
+                                       integerize=data.draw(st.booleans()))
             policy_class = "base-stock"
         else:
             cell = st.one_of(st.integers(0, 4).map(float),
@@ -233,10 +235,36 @@ class TestGeEstimate:
         if policy_class == "st":
             want = product_loop_ge_st(model, n_train, p, **kw)
         else:
-            want = rescored_ge(model, n_train, p, policy_class, kw["reps"], kw["seed"])
+            want = rescored_ge(model, n_train, p, policy_class, kw["reps"], kw["seed"],
+                               kw["eval_samples"])
         assert [v.hex() for v in got.values] == [v.hex() for v in want]
         with mock.patch.object(estimators, "_GE_CELLS", 1):  # one rep per block
             assert ge_estimate(model, n_train, p, **kw) == got
+        with mock.patch.object(estimators, "_GE_CELLS", 1 << 40):  # one block of every rep
+            assert ge_estimate(model, n_train, p, **kw) == got
+
+    @pytest.mark.parametrize("policy_class", ["ss", "st"])
+    def test_grid_class_reps_stack_on_a_finite_support(self, monkeypatch, policy_class):
+        # with room for every rep in one block, each grid chunk is scored once
+        # on all 6 reps' stacked paths, and each rep keeps its own values
+        p = params(T=2, L=1, h=0.5, b=3.0, K=1.5, U=4.0, x1=-2.0, H=3.0, Hlo=-2.0)
+        model = FiniteSupport(((1.0, 0.0, 3.0), (4.0, 2.0, 1.0), (0.0, 3.0, 2.0), (2.0, 1.0, 0.0)))
+        n_train, reps = 3, 6
+        monkeypatch.setattr(estimators, "_GE_CELLS", 1 << 40)
+        kernel = {"ss": "ss_losses_grid", "st": "st_losses_grid"}[policy_class]
+        paths = []
+        scored = getattr(estimators, kernel)
+        monkeypatch.setattr(estimators, kernel,
+                            lambda *a: paths.append(len(a[-2])) or scored(*a))
+        kw = dict(policy_class=policy_class, reps=reps, eval_samples=30, grid_step=1.0, seed=2)
+        got = ge_estimate(model, n_train, p, **kw)
+        assert paths == [len(support_atoms(model)), reps * n_train]
+        if policy_class == "st":
+            want = product_loop_ge_st(model, n_train, p, **kw)
+        else:
+            want = rescored_ge(model, n_train, p, "ss", reps, 2)
+        assert len(set(want)) > 1  # the reps differ, so a mixed-up stack shows
+        assert [v.hex() for v in got.values] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7, None])
     @pytest.mark.parametrize("kind", ["pmfs", "atoms"])
@@ -317,9 +345,11 @@ def product_loop_ge_st(model, n_train, p, policy_class, reps, eval_samples, grid
     return values
 
 
-def rescored_ge(model, n_train, p, policy_class, reps, seed):
+def rescored_ge(model, n_train, p, policy_class, reps, seed, eval_samples=None):
     """ge_estimate's per-rep values for the base-stock class or (s, S) pairs
-    on a unit grid, with every rep's true risks scored in a call of their own."""
+    on a unit grid, with every rep's true risks scored in a call of their own.
+    A base-stock model with neither a support nor pmfs takes its true side
+    from an ``eval_samples``-path draw under key (seed, rep, 1)."""
     atoms = support_atoms(model)
     values = []
     for rep in range(reps):
@@ -329,8 +359,12 @@ def rescored_ge(model, n_train, p, policy_class, reps, seed):
             true = evaluate.ss_losses_grid(s, S, atoms, p).mean(axis=1)
             emp = evaluate.ss_losses_grid(s, S, D, p).mean(axis=1)
         else:
-            if atoms is None:
-                pmfs = marginal_pmfs(model)
+            pmfs = marginal_pmfs(model)
+            if atoms is None and pmfs is None:
+                D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
+                cands = np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
+                true = base_stock_loss_matrix(cands, D_eval, p).mean(axis=1)
+            elif atoms is None:
                 cands = np.union1d(base_stock_kinks(D, p), evaluate.exact_base_stock_levels(pmfs, p))
                 true = evaluate.exact_base_stock_risk(cands, pmfs, p)
             else:

@@ -288,6 +288,28 @@ class TestErmSs:
             with pytest.raises(ValueError, match="finite reorder-point bound Hlo, got -inf"):
                 fit(data, params(Hlo=-math.inf, x1=-1.0))
 
+    @pytest.mark.parametrize("Hlo,H", [(-3.0, 5.0), (0.0, 6.0), (-6.0, 0.0), (2.0, 4.0)])
+    def test_integer_grid_budget_is_grid_oracles(self, monkeypatch, Hlo, H):
+        # on integer bounds the integer grid is grid_oracle's unit grid, so
+        # both raise past the same budget and return the same pick below it
+        data = Dataset.from_matrix([[3.0, 1.0], [0.0, 2.0]])
+        p = params(H=H, Hlo=Hlo, x1=Hlo)
+        axis = np.arange(Hlo, H + 1.0)
+        points = len(axis) * int(np.count_nonzero(axis >= 0.0))
+        for budget in (points - 1, points, points + 1):
+            monkeypatch.setattr(fitters, "GRID_BUDGET", budget)
+            if budget < points:
+                with pytest.raises(BudgetError):
+                    grid_oracle(data, "ss", 1.0, p)
+                with pytest.raises(BudgetError):
+                    erm_sS(data, p, mode="integer-grid")
+            else:
+                oracle = grid_oracle(data, "ss", 1.0, p)
+                grid = erm_sS(data, p, mode="integer-grid")
+                assert grid.policy == oracle.policy
+                assert grid.in_sample_risk == oracle.in_sample_risk
+                assert grid.diagnostics["candidate_count"] == oracle.diagnostics["candidate_count"]
+
     def test_integer_grid_rejects_fractional_demands(self):
         data = Dataset.from_matrix([[0.5, 1.0]])
         with pytest.raises(ValueError, match="integer"):
