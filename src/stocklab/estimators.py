@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,13 +18,11 @@ from .demand import DemandModel, draw, make_rng, marginal_pmfs, support_atoms
 from .evaluate import (
     base_stock_kinks,
     base_stock_loss_matrix,
+    class_losses,
     exact_base_stock_levels,
     exact_base_stock_risk,
     grid_axis,
-    ss_losses_grid,
-    ss_pairs,
-    st_level_grid,
-    st_losses_grid,
+    policy_grid,
 )
 from .fitters import fit_cap, fit_ss_bounds
 
@@ -39,29 +36,18 @@ class RademacherReport:
 
 
 def rademacher_estimate(
-    data: Dataset | None = None,
-    p: SystemParams | None = None,
-    loss_matrix: np.ndarray | None = None,
+    data: Dataset,
+    p: SystemParams,
     draws: int = 200,
     seed: int | tuple[int, ...] = 0,
 ) -> RademacherReport:
-    """Monte-Carlo mean over sign vectors of sup_policy (1/N) sum_i sign_i loss_i.
-
-    Either pass a precomputed ``loss_matrix`` (policies x samples), or a
-    dataset and system, for which the supremum over the base-stock class is
-    exact via kink enumeration.
+    """Monte-Carlo mean over sign vectors of sup_policy (1/N) sum_i sign_i loss_i
+    over the base-stock class, whose supremum is exact via kink enumeration.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    exact = True
-    if loss_matrix is None:
-        if data is None or p is None:
-            raise ValueError("need either loss_matrix or (data, p)")
-        D = demand_matrix(data, p)
-        loss_matrix = base_stock_loss_matrix(base_stock_kinks(D, p), D, p)
-    else:
-        loss_matrix = np.asarray(loss_matrix, dtype=float)
-        exact = False
+    D = demand_matrix(data, p)
+    loss_matrix = base_stock_loss_matrix(base_stock_kinks(D, p), D, p)
     n = loss_matrix.shape[1]
     key = seed if isinstance(seed, tuple) else (seed,)
     rng = make_rng(*key)
@@ -71,7 +57,7 @@ def rademacher_estimate(
         estimate=float(sups.mean()),
         stderr=float(sups.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0,
         draws=draws,
-        exact_sup=exact,
+        exact_sup=True,
     )
 
 
@@ -142,27 +128,16 @@ def ge_estimate(
         chunks = lambda D, D_eval: [
             kinks if fixed else np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
         ]
-        score = lambda levels, X: base_stock_loss_matrix(levels, X, p)
-    elif policy_class == "ss":
-        lo, hi, _ = fit_ss_bounds(p)
-        axis = grid_axis(lo, hi, grid_step)
-        # the pairs s <= S with S >= 0: the j-th point of the sorted axis pairs
-        # with the j + 1 points up to it
-        if int((np.flatnonzero(axis >= 0.0) + 1).sum()) > GE_GRID_BUDGET:
-            raise BudgetError("(s, S) grid exceeds budget")
-        pairs = np.stack(ss_pairs(axis), axis=1)
-        chunks = lambda D, D_eval: [pairs]
-        score = lambda pairs, X: ss_losses_grid(pairs[:, 0], pairs[:, 1], X, p)
-    elif policy_class == "st":
-        axis = grid_axis(0.0, fit_cap(p.level_cap()), grid_step)
-        if len(axis) ** p.horizon > GE_GRID_BUDGET:
-            raise BudgetError("per-period grid exceeds budget")
-        # the last L levels never reach the loss, so the first T span every gap
+    elif policy_class in ("ss", "st"):
+        lo, hi = fit_ss_bounds(p)[:2] if policy_class == "ss" else (0.0, fit_cap(p.level_cap()))
+        grid = policy_grid(policy_class, grid_axis(lo, hi, grid_step), p)
+        if grid.count > GE_GRID_BUDGET:
+            raise BudgetError(f"{policy_class} grid of {grid.count} points exceeds the budget")
         n_paths = max(n_train, eval_samples if atoms is None else len(atoms))
-        chunks = lambda D, D_eval: st_level_grid(axis, p, n_paths)
-        score = lambda levels, X: st_losses_grid(levels, X, p)
+        chunks = lambda D, D_eval: grid.chunks(n_paths)
     else:
         raise ValueError(f"unknown policy class {policy_class!r}")
+    score = lambda chunk, X: class_losses(policy_class, chunk, X, p)
     block = 1
     if fixed:
         if pmfs is not None:
@@ -203,7 +178,3 @@ def ge_estimate(
         exact_sup=policy_class == "base-stock",
     )
 
-
-def regression_slope(x: Sequence[float], y: Sequence[float]) -> float:
-    """Least-squares slope of y against x."""
-    return float(np.polyfit(np.asarray(x, dtype=float), np.asarray(y, dtype=float), 1)[0])

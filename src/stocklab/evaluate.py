@@ -9,10 +9,12 @@ over integer lattices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,18 +87,10 @@ def sorted_prefix_costs(levels: np.ndarray, a: np.ndarray, p: SystemParams) -> n
     return hold + back
 
 
-def _check_closed_form_x1(p: SystemParams) -> None:
+def check_closed_form_x1(p: SystemParams) -> None:
     """Reject x1 > 0, where the order-every-period closed form does not hold."""
     if p.x1 > 0:
         raise ValueError(f"the base-stock closed form needs x1 <= 0, got x1={p.x1}")
-
-
-def _base_stock_charges(
-    lv: np.ndarray, D: np.ndarray, p: SystemParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Charged base-stock orders: per path, one for each positive demand in
-    periods 1 .. T-1; per level, whether the period-1 order S - x1 is positive."""
-    return (D[:, : p.T - 1] > ORDER_EPS).sum(axis=1), lv - p.x1 > ORDER_EPS
 
 
 def base_stock_loss_matrix(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -113,7 +107,7 @@ def base_stock_loss_matrix(levels: np.ndarray, D: np.ndarray, p: SystemParams) -
     max(h, b) ``ORDER_EPS``, and never by a K charge on demands a Dataset
     accepts (0 or above ``ORDER_EPS``).
     """
-    _check_closed_form_x1(p)
+    check_closed_form_x1(p)
     lv = np.asarray(levels, dtype=float)
     sums = lead_demand_sums(D, p.L)
     out = np.empty((len(lv), len(sums)))
@@ -121,28 +115,12 @@ def base_stock_loss_matrix(levels: np.ndarray, D: np.ndarray, p: SystemParams) -
     for i in range(0, len(sums), step):
         out[:, i : i + step] = sorted_prefix_costs(lv, sums[i : i + step], p).T / p.T
     if p.K > 0:
-        charges, first = _base_stock_charges(lv, D, p)
+        # per path, one charged order for each positive demand in periods
+        # 1 .. T-1; per level, whether the period-1 order S - x1 is positive
+        charges = (D[:, : p.T - 1] > ORDER_EPS).sum(axis=1)
         out += (p.K / p.T) * charges.astype(float)[None, :]
-        out += (p.K / p.T) * first[:, None]
+        out += (p.K / p.T) * (lv - p.x1 > ORDER_EPS)[:, None]
     return out
-
-
-def base_stock_risk_curve(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Empirical risk of each base-stock level on the paths of D, shape (n_levels,).
-
-    The lead-time demand sums of all paths are pooled into one row, so the
-    curve costs one sort however many paths there are.  Requires
-    ``S >= 0 >= x1``, as :func:`base_stock_loss_matrix` does.
-    """
-    _check_closed_form_x1(p)
-    lv = np.asarray(levels, dtype=float)
-    scale = D.shape[0] * p.T
-    risks = sorted_prefix_costs(lv, lead_demand_sums(D, p.L).reshape(1, -1), p)[0] / scale
-    if p.K > 0:
-        charges, first = _base_stock_charges(lv, D, p)
-        risks = risks + p.K * float(charges.sum()) / scale
-        risks = risks + (p.K / p.T) * first
-    return risks
 
 
 def base_stock_kinks(D: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -151,10 +129,27 @@ def base_stock_kinks(D: np.ndarray, p: SystemParams) -> np.ndarray:
 
     The risk has these kinks only when ``S >= 0 >= x1``, so x1 > 0 is rejected.
     """
-    _check_closed_form_x1(p)
+    check_closed_form_x1(p)
     hi = p.level_cap()
     cands = np.concatenate([lead_demand_sums(D, p.L).ravel(), [0.0, hi]])
     return np.unique(cands[(cands >= 0.0) & (cands <= hi)])
+
+
+def base_stock_fractile(D: np.ndarray, p: SystemParams) -> float:
+    """The critical fractile of the M pooled lead-time demand sums, the
+    smallest level in [0, H] that minimizes a base-stock level's summed
+    holding and backlog cost against them: the k-th smallest sum, capped at
+    H, for the least integer k with h k >= b (M - k), or 0 when k = 0.  k is
+    found in exact arithmetic on the floats h and b, so a tie goes to the
+    smaller level.  With x1 <= 0 and K = 0 it is the base-stock ERM; x1 is
+    not read.
+    """
+    sums = lead_demand_sums(D, p.L).ravel()
+    h, b = Fraction(p.h), Fraction(p.b)
+    k = math.ceil(b * len(sums) / (h + b)) if h + b > 0 else 0
+    if k == 0:
+        return 0.0
+    return float(min(np.partition(sums, k - 1)[k - 1], p.level_cap()))
 
 
 def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -254,44 +249,38 @@ def ss_losses_grid(
 
 
 def policy_losses(policy: Policy, D: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Per-path losses of a single policy, shape (N,)."""
-    if isinstance(policy, BaseStock):
-        if p.x1 <= 0:
-            return base_stock_loss_matrix([policy.S], D, p)[0]
-        # positive initial stock breaks the order-every-period closed form
-        return st_losses(np.full(p.horizon, policy.S), D, p)
-    if isinstance(policy, SsPolicy):
-        return ss_losses_grid(
-            np.array([policy.s]), np.array([policy.S]), D, p
-        )[0]
-    if isinstance(policy, NonStationary):
-        return st_losses(policy.as_array(), D, p)
-    raise TypeError(f"unknown policy type {type(policy)!r}")
+    """Per-path losses of a single policy, shape (N,): its row of :func:`block_losses`."""
+    return block_losses([policy], D, p)[0]
 
 
 def block_losses(policies: Sequence[Policy], D: np.ndarray, p: SystemParams) -> np.ndarray:
     """Losses of a block of policies on every row of D, shape (n_policies, N).
 
-    One batch kernel call when the block is all (s, S) pairs or all
-    base-stock levels with x1 <= 0, and one per ``_POLICY_BLOCK_CELLS``
-    cells when it is all per-period levels; any other block scores one
-    policy at a time.  Each policy's row is computed on its own either way,
-    so it is the float :func:`policy_losses` gives.
+    The one dispatch from policies to kernels: each class in the block is
+    scored by :func:`class_losses`, in one call, or for per-period levels in
+    calls of at most ``_POLICY_BLOCK_CELLS`` cells.  A base-stock level from
+    x1 > 0, where its closed form fails, is scored as levels S, ..., S.  Each
+    row is computed on its own, so a policy gets the same floats in any block.
     """
-    kinds = {type(policy) for policy in policies}
-    if kinds == {NonStationary}:
-        levels = np.stack([policy.as_array() for policy in policies])
-        step = max(1, _POLICY_BLOCK_CELLS // D.size)
-        return np.concatenate(
-            [st_losses_grid(levels[i : i + step], D, p) for i in range(0, len(levels), step)]
-        )
-    if kinds == {SsPolicy}:
-        s = np.array([policy.s for policy in policies])
-        S = np.array([policy.S for policy in policies])
-        return ss_losses_grid(s, S, D, p)
-    if kinds == {BaseStock} and p.x1 <= 0:
-        return base_stock_loss_matrix([policy.S for policy in policies], D, p)
-    return np.stack([policy_losses(policy, D, p) for policy in policies])
+    groups: dict[str, list] = {}  # class -> (row, point) of each of its policies
+    for i, policy in enumerate(policies):
+        if isinstance(policy, BaseStock):
+            cls, point = ("base-stock", policy.S) if p.x1 <= 0 else ("st", [policy.S] * p.horizon)
+        elif isinstance(policy, SsPolicy):
+            cls, point = "ss", (policy.s, policy.S)
+        elif isinstance(policy, NonStationary):
+            cls, point = "st", policy.levels
+        else:
+            raise TypeError(f"unknown policy type {type(policy)!r}")
+        groups.setdefault(cls, []).append((i, point))
+    out = np.empty((len(policies), len(D)))
+    for cls, members in groups.items():
+        rows, points = zip(*members)
+        points = np.array(points, dtype=float)
+        step = max(1, _POLICY_BLOCK_CELLS // D.size) if cls == "st" else len(rows)
+        for i in range(0, len(rows), step):
+            out[list(rows[i : i + step])] = class_losses(cls, points[i : i + step], D, p)
+    return out
 
 
 def dataset_risk(policy: Policy, data: Dataset, p: SystemParams) -> float:
@@ -333,7 +322,7 @@ def exact_base_stock_risk(
     ``simulate`` drops a first order S - x1 of at most ``ORDER_EPS``, so such
     a level waits at x1 until the first positive demand.
     """
-    _check_closed_form_x1(p)
+    check_closed_form_x1(p)
     lv = np.atleast_1d(np.asarray(S, dtype=float))
     dust = (lv - p.x1 > 0.0) & (lv - p.x1 <= ORDER_EPS)
     waiting = 1.0  # probability that no demand came before period t
@@ -537,6 +526,54 @@ def ss_pairs(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[order], S[order]
 
 
+def class_losses(policy_class: str, points: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Losses of one class's policies on every row of D, shape (n_points, N),
+    by the class's one empirical kernel: base-stock levels, shape (n,), by
+    :func:`base_stock_loss_matrix` (x1 <= 0); (s, S) pairs, shape (n, 2), by
+    :func:`ss_losses_grid`; per-period levels, shape (n, T + L), by
+    :func:`st_losses_grid`."""
+    if policy_class == "base-stock":
+        return base_stock_loss_matrix(points, D, p)
+    if policy_class == "ss":
+        return ss_losses_grid(points[:, 0], points[:, 1], D, p)
+    if policy_class == "st":
+        return st_losses_grid(points, D, p)
+    raise ValueError(f"unknown policy class {policy_class!r}")
+
+
+class PolicyGrid(NamedTuple):
+    """A policy class's parameter grid, as :func:`policy_grid` builds it."""
+
+    count: int
+    chunks: Callable[[int], Iterable[np.ndarray]]
+    policy: Callable[[np.ndarray], Policy]
+
+
+def policy_grid(policy_class: str, axis: np.ndarray, p: SystemParams) -> PolicyGrid:
+    """The grid of ``policy_class`` with its parameters on ``axis``, as every
+    grid search reads it: ``count``, the number of points it scores, known
+    before any is built; ``chunks(n_paths)``, the points in tie-break order
+    in arrays :func:`class_losses` scores in one call each on ``n_paths``
+    paths; and ``policy(point)``.  The points are the levels on the axis
+    (``base-stock``, one chunk); every pair s <= S with S >= 0 of
+    :func:`ss_pairs` (``ss``, one (pairs, 2) chunk, built once); or the
+    len(axis) ** T level vectors of :func:`st_level_grid` (``st``: the last
+    L levels never reach the loss)."""
+    axis = np.asarray(axis, dtype=float)
+    if policy_class == "base-stock":
+        return PolicyGrid(len(axis), lambda n_paths: [axis], lambda S: BaseStock(float(S)))
+    if policy_class == "ss":
+        # each S >= 0 on the axis pairs with every point at or below it
+        count = int(np.searchsorted(np.sort(axis), axis[axis >= 0.0], side="right").sum())
+        pairs = functools.cache(lambda: np.stack(ss_pairs(axis), axis=1))
+        return PolicyGrid(count, lambda n_paths: [pairs()],
+                          lambda sS: SsPolicy(float(sS[0]), float(sS[1])))
+    if policy_class == "st":
+        return PolicyGrid(len(axis) ** p.T, lambda n_paths: st_level_grid(axis, p, n_paths),
+                          lambda levels: NonStationary(tuple(levels)))
+    raise ValueError(f"unknown policy class {policy_class!r}")
+
+
 def exact_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
     """Exact expected loss under independent integer demands with the given pmfs."""
     if isinstance(policy, BaseStock):
@@ -563,6 +600,7 @@ class ModelRisk:
     atom is scored), else ``exact`` when it has independent integer marginals
     (the lattice risks), else ``mc``: the mean loss on one sample of
     ``eval_samples`` paths drawn under ``seed`` at the first call, which warns.
+    ``eval_paths`` holds the atoms, or that sample once drawn: what is scored.
     """
 
     def __init__(
@@ -575,16 +613,14 @@ class ModelRisk:
         self.seed = seed
         self.atoms = support_atoms(model)
         self.pmfs = marginal_pmfs(model)
-        self.eval_paths: np.ndarray | None = None
+        # the model validated its atoms once, when it was built
+        self.eval_paths: np.ndarray | None = self.atoms
         self.mode = "finite-support" if self.atoms is not None else (
             "exact" if self.pmfs is not None else "mc"
         )
 
     def __call__(self, policy: Policy) -> float:
-        if self.atoms is not None:
-            # the model validated its atoms once, when it was built
-            return float(policy_losses(policy, self.atoms, self.p).mean())
-        if self.pmfs is not None:
+        if self.mode == "exact":
             return exact_risk(policy, self.pmfs, self.p)
         if self.eval_paths is None:
             warnings.warn(

@@ -34,7 +34,7 @@ from .demand import (
     make_rng,
     sample_instance,
 )
-from .evaluate import ModelRisk, block_losses
+from .evaluate import ModelRisk, block_losses, grid_axis, policy_grid
 from .fitters import (
     FitResult,
     StOptions,
@@ -203,8 +203,9 @@ def _fits(
     policy_class: str, datasets: Sequence[Dataset], p: SystemParams, cfg: ExperimentConfig
 ) -> list[FitResult]:
     """One fit of the class per dataset.  Per-period levels are fitted by
-    ``grid_oracle`` on integer data when the unit grid is small, and every
-    other dataset's fit is one ``erm_St_batch`` call."""
+    ``grid_oracle`` on integer data when the level cap is an integer and the
+    unit grid has at most 20,000 points, and every other dataset's fit is
+    one ``erm_St_batch`` call."""
     if policy_class == "base-stock":
         return [erm_base_stock(data, p) for data in datasets]
     if policy_class == "eoq":
@@ -214,9 +215,9 @@ def _fits(
     if policy_class != "st":
         raise ValueError(f"unknown policy class {policy_class!r}")
     cap = fit_cap(p.level_cap())
-    grid_points = (int(cap) + 1) ** p.horizon if cap == int(cap) else math.inf
+    small = cap == int(cap) and policy_grid("st", grid_axis(0.0, cap, 1.0), p).count <= 20_000
     on_grid = [
-        grid_points <= 20_000 and bool(np.all(D == np.rint(D)))
+        small and bool(np.all(D == np.rint(D)))
         for D in (data.as_matrix() for data in datasets)
     ]
     descents = iter(erm_St_batch(
@@ -230,20 +231,15 @@ def _fits(
 def _best_in_class(
     policy_class: str, evaluator: ModelRisk, cfg: ExperimentConfig,
     seed_key: tuple[int, ...],
-) -> tuple[Policy, float]:
-    """Best-in-class policy and its true risk.
-
-    With the model's pmfs it is the exact product fit :func:`perm_fit`,
-    except for per-period levels with K > 0, which the DP does not fit;
-    otherwise the class is fitted on ``best_in_class_samples`` fresh draws.
-    """
-    p = evaluator.p
-    if evaluator.pmfs is not None and (policy_class != "st" or p.K == 0):
-        fit = perm_fit(evaluator.pmfs, p, policy_class)
-        return fit.policy, fit.in_sample_risk
+) -> float:
+    """Best-in-class true risk: with the model's pmfs, that of the exact
+    product fit :func:`perm_fit`; otherwise that of the class fitted on
+    ``best_in_class_samples`` fresh draws."""
+    if evaluator.pmfs is not None:
+        return perm_fit(evaluator.pmfs, evaluator.p, policy_class).in_sample_risk
     data = draw(evaluator.model, cfg.best_in_class_samples, seed_key)
-    (fit,) = _fits(policy_class, [data], p, cfg)
-    return fit.policy, evaluator(fit.policy)
+    (fit,) = _fits(policy_class, [data], evaluator.p, cfg)
+    return evaluator(fit.policy)
 
 
 def _random_feasible(
@@ -332,7 +328,7 @@ def run_ee_vs_T(cfg: ExperimentConfig) -> list[MetricsRecord]:
                 )
             best = {
                 c: r_opt if c == "st" else
-                _best_in_class(c, evaluator, cfg, (cfg.seed, 17, sweep_idx, inst, ci))[1]
+                _best_in_class(c, evaluator, cfg, (cfg.seed, 17, sweep_idx, inst, ci))
                 for ci, c in enumerate(cfg.classes)
             }
             risks = _cell_risks(cfg, evaluator, cfg.n_train, (cfg.seed, 19, sweep_idx, inst),
@@ -385,7 +381,7 @@ def run_oos_vs_N(cfg: ExperimentConfig) -> list[MetricsRecord]:
     for inst in range(cfg.instance_count):
         model = sample_instance(cfg.kind, (cfg.seed, 29, inst), p, cfg.hyper)
         evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 31, inst))
-        _, r_star = _best_in_class(denom_class, evaluator, cfg, (cfg.seed, 37, inst))
+        r_star = _best_in_class(denom_class, evaluator, cfg, (cfg.seed, 37, inst))
         if r_star <= 0:
             raise ValueError(
                 f"best-in-class risk is {r_star} for instance {inst}; ratio undefined"

@@ -1,8 +1,8 @@
 """Empirical risk minimization over the three policy classes.
 
 The one-dimensional fitters are exact: the empirical risk is piecewise
-linear in the level parameter, so enumerating its kinks finds a global
-minimizer.  The reorder-point fitter enumerates gap intervals (between
+linear in the level parameter, so its critical fractile, or the best of its
+kinks, is a global minimizer.  The reorder-point fitter enumerates gap intervals (between
 consecutive-demand-sum breakpoints) within which the reorder schedule of
 every sample is frozen.  The per-period-level fitter is a multi-start
 cyclic coordinate descent whose line searches are themselves exact.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -31,16 +32,17 @@ from .core import (
 )
 from .demand import make_rng
 from .evaluate import (
-    base_stock_kinks,
-    base_stock_risk_curve,
+    PolicyGrid,
+    base_stock_fractile,
+    check_closed_form_x1,
+    class_losses,
     dataset_risk,
     grid_axis,
     lead_demand_sums,
+    policy_grid,
     prefix_sums,
     sorted_prefix_costs,
     ss_losses_grid,
-    ss_pairs,
-    st_level_grid,
     st_losses,
     st_losses_grid,
 )
@@ -62,7 +64,7 @@ class FitResult:
 ST_TOL = 1e-8
 ST_JITTER = 0.05
 
-# Most points grid_oracle enumerates before it raises BudgetError.
+# Most points a grid search scores before it raises BudgetError.
 GRID_BUDGET = 2_000_000
 
 
@@ -112,20 +114,26 @@ def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     """Exact global minimizer of the empirical risk over levels in [0, H].
 
     The risk is convex piecewise-linear in the level with kinks at the
-    lead-time demand sums, so it is evaluated at every kink in range plus
-    the interval endpoints; ties go to the smallest level.
+    lead-time demand sums, so its smallest minimizer is their critical
+    fractile (:func:`~stocklab.evaluate.base_stock_fractile`).  With K > 0 a
+    level whose first order S - x1 exceeds ``ORDER_EPS`` pays K once more;
+    from x1 >= -``ORDER_EPS`` level 0 does not, so it is compared with the
+    fractile in exact arithmetic, and wins a tie.
     """
     D = demand_matrix(data, p)
     fit_cap(p.level_cap())
-    cands = base_stock_kinks(D, p)
-    best = int(np.argmin(base_stock_risk_curve(cands, D, p)))
-    policy = BaseStock(float(cands[best]))
-    return FitResult(
-        policy=policy,
-        in_sample_risk=dataset_risk(policy, data, p),
-        method="breakpoint-enumeration",
-        diagnostics={"candidate_count": int(len(cands))},
-    )
+    check_closed_form_x1(p)
+    S = base_stock_fractile(D, p)
+    if p.K > 0 and -p.x1 <= ORDER_EPS < S - p.x1:
+        # N T (risk(S) - risk(0)) is the cost at S less that at 0 over the M
+        # lead-time demand sums a, (h + b) sum_{a <= S} (S - a) - b M S,
+        # plus the K each of the N paths pays for S's first order
+        a = [Fraction(v) for v in lead_demand_sums(D, p.L).ravel().tolist()]
+        at, h, b = Fraction(S), Fraction(p.h), Fraction(p.b)
+        if (h + b) * sum(at - v for v in a if v <= at) - b * len(a) * at + Fraction(p.K) * len(D) >= 0:
+            S = 0.0
+    policy = BaseStock(S)
+    return FitResult(policy, dataset_risk(policy, data, p), "critical-fractile")
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +203,10 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     ``exact`` mode enumerates gap intervals between demand-sum breakpoints;
     within an interval every sample's reorder schedule is frozen and the risk
     is convex piecewise-linear in S with kinks at the in-window demand sums.
-    ``integer-grid`` mode is ``grid_oracle``'s (s, S) brute force on the
-    integers in the bounds, under the same ``GRID_BUDGET``, and requires
-    integer-valued demands.  Ties break toward the smallest gap, then the
-    smallest S.
+    ``integer-grid`` mode is :func:`grid_search` over the (s, S) pairs on
+    the integers in the bounds, as ``grid_oracle("ss", 1.0)`` searches them,
+    and requires integer-valued demands.  Ties break toward the smallest
+    gap, then the smallest S.
     """
     lo, hi, capped = fit_ss_bounds(p)
     if p.x1 > lo:
@@ -208,13 +216,9 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     if mode == "integer-grid":
         if not np.all(D == np.rint(D)):
             raise ValueError("integer-grid mode requires integer demands")
-        policy, count = _ss_grid_search(integer_ss_axis(p), D, p)
-        return FitResult(
-            policy=policy,
-            in_sample_risk=dataset_risk(policy, data, p),
-            method="integer-grid",
-            diagnostics={"candidate_count": count, "capped_bounds": capped},
-        )
+        policy, _, count = grid_search("ss", integer_ss_axis(p), D, p)
+        return FitResult(policy, dataset_risk(policy, data, p), "integer-grid",
+                         {"candidate_count": count, "capped_bounds": capped})
 
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -367,8 +371,8 @@ def erm_St(data: Dataset, p: SystemParams, opts: StOptions | None = None) -> Fit
     """Multi-start cyclic coordinate descent over per-period order-up-to levels.
 
     Requires K = 0 (the per-period-level class is fitted without fixed
-    costs).  Restart 0 starts from the stationary base-stock fit, made at
-    x1 = min(x1, 0) where its closed form holds (with K = 0 the fitted level
+    costs).  Restart 0 starts from the stationary base-stock fit at x1 <= 0,
+    the critical fractile of the pooled lead-time demand sums (with K = 0 it
     does not depend on x1); later restarts start from per-period
     critical-fractile quantiles of lead-time demand plus seeded uniform
     jitter.  Each coordinate step is an exact line minimization (its tie
@@ -415,9 +419,9 @@ def erm_St_batch(
     noise = [rng.uniform(-jitter, jitter, p.T) for _ in range(opts.restarts - 1)]
     R = len(noise) + 1
     levels = np.zeros((len(Ds) * R, p.horizon))
-    for k, (data, D) in enumerate(zip(datasets, Ds)):
+    for k, D in enumerate(Ds):
         quantiles = np.quantile(lead_demand_sums(D, p.L), fractile, axis=0)
-        start = erm_base_stock(data, replace(p, x1=min(p.x1, 0.0))).policy.S
+        start = base_stock_fractile(D, p)
         starts = [np.full(p.T, start)] + [np.clip(quantiles + e, 0.0, cap) for e in noise]
         levels[k * R : (k + 1) * R, : p.T] = np.clip(starts, 0.0, cap)
 
@@ -474,67 +478,46 @@ def erm_St_batch(
 # ---------------------------------------------------------------------------
 
 
-def _ss_grid_search(axis: np.ndarray, D: np.ndarray, p: SystemParams) -> tuple[SsPolicy, int]:
-    """The first minimum of the empirical risk over every pair s <= S on
-    ``axis`` with S >= 0, and the number of pairs; raises BudgetError when
-    the grid would exceed ``GRID_BUDGET`` points."""
-    if len(axis) * np.count_nonzero(axis >= 0.0) > GRID_BUDGET:
-        raise BudgetError("(s, S) grid exceeds budget")
-    s_vals, S_vals = ss_pairs(axis)
-    # listed in tie-break order, so the first minimum wins
-    k = int(np.argmin(ss_losses_grid(s_vals, S_vals, D, p).mean(axis=1)))
-    return SsPolicy(float(s_vals[k]), float(S_vals[k])), len(s_vals)
+def budgeted_grid(policy_class: str, axis: np.ndarray, p: SystemParams) -> PolicyGrid:
+    """The class's grid on ``axis`` (:func:`~stocklab.evaluate.policy_grid`);
+    raises BudgetError, before any point is built, past ``GRID_BUDGET`` points."""
+    grid = policy_grid(policy_class, axis, p)
+    if grid.count > GRID_BUDGET:
+        raise BudgetError(f"{policy_class} grid of {grid.count} points exceeds the budget {GRID_BUDGET}")
+    return grid
 
 
-def grid_oracle(
-    data: Dataset,
-    policy_class: str,
-    step: float,
-    p: SystemParams,
-) -> FitResult:
+def grid_search(
+    policy_class: str, axis: np.ndarray, D: np.ndarray, p: SystemParams
+) -> tuple[Policy, float, int]:
+    """The first smallest empirical risk on the paths of D over the class's
+    grid on ``axis``: that policy, its risk and the grid's point count.
+
+    Each chunk is scored by one :func:`~stocklab.evaluate.class_losses`
+    call, and a later chunk's point wins only by a strictly smaller risk, so
+    the pick is the first minimum in the grid's tie-break order.  Raises
+    BudgetError as :func:`budgeted_grid` does.
+    """
+    grid = budgeted_grid(policy_class, axis, p)
+    best, best_risk = None, math.inf
+    for chunk in grid.chunks(len(D)):
+        risks = class_losses(policy_class, chunk, D, p).mean(axis=1)
+        j = int(np.argmin(risks))
+        if risks[j] < best_risk:
+            best, best_risk = chunk[j], float(risks[j])
+    return grid.policy(best), best_risk, grid.count
+
+
+def grid_oracle(data: Dataset, policy_class: str, step: float, p: SystemParams) -> FitResult:
     """Exhaustive minimizer over a parameter grid, for tests and benchmarks.
 
-    ``policy_class`` is one of ``base-stock``, ``ss``, ``st``.  Raises
-    BudgetError when the grid would exceed ``GRID_BUDGET`` points.
-
-    For ``st`` the grid has ``len(axis) ** (T + L)`` points, but the last L
-    levels never reach the loss, so :func:`st_level_grid` enumerates the
-    first T in ``itertools.product`` order, in chunks scored by one
-    broadcast kernel each, and the first minimum wins: the same pick as
-    scanning every point in product order.
+    ``policy_class`` is one of ``base-stock``, ``ss``, ``st``, searched by
+    :func:`grid_search` on the points ``step`` apart in the class bounds,
+    [Hlo, H] for ``ss`` and [0, H] for the others; ``candidate_count`` is
+    the grid's point count, ``len(axis) ** T`` for ``st``.
     """
     D = demand_matrix(data, p)
-
-    if policy_class == "base-stock":
-        grid = grid_axis(0.0, fit_cap(p.level_cap()), step)
-        if len(grid) > GRID_BUDGET:
-            raise BudgetError("base-stock grid exceeds budget")
-        best = int(np.argmin(base_stock_risk_curve(grid, D, p)))
-        policy: Policy = BaseStock(float(grid[best]))
-        count = len(grid)
-    elif policy_class == "ss":
-        lo, hi, _ = fit_ss_bounds(p)
-        policy, count = _ss_grid_search(grid_axis(lo, hi, step), D, p)
-    elif policy_class == "st":
-        axis = grid_axis(0.0, fit_cap(p.level_cap()), step)
-        count = len(axis) ** p.horizon
-        if count > GRID_BUDGET:
-            raise BudgetError("per-period grid exceeds budget")
-        best_levels = None
-        best_risk = math.inf
-        for levels in st_level_grid(axis, p, len(D)):
-            risks = st_losses_grid(levels, D, p).mean(axis=1)
-            j = int(np.argmin(risks))
-            if risks[j] < best_risk:
-                best_risk = risks[j]
-                best_levels = levels[j]
-        policy = NonStationary(tuple(best_levels))
-    else:
-        raise ValueError(f"unknown policy class {policy_class!r}")
-
-    return FitResult(
-        policy=policy,
-        in_sample_risk=dataset_risk(policy, data, p),
-        method="grid-oracle",
-        diagnostics={"candidate_count": int(count), "step": step},
-    )
+    lo, hi = fit_ss_bounds(p)[:2] if policy_class == "ss" else (0.0, fit_cap(p.level_cap()))
+    policy, _, count = grid_search(policy_class, grid_axis(lo, hi, step), D, p)
+    return FitResult(policy, dataset_risk(policy, data, p), "grid-oracle",
+                     {"candidate_count": count, "step": step})

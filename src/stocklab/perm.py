@@ -32,9 +32,15 @@ from .evaluate import (
     exact_risk,
     exact_ss_risks,
     lead_pmf,
-    ss_pairs,
 )
-from .fitters import FitResult, fit_cap, fit_ss_bounds, integer_ss_axis, square_root_gap
+from .fitters import (
+    FitResult,
+    budgeted_grid,
+    fit_cap,
+    fit_ss_bounds,
+    integer_ss_axis,
+    square_root_gap,
+)
 
 PARTITION_BUDGET = 1_000_000
 
@@ -170,7 +176,8 @@ def perm_fit(
     ``st`` is the backward DP (K = 0): its targets are the DP argmins over
     the integers in [0, H] and its risk the DP root value.  ``ss`` scores
     every integer pair in the bounds (x1 at most Hlo) with
-    :func:`exact_ss_risks`, and ``base-stock`` every kink of the exact risk
+    :func:`exact_ss_risks`, and raises BudgetError past the grid searches'
+    ``GRID_BUDGET`` pairs; ``base-stock`` scores every kink of the exact risk
     curve in [0, H].  ``eoq`` pins the square-root gap at the pmf mean and
     approximates the best S on a 0.05 grid of [0, H + gap].  Each search
     takes the first minimum: the smaller gap, then the smaller S.
@@ -191,7 +198,8 @@ def perm_fit(
             lo = fit_ss_bounds(p)[0]
             if p.x1 > lo:
                 raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
-            s, S = ss_pairs(integer_ss_axis(p))
+            (pairs,) = budgeted_grid("ss", integer_ss_axis(p), p).chunks(1)
+            s, S = pairs.T
         elif policy_class == "eoq":
             mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
             gap = square_root_gap(mu, p)

@@ -27,7 +27,8 @@ from .core import (
     SystemParams,
     simulate,
 )
-from .evaluate import block_losses, ss_losses_grid, ss_pairs, st_losses_grid
+from .evaluate import block_losses, st_losses_grid
+from .fitters import grid_search
 
 SUBSET_CAP = 16
 
@@ -345,7 +346,9 @@ def discretization_gap(M: int, T: int = 200) -> GapReport:
     Demand alternates between 1 and 1/(2M); ordering up to 1 + 1/(2M) with a
     matching gap replenishes every other period at risk exactly 1/(8M).  The
     grid search sweeps reorder-point policies whose parameters are multiples
-    of 1/M, somewhat beyond the class bounds so the reported best is honest.
+    of 1/M, somewhat beyond the class bounds so the reported best is honest:
+    the (4M + 1)^2 pairs on [-2, 4], so M >= 354 raises BudgetError past the
+    grid searches' ``GRID_BUDGET``.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -356,13 +359,10 @@ def discretization_gap(M: int, T: int = 200) -> GapReport:
     star = SsPolicy(0.0, 1.0 + 1.0 / (2 * M))
     continuous = simulate(star, d, p).avg_loss
 
-    s_vals, S_vals = ss_pairs(np.arange(-2 * M, 4 * M + 1) / M)
-    risks = ss_losses_grid(s_vals, S_vals, d[None, :], p).ravel()
-    k = int(np.argmin(risks))  # the pairs are listed in tie-break order
-    best = SsPolicy(float(s_vals[k]), float(S_vals[k]))
+    best, risk, _ = grid_search("ss", np.arange(-2 * M, 4 * M + 1) / M, d[None, :], p)
     return GapReport(
-        grid_best_risk=float(risks[k]),
+        grid_best_risk=risk,
         continuous_risk=continuous,
-        gap=float(risks[k]) - continuous,
+        gap=risk - continuous,
         grid_best_policy=best,
     )

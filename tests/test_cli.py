@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import stocklab
-from stocklab import experiments
+from stocklab import experiments, fitters
 from stocklab.cli import build_parser, main, parse_policy
 from stocklab.core import BaseStock, Dataset, NonStationary, SsPolicy, write_demands_csv
 
@@ -286,6 +286,17 @@ class TestRademacherAndGap:
         assert main(["gap", "--M", "2"]) == 0
         out = capsys.readouterr().out
         assert "continuousRisk 0.0625" in out
+
+    def test_budget_exits(self, demand_csv, monkeypatch, capsys):
+        # past the grid budget the (s, S) searches print one error line and exit 2
+        monkeypatch.setattr(fitters, "GRID_BUDGET", 60)  # gap: 81 pairs, perm: 66
+        assert main(["gap", "--M", "2", "--T", "8"]) == 2
+        assert main(["perm", "--class", "ss", "--data", demand_csv, "--T", "2",
+                     "--U", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 2 and all(line.startswith("error: ss grid of ") for line in lines)
 
 
 class TestIntrospectionFlags:

@@ -22,7 +22,6 @@ from stocklab.estimators import (
     base_stock_loss_matrix,
     ge_estimate,
     rademacher_estimate,
-    regression_slope,
 )
 
 
@@ -54,12 +53,6 @@ class TestLossMatrix:
 
 
 class TestRademacher:
-    def test_singleton_class_centers_on_zero(self):
-        rng = np.random.default_rng(1)
-        losses = rng.uniform(0, 5, (1, 30))
-        rep = rademacher_estimate(loss_matrix=losses, draws=4000, seed=2)
-        assert abs(rep.estimate) <= 4 * rep.stderr
-
     def test_single_sample_closed_form(self):
         # N = 1: sup over sign * loss averages to (max loss - min loss) / 2
         p = params(T=1, h=1.0, b=1.0, U=4.0)
@@ -84,10 +77,6 @@ class TestRademacher:
         bound = 2 * float(np.mean(rads))
         noise = 3 * (ge.stderr + 2 * float(np.std(rads) / np.sqrt(len(rads))))
         assert ge.mean_ge <= bound + noise
-
-    def test_requires_input(self):
-        with pytest.raises(ValueError):
-            rademacher_estimate(draws=10)
 
     def test_dataset_width_must_match_horizon(self):
         data = Dataset.from_matrix([[1.0, 2.0], [3.0, 0.0]])
@@ -126,7 +115,7 @@ class TestGeEstimate:
         means = [
             ge_estimate(model, n, p, reps=150, seed=7).mean_ge for n in sizes
         ]
-        slope = regression_slope(np.log(sizes), np.log(means))
+        slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
         assert -0.8 <= slope <= -0.2
 
     def test_grid_classes_flagged_approximate(self):
@@ -160,9 +149,9 @@ class TestGeEstimate:
         model = IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.0)
         axis = np.arange(-4.0, 5.0)
         seen = []
-        monkeypatch.setattr(estimators, "ss_pairs",
-                            lambda a: seen.append(a.tolist()) or evaluate.ss_pairs(a))
-        n_pairs = len(evaluate.ss_pairs(axis)[0])
+        pairs = evaluate.ss_pairs
+        monkeypatch.setattr(evaluate, "ss_pairs", lambda a: seen.append(a.tolist()) or pairs(a))
+        n_pairs = len(pairs(axis)[0])
         monkeypatch.setattr(estimators, "GE_GRID_BUDGET", n_pairs)
         ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20)
         assert seen == [axis.tolist()]
@@ -253,8 +242,8 @@ class TestGeEstimate:
         monkeypatch.setattr(estimators, "_GE_CELLS", 1 << 40)
         kernel = {"ss": "ss_losses_grid", "st": "st_losses_grid"}[policy_class]
         paths = []
-        scored = getattr(estimators, kernel)
-        monkeypatch.setattr(estimators, kernel,
+        scored = getattr(evaluate, kernel)
+        monkeypatch.setattr(evaluate, kernel,
                             lambda *a: paths.append(len(a[-2])) or scored(*a))
         kw = dict(policy_class=policy_class, reps=reps, eval_samples=30, grid_step=1.0, seed=2)
         got = ge_estimate(model, n_train, p, **kw)
@@ -283,7 +272,7 @@ class TestGeEstimate:
             cells = n_train * max(p.horizon, len(kinks))
             monkeypatch.setattr(estimators, "_GE_CELLS", cells * per_block + cells - 1)
         paths = []
-        monkeypatch.setattr(estimators, "base_stock_loss_matrix",
+        monkeypatch.setattr(evaluate, "base_stock_loss_matrix",
                             lambda lv, D, p: paths.append(len(D)) or base_stock_loss_matrix(lv, D, p))
         got = ge_estimate(model, n_train, p, reps=reps, seed=3)
         block = per_block or reps
@@ -323,8 +312,18 @@ class TestGeEstimate:
         ge_estimate(model, 5, p, reps=20, seed=1)
         assert calls == [7]
 
-    def test_regression_slope(self):
-        assert regression_slope([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == pytest.approx(2.0)
+    def test_st_grid_counts_the_first_T_levels(self, monkeypatch):
+        # the last L levels never reach the loss: at T = 2, L = 2 the grid
+        # scores 61^2 level vectors, not 61^4
+        p = SystemParams(T=2, L=2, U=20)
+        model = FiniteSupport(((3.0, 0.0, 12.0, 5.0), (7.0, 20.0, 1.0, 0.0)))
+        got = ge_estimate(model, 3, p, "st", reps=2)
+        assert len(got.values) == 2
+        monkeypatch.setattr(estimators, "GE_GRID_BUDGET", 61**2)
+        assert ge_estimate(model, 3, p, "st", reps=2) == got
+        monkeypatch.setattr(estimators, "GE_GRID_BUDGET", 61**2 - 1)
+        with pytest.raises(BudgetError):
+            ge_estimate(model, 3, p, "st", reps=2)
 
 
 def product_loop_ge_st(model, n_train, p, policy_class, reps, eval_samples, grid_step, seed):

@@ -23,7 +23,6 @@ from stocklab.evaluate import (
     ModelRisk,
     base_stock_kinks,
     base_stock_loss_matrix,
-    base_stock_risk_curve,
     block_losses,
     dataset_risk,
     enumerate_product_risk,
@@ -47,6 +46,17 @@ from stocklab.perm import perm_fit
 def rand_pmf(rng, size):
     w = rng.uniform(0.05, 1.0, size)
     return w / w.sum()
+
+
+def one_row_losses(policy, D, p):
+    """One policy's losses by one direct call of its class's kernel."""
+    if isinstance(policy, SsPolicy):
+        return ss_losses_grid(np.array([policy.s]), np.array([policy.S]), D, p)[0]
+    if isinstance(policy, NonStationary):
+        return st_losses(policy.as_array(), D, p)
+    if p.x1 <= 0:
+        return base_stock_loss_matrix([policy.S], D, p)[0]
+    return st_losses(np.full(p.horizon, policy.S), D, p)
 
 
 class TestBatchLossesMatchSimulate:
@@ -141,8 +151,9 @@ class TestBatchLossesMatchSimulate:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_block_rows_match_one_policy_losses_call_each(self, data):
-        # base-stock blocks take the closed form at x1 <= 0 (dust-sized first
-        # orders included) and the one-at-a-time path above it
+        # each row is its policy's one-row kernel call: base-stock levels take
+        # the closed form at x1 <= 0 (dust-sized first orders included) and
+        # the per-period kernel above it
         T = data.draw(st.integers(1, 4))
         L = data.draw(st.integers(0, 2))
         p = SystemParams(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
@@ -165,9 +176,15 @@ class TestBatchLossesMatchSimulate:
         got = block_losses(block, D, p)
         assert got.shape == (len(block), n)
         for row, pol in zip(got, block):
+            assert row.tobytes() == one_row_losses(pol, D, p).tobytes()
             assert row.tobytes() == policy_losses(pol, D, p).tobytes()
         with mock.patch.object(evaluate, "_POLICY_BLOCK_CELLS", 1):  # one policy per call
             assert block_losses(block, D, p).tobytes() == got.tobytes()
+
+    def test_unknown_policy_type_rejected(self):
+        p = SystemParams(T=1)
+        with pytest.raises(TypeError, match="unknown policy type"):
+            block_losses([BaseStock(1.0), "st:1"], np.zeros((2, 1)), p)
 
     def test_st_grid_rejects_width_mismatch(self):
         p = SystemParams(T=2, L=1)
@@ -316,7 +333,6 @@ class TestModelRisk:
         pmfs = [np.array([0.5, 0.5])] * 3
         for call in (
             lambda: base_stock_kinks(D, p),
-            lambda: base_stock_risk_curve(np.array([0.0, 1.0]), D, p),
             lambda: base_stock_loss_matrix(np.array([0.0, 1.0]), D, p),
             lambda: exact_base_stock_risk(np.array([0.0, 1.0]), pmfs, p),
             lambda: erm_base_stock(Dataset.from_matrix(D), p),
@@ -393,7 +409,7 @@ class TestBaseStockKernel:
         fit = erm_base_stock(Dataset.from_matrix(D), p)
         S = fit.policy.S
         want = np.mean([simulate(BaseStock(S), row, p).avg_loss for row in D])
-        assert base_stock_risk_curve([S], D, p)[0] == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert base_stock_loss_matrix([S], D, p)[0].mean() == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert fit.in_sample_risk == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)

@@ -16,6 +16,7 @@ from stocklab.experiments import (
     MetricsRecord,
     _best_in_class,
     _crossing_point,
+    _fits,
     _random_feasible,
     _sanity_check_fit,
     run_ee_vs_T,
@@ -204,9 +205,19 @@ class TestRunners:
             evaluator = ModelRisk(model, p)
             for c in classes:
                 fit = perm.perm_fit(evaluator.pmfs, p, c)
-                policy, risk = _best_in_class(c, evaluator, cfg, (1,))
-                assert (policy, risk) == (fit.policy, fit.in_sample_risk)
-                assert risk == pytest.approx(evaluator(policy), rel=1e-12)
+                risk = _best_in_class(c, evaluator, cfg, (1,))
+                assert risk == fit.in_sample_risk
+                assert risk == pytest.approx(evaluator(fit.policy), rel=1e-12)
+
+    def test_st_grid_oracle_counts_the_first_T_levels(self):
+        # at T = 2, L = 1 the unit grid on [0, 40] has 41^2 = 1,681 level
+        # vectors, within the 20,000 for which the grid oracle fits
+        p = small_system(T=2, L=1)
+        cfg = ExperimentConfig(kind="oos-vs-N-St", sweep=(2,), system=p)
+        data = Dataset.from_matrix([[3.0, 9.0, 4.0], [12.0, 0.0, 7.0]])
+        (fit,) = _fits("st", [data], p, cfg)
+        assert fit.method == "grid-oracle"
+        assert fit.diagnostics["candidate_count"] == 41**2
 
     def test_ee_vs_T_requires_zero_fixed_cost(self):
         cfg = ExperimentConfig(kind="ee-vs-T", sweep=(2,), system=small_system(K=1.0),

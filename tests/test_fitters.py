@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,35 @@ class TestErmBaseStock:
         p = params(T=1, h=1.0, b=1.0)
         res = erm_base_stock(data, p)
         assert res.policy.S == 2.0
+        assert res.method == "critical-fractile"
+        assert res.diagnostics == {}
+
+    def test_level_zero_wins_a_tie_with_the_fractile(self):
+        # from x1 = 0, level 0 saves the first order's K = 1 and costs 1
+        # more than the fractile, level 1, in the three periods: an exact tie
+        data = Dataset.from_matrix([[1.0, 2.0, 0.0]])
+        for x1, want in ((0.0, 0.0), (-1e-13, 0.0), (-1.0, 1.0)):
+            p = params(T=3, h=1.0, b=1.0, K=1.0, x1=x1)
+            assert erm_base_stock(data, p).policy == BaseStock(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_smallest_level_among_exact_ties(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        rate = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0, 2.0, 9.0])
+        p = params(T=T, L=L, h=data.draw(rate), b=data.draw(rate), U=4.0,
+                   K=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+                   x1=data.draw(st.sampled_from([0.0, -1e-13, -1.0])),
+                   H=data.draw(st.sampled_from([None, 2.5, 4.0, 6.75])))
+        n = data.draw(st.integers(1, 4))
+        cell = st.one_of(st.integers(0, 4).map(float), st.integers(0, 40).map(lambda k: k / 10))
+        D = np.reshape(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))),
+                       (n, T + L))
+        kinks = evaluate.base_stock_kinks(D, p)
+        risks = [fraction_base_stock_risk(S, D, p) for S in kinks]
+        want = kinks[risks.index(min(risks))]
+        assert erm_base_stock(Dataset.from_matrix(D), p).policy == BaseStock(float(want))
 
     def test_risk_matches_mean_simulated_loss(self):
         rng = np.random.default_rng(2)
@@ -123,6 +153,18 @@ class TestErmBaseStock:
             res = erm_base_stock(data, p)
             want = np.mean([simulate(res.policy, row, p).avg_loss for row in data.as_matrix()])
             assert res.in_sample_risk == pytest.approx(want, abs=1e-9)
+
+
+def fraction_base_stock_risk(S, D, p):
+    """The empirical risk of base-stock level S (x1 <= 0) in exact rational
+    arithmetic on the floats: the mean over the paths of c(S - a) at every
+    lead-time demand sum a, plus K for every charged order."""
+    h, b = Fraction(p.h), Fraction(p.b)
+    cost = 0
+    for a in map(Fraction, lead_demand_sums(D, p.L).ravel().tolist()):
+        cost += h * (Fraction(S) - a) if a <= S else b * (a - Fraction(S))
+    orders = int((D[:, : p.T - 1] > ORDER_EPS).sum()) + len(D) * int(S - p.x1 > ORDER_EPS)
+    return (cost + Fraction(p.K) * orders) / (len(D) * p.T)
 
 
 class TestErmEoq:
@@ -295,7 +337,7 @@ class TestErmSs:
         data = Dataset.from_matrix([[3.0, 1.0], [0.0, 2.0]])
         p = params(H=H, Hlo=Hlo, x1=Hlo)
         axis = np.arange(Hlo, H + 1.0)
-        points = len(axis) * int(np.count_nonzero(axis >= 0.0))
+        points = sum(1 for s in axis for S in axis if 0.0 <= S and s <= S)
         for budget in (points - 1, points, points + 1):
             monkeypatch.setattr(fitters, "GRID_BUDGET", budget)
             if budget < points:
@@ -708,7 +750,7 @@ def product_loop_st(data, step, p):
         policy=policy,
         in_sample_risk=float(st_losses(policy.as_array(), D, p).mean()),
         method="grid-oracle",
-        diagnostics={"candidate_count": len(axis) ** p.horizon, "step": step},
+        diagnostics={"candidate_count": len(axis) ** p.T, "step": step},
     )
 
 
@@ -762,6 +804,18 @@ class TestGridOracle:
         data = Dataset.from_matrix([[1.0] * 8])
         with pytest.raises(BudgetError):
             grid_oracle(data, "st", 0.5, params(T=8))
+
+    def test_st_grid_counts_the_first_T_levels(self, monkeypatch):
+        # at T = 2, L = 3 the grid scores 81^2 level vectors, not 81^5
+        data = Dataset.from_matrix([[3.0, 9.0, 0.0, 14.0, 2.0], [11.0, 4.0, 7.0, 0.0, 5.0]])
+        p = SystemParams(T=2, L=3, U=20)
+        fit = grid_oracle(data, "st", 1.0, p)
+        assert fit.diagnostics["candidate_count"] == 81**2
+        monkeypatch.setattr(fitters, "GRID_BUDGET", 81**2)
+        assert grid_oracle(data, "st", 1.0, p) == fit
+        monkeypatch.setattr(fitters, "GRID_BUDGET", 81**2 - 1)
+        with pytest.raises(BudgetError):
+            grid_oracle(data, "st", 1.0, p)
 
     def test_no_grid_point_past_the_class_bound(self):
         # arange's last point, 21, lies past H = 20.6

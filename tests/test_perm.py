@@ -24,6 +24,7 @@ from stocklab.evaluate import (
     exact_ss_risks,
     exact_st_risk,
 )
+from stocklab import fitters
 from stocklab.fitters import erm_St, square_root_gap
 from stocklab.perm import (
     build_marginals,
@@ -281,6 +282,17 @@ class TestPermFit:
     def test_level_cap_needs_order_up_to_targets(self):
         with pytest.raises(ValueError, match="K = 0"):
             solve_dp([np.array([0.5, 0.5])], params(T=1, K=1.0), cap=2.0)
+
+    def test_ss_pairs_counted_against_the_grid_budget(self, monkeypatch):
+        # the integers in [-2, 3]: S = 0, 1, 2, 3 pair with 3, 4, 5, 6 points
+        p = params(T=1, H=3.0, Hlo=-2.0, x1=-2.0)
+        pmfs = build_marginals(Dataset.from_matrix([[1.0], [2.0]]))
+        want = perm_fit(pmfs, p, "ss")
+        monkeypatch.setattr(fitters, "GRID_BUDGET", 18)
+        assert perm_fit(pmfs, p, "ss") == want
+        monkeypatch.setattr(fitters, "GRID_BUDGET", 17)
+        with pytest.raises(BudgetError, match="18 points"):
+            perm_fit(pmfs, p, "ss")
 
     def test_st_requires_zero_fixed_cost(self):
         pmfs = build_marginals(Dataset.from_matrix([[1.0]]))

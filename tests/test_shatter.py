@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stocklab import shatter
+from stocklab import fitters, shatter
 from stocklab.core import BaseStock, BudgetError, Dataset, NonStationary, SsPolicy, SystemParams
 from stocklab.evaluate import policy_losses
 from stocklab.shatter import (
@@ -279,6 +279,15 @@ class TestDiscretizationGap:
         rep = discretization_gap(1, 200)
         assert rep.gap == pytest.approx(0.0, abs=1e-12)
         assert rep.grid_best_policy.S == 1.0
+
+    def test_pairs_counted_against_the_grid_budget(self, monkeypatch):
+        # the 1/M grid on [-2, 4] has (4M + 1)^2 pairs: 81 at M = 2
+        want = discretization_gap(2, 8)
+        monkeypatch.setattr(fitters, "GRID_BUDGET", 81)
+        assert discretization_gap(2, 8) == want
+        monkeypatch.setattr(fitters, "GRID_BUDGET", 80)
+        with pytest.raises(BudgetError, match="81 points"):
+            discretization_gap(2, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
