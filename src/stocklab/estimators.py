@@ -130,7 +130,7 @@ def ge_estimate(
         ]
     elif policy_class in ("ss", "st"):
         lo, hi = fit_ss_bounds(p)[:2] if policy_class == "ss" else (0.0, fit_cap(p.level_cap()))
-        grid = policy_grid(policy_class, grid_axis(lo, hi, grid_step), p)
+        grid = policy_grid(policy_class, grid_axis(lo, hi, grid_step, GE_GRID_BUDGET), p)
         if grid.count > GE_GRID_BUDGET:
             raise BudgetError(f"{policy_class} grid of {grid.count} points exceeds the budget")
         n_paths = max(n_train, eval_samples if atoms is None else len(atoms))

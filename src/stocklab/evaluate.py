@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     ORDER_EPS,
     BaseStock,
+    BudgetError,
     Dataset,
     NonStationary,
     Policy,
@@ -482,29 +483,36 @@ def _gap_risks(
     fold = np.zeros(size + max(len(lp) for lp in lps) - 1)
     reorders = 0.0
     for t in range(1, p.T + 1):
-        # an order at offset k >= gap costs K
-        reorders += post[gap:].sum()
-        post_now = post.copy()
-        post_now[gap:] = 0.0
-        post_now[0] += post[gap:].sum()
-        wait = np.convolve(post_now, lps[t - 1])
+        # an order at offset k >= gap costs K and moves its mass to offset 0
+        due = post[gap:].sum()
+        reorders += due
+        post[gap:] = 0.0
+        post[0] += due
+        wait = np.convolve(post, lps[t - 1])
         fold[: len(wait)] += wait
-        post = np.convolve(post_now, pmfs[t - 1])[:size]
+        post = np.convolve(post, pmfs[t - 1])[:size]
     total = _expected_cost_of_level(S, fold, p)
     if p.K > 0:
         total += p.K * (reorders + (S - p.x1 > ORDER_EPS))
     return total / p.T
 
 
-def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
+def grid_axis(lo: float, hi: float, step: float, max_points: float = math.inf) -> np.ndarray:
     """The points lo, lo + step, ... of [lo, hi], as ``np.arange`` spaces them.
 
     ``arange`` runs to hi + step / 2; of its points past hi, one within
     float rounding of hi becomes hi and the others go, so every point lies in
-    the class bounds and those inside them keep their exact floats.
+    the class bounds and those inside them keep their exact floats.  Raises
+    BudgetError, before it builds any point, when the axis would hold more
+    than ``max_points``: a class grid has at least as many points as its
+    axis, unless it is empty.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"grid step must be positive and finite, got {step}")
+    # arange's length, less the one point past hi that it may drop
+    if (hi + step / 2 - lo) / step - 1 > max_points:
+        raise BudgetError(f"a grid axis from {lo} to {hi} at step {step} exceeds "
+                          f"the budget of {max_points} points")
     axis = np.arange(lo, hi + step / 2, step)
     axis[(axis > hi) & (axis - hi <= 1e-9 * max(step, abs(lo), abs(hi)))] = hi
     return axis[axis <= hi]

@@ -215,7 +215,9 @@ def _fits(
     if policy_class != "st":
         raise ValueError(f"unknown policy class {policy_class!r}")
     cap = fit_cap(p.level_cap())
-    small = cap == int(cap) and policy_grid("st", grid_axis(0.0, cap, 1.0), p).count <= 20_000
+    # a grid has at least as many points as its axis, so a longer axis is not built
+    small = cap == int(cap) and cap < 20_000 and (
+        policy_grid("st", grid_axis(0.0, cap, 1.0), p).count <= 20_000)
     on_grid = [
         small and bool(np.all(D == np.rint(D)))
         for D in (data.as_matrix() for data in datasets)

@@ -67,6 +67,10 @@ ST_JITTER = 0.05
 # Most points a grid search scores before it raises BudgetError.
 GRID_BUDGET = 2_000_000
 
+# Gap x path x period cells per sorted_prefix_costs call of the integer
+# (s, S) search: its temporaries stay at a few hundred KiB.
+_WINDOW_BLOCK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class StOptions:
@@ -99,10 +103,11 @@ def fit_ss_bounds(p: SystemParams) -> tuple[float, float, bool]:
 
 
 def integer_ss_axis(p: SystemParams) -> np.ndarray:
-    """The integers in the (s, S) bounds of :func:`fit_ss_bounds`: the axis
-    of the integer (s, S) searches."""
+    """The integers in the (s, S) bounds of :func:`fit_ss_bounds`, as floats:
+    the axis of the integer (s, S) searches.  Raises BudgetError, before it
+    is built, past ``GRID_BUDGET`` points."""
     lo, hi, _ = fit_ss_bounds(p)
-    return np.arange(math.ceil(lo), math.floor(hi) + 1)
+    return grid_axis(math.ceil(lo), math.floor(hi), 1.0, GRID_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +202,72 @@ def erm_eoq_base_stock(data: Dataset, p: SystemParams) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _order_windows(served: np.ndarray, D: np.ndarray, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """The demand windows and charged reorders of (s, S) policies that order
+    in period 1, from their reorder schedules ``served``, shape (gaps, N, T)
+    (:func:`~stocklab.core.reorder_schedule`).
+
+    Period t's level is S less window ``[g, i, t - 1]``, the demand from the
+    order that serves t through t + L, read off one prefix-sum array; entry
+    g of the second array counts the orders after period 1 that pay K.
+    """
+    pre = prefix_sums(D)
+    windows = pre[:, p.L + 1 : p.T + p.L + 1] - pre[np.arange(len(D))[:, None], served - 1]
+    # an order in period t >= 2 is charged if the demand since the last order
+    # exceeds ORDER_EPS: at gap 0 that is period t - 1's demand, and at a
+    # positive gap the order follows a positive one, which a dataset keeps
+    # above ORDER_EPS
+    charged = D[:, : p.T - 1] > ORDER_EPS
+    reorders = ((served[:, :, 1:] == np.arange(2, p.T + 1)) & charged).sum(axis=(1, 2))
+    return windows, reorders
+
+
+def _integer_ss_pick(axis: np.ndarray, D: np.ndarray, p: SystemParams) -> SsPolicy:
+    """The first (s, S) pair on the integer ``axis``, in ``ss_pairs``' (gap, S)
+    order, of the smallest total cost on the paths of D (x1 at most every s).
+
+    Every pair orders in period 1, so its schedule depends only on its gap
+    g: one :func:`~stocklab.core.reorder_schedule` call gives every gap's,
+    and one :func:`~stocklab.evaluate.sorted_prefix_costs` call per block of
+    at most ``_WINDOW_BLOCK_CELLS`` gap x path x period cells (or of one gap)
+    scores every S >= 0 on the axis against the block's windows; the cells
+    with s = S - g off the axis are masked.  On integer demands the totals are
+    exact for dyadic h, b and K, so the pick is the first exact minimum.
+    """
+    S = axis[axis >= 0.0]
+    gaps = axis - axis[0]
+    served = reorder_schedule(gaps, D, p)
+    first = len(D) * (S - p.x1 > ORDER_EPS)
+    block = max(1, _WINDOW_BLOCK_CELLS // (len(D) * p.T))
+    best = (math.inf, 0.0, 0.0)  # (total, gap, S)
+    for j in range(0, len(gaps), block):
+        windows, reorders = _order_windows(served[j : j + block], D, p)
+        g = gaps[j : j + block, None]
+        totals = sorted_prefix_costs(S, windows.reshape(len(g), -1), p)
+        if p.K > 0:
+            totals += p.K * (reorders[:, None] + first[None, :])
+        totals[S[None, :] - g < axis[0]] = math.inf
+        row, col = np.unravel_index(np.argmin(totals), totals.shape)
+        # a later block's pair wins only by a strictly smaller total
+        if totals[row, col] < best[0]:
+            best = (totals[row, col], g[row, 0], S[col])
+    _, gap, level = best
+    return SsPolicy(float(level - gap), float(level))
+
+
 def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     """Global empirical risk minimizer over reorder-point policies.
 
     ``exact`` mode enumerates gap intervals between demand-sum breakpoints;
     within an interval every sample's reorder schedule is frozen and the risk
     is convex piecewise-linear in S with kinks at the in-window demand sums.
-    ``integer-grid`` mode is :func:`grid_search` over the (s, S) pairs on
-    the integers in the bounds, as ``grid_oracle("ss", 1.0)`` searches them,
-    and requires integer-valued demands.  Ties break toward the smallest
-    gap, then the smallest S.
+    ``integer-grid`` mode searches the (s, S) pairs on the integers in the
+    bounds, the points ``grid_oracle("ss", 1.0)`` searches, by their order
+    windows (``_integer_ss_pick``), and requires integer-valued demands; its
+    ``candidate_count`` is the pair count, checked against ``GRID_BUDGET``
+    before any pair is scored.  Ties break toward the smallest gap, then the
+    smallest S: exactly in ``integer-grid`` mode, whose totals are exact for
+    dyadic h, b and K.
     """
     lo, hi, capped = fit_ss_bounds(p)
     if p.x1 > lo:
@@ -216,7 +277,11 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     if mode == "integer-grid":
         if not np.all(D == np.rint(D)):
             raise ValueError("integer-grid mode requires integer demands")
-        policy, _, count = grid_search("ss", integer_ss_axis(p), D, p)
+        axis = integer_ss_axis(p)
+        count = budgeted_grid("ss", axis, p).count
+        if not count:
+            raise ValueError("empty (s, S) grid")
+        policy = _integer_ss_pick(axis, D, p)
         return FitResult(policy, dataset_risk(policy, data, p), "integer-grid",
                          {"candidate_count": count, "capped_bounds": capped})
 
@@ -235,12 +300,6 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
 
     n = len(D)
     scale = n * p.T
-    pre = prefix_sums(D)
-    # an order in period t >= 2 is charged if the demand since the last order
-    # exceeds ORDER_EPS: at gap 0 that is period t - 1's demand, and at a
-    # positive gap the order follows a positive one, which a dataset keeps
-    # above ORDER_EPS
-    charged = D[:, : p.T - 1] > ORDER_EPS
     # at most 2^16 interval x path x period cells per block bound the memory
     block = max(1, 2**16 // scale)
     best: tuple[float, float, float] | None = None  # (risk, delta, S)
@@ -248,9 +307,7 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     for j in range(0, len(intervals), block):
         chunk = intervals[j : j + block]
         served = reorder_schedule(np.array([rep for _, _, rep in chunk]), D, p)
-        # period t's window runs from the order that serves it to t + L
-        windows = pre[:, p.L + 1 : p.T + p.L + 1] - pre[np.arange(n)[:, None], served - 1]
-        reorders = ((served[:, :, 1:] == np.arange(2, p.T + 1)) & charged).sum(axis=(1, 2))
+        windows, reorders = _order_windows(served, D, p)
         for (a, b, rep), win, n_later in zip(chunk, windows, reorders):
             win = win.ravel()
             cands = np.unique(
@@ -518,6 +575,6 @@ def grid_oracle(data: Dataset, policy_class: str, step: float, p: SystemParams) 
     """
     D = demand_matrix(data, p)
     lo, hi = fit_ss_bounds(p)[:2] if policy_class == "ss" else (0.0, fit_cap(p.level_cap()))
-    policy, _, count = grid_search(policy_class, grid_axis(lo, hi, step), D, p)
+    policy, _, count = grid_search(policy_class, grid_axis(lo, hi, step, GRID_BUDGET), D, p)
     return FitResult(policy, dataset_risk(policy, data, p), "grid-oracle",
                      {"candidate_count": count, "step": step})

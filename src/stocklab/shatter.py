@@ -27,7 +27,8 @@ from .core import (
     SystemParams,
     simulate,
 )
-from .evaluate import block_losses, st_losses_grid
+from . import fitters
+from .evaluate import block_losses, grid_axis, st_losses_grid
 from .fitters import grid_search
 
 SUBSET_CAP = 16
@@ -348,7 +349,7 @@ def discretization_gap(M: int, T: int = 200) -> GapReport:
     grid search sweeps reorder-point policies whose parameters are multiples
     of 1/M, somewhat beyond the class bounds so the reported best is honest:
     the (4M + 1)^2 pairs on [-2, 4], so M >= 354 raises BudgetError past the
-    grid searches' ``GRID_BUDGET``.
+    grid searches' ``GRID_BUDGET``, before the axis is built.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -359,7 +360,8 @@ def discretization_gap(M: int, T: int = 200) -> GapReport:
     star = SsPolicy(0.0, 1.0 + 1.0 / (2 * M))
     continuous = simulate(star, d, p).avg_loss
 
-    best, risk, _ = grid_search("ss", np.arange(-2 * M, 4 * M + 1) / M, d[None, :], p)
+    axis = grid_axis(-2 * M, 4 * M, 1.0, fitters.GRID_BUDGET) / M
+    best, risk, _ = grid_search("ss", axis, d[None, :], p)
     return GapReport(
         grid_best_risk=risk,
         continuous_risk=continuous,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -297,6 +298,30 @@ class TestRademacherAndGap:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 2 and all(line.startswith("error: ss grid of ") for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--class", "ss", "--mode", "integer-grid", "--Hlo", "-2", "--x1", "-2"],
+        ["fit", "--class", "ss", "--grid-oracle", "1", "--Hlo", "-2", "--x1", "-2"],
+        ["perm", "--class", "ss", "--Hlo", "-2", "--x1", "-2"],
+        ["fit", "--class", "base-stock", "--grid-oracle", "1"],
+    ])
+    def test_huge_grid_exits_before_its_axis_is_built(self, demand_csv, capsys, argv):
+        # a 1e12-point axis would take 7.28 TiB: the count from the bounds
+        # stops it first
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--data", demand_csv, "--T", "2", "--H", "1e12"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**24
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a grid axis from ")
+
+    def test_fine_gap_grid_exits_before_its_axis_is_built(self, capsys):
+        assert main(["gap", "--M", "1000000000"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a grid axis from ")
 
 
 class TestIntrospectionFlags:

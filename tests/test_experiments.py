@@ -219,6 +219,14 @@ class TestRunners:
         assert fit.method == "grid-oracle"
         assert fit.diagnostics["candidate_count"] == 41**2
 
+    def test_st_fit_under_a_huge_integer_cap_builds_no_grid_axis(self):
+        # a unit axis on [0, 1e12] would take 7.28 TiB; the descent fits instead
+        p = small_system(T=2, H=1e12)
+        cfg = ExperimentConfig(kind="oos-vs-N-St", sweep=(2,), system=p)
+        data = Dataset.from_matrix([[3.0, 9.0], [12.0, 0.0]])
+        (fit,) = _fits("st", [data], p, cfg)
+        assert fit.method == "coordinate-descent"
+
     def test_ee_vs_T_requires_zero_fixed_cost(self):
         cfg = ExperimentConfig(kind="ee-vs-T", sweep=(2,), system=small_system(K=1.0),
                                instance_count=1, dataset_reps=1, n_train=2)

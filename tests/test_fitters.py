@@ -260,10 +260,11 @@ class TestErmSs:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_integer_grid_matches_meshgrid_lexsort(self, data):
+    def test_integer_grid_is_the_first_exact_minimum(self, data):
         T = data.draw(st.integers(1, 4))
         L = data.draw(st.integers(0, 2))
-        # zero cost rates and fractional bounds give ties and ragged grids
+        # zero cost rates and fractional bounds give ties and ragged grids;
+        # two fractional bounds with no integer between them an empty axis
         bound = st.one_of(st.none(), st.integers(-4, 8).map(float),
                           st.integers(-16, 32).map(lambda v: v / 4))
         H, Hlo = data.draw(bound), data.draw(bound)
@@ -271,14 +272,15 @@ class TestErmSs:
             H, Hlo = Hlo, H
         p = ss_ready(params(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
                             b=data.draw(st.sampled_from([0.0, 1.0, 9.0])),
-                            K=data.draw(st.sampled_from([0.0, 0.5, 3.0])), U=4.0,
+                            K=data.draw(st.sampled_from([0.0, 0.5, 3.0, 18.0])), U=1.0,
                             H=H, Hlo=Hlo))
+        p = replace(p, x1=p.x1 - data.draw(st.sampled_from([0.0, 0.5, 2.0])))
         n = data.draw(st.integers(1, 4))
         D = data.draw(st.lists(st.integers(0, 4), min_size=n * (T + L), max_size=n * (T + L)))
         dataset = Dataset.from_matrix(np.reshape(D, (n, T + L)).astype(float))
         try:
-            want = meshgrid_lexsort_erm_sS(dataset, p)
-        except (ValueError, IndexError):
+            want = exact_total_erm_sS(dataset, p)
+        except ValueError:
             with pytest.raises(ValueError):
                 erm_sS(dataset, p, mode="integer-grid")
             return
@@ -286,6 +288,43 @@ class TestErmSs:
         assert got.policy == want.policy
         assert got.in_sample_risk.hex() == want.in_sample_risk.hex()
         assert got.diagnostics == want.diagnostics
+
+    def test_integer_grid_takes_the_first_exact_tie(self):
+        # (0, 0) and (1, 1) both cost 5 in total; float means of path losses
+        # divided by T round them apart
+        data = Dataset.from_matrix([[0.0, 0.0, 0.0], [1.0, 1.0, 3.0]])
+        p = params(T=3, h=1.0, b=1.0, U=4.0, H=4.0, Hlo=0.0, x1=0.0)
+        assert erm_sS(data, p, mode="integer-grid").policy == SsPolicy(0.0, 0.0)
+
+    def test_integer_grid_rejects_an_empty_axis(self):
+        data = Dataset.from_matrix([[3.0, 7.0]])
+        with pytest.raises(ValueError, match="empty"):
+            erm_sS(data, params(H=0.75, Hlo=0.25, x1=0.0), mode="integer-grid")
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_integer_grid_blocks_match_one_block(self, monkeypatch, zeros):
+        # 200 paths x 20 periods: 4 gaps a block, and the all-zero data ties
+        # S = 0 across the first 26 gaps, so the blocks must keep the first
+        rng = np.random.default_rng(21)
+        D = np.zeros((200, 20)) if zeros else rng.integers(0, 21, (200, 20)).astype(float)
+        data = Dataset.from_matrix(D)
+        p = params(T=20, h=1.0, b=9.0, K=18.0, U=20.0, H=45.0, Hlo=-25.0, x1=-25.0)
+        shapes = []
+
+        def spy(levels, a, p):
+            shapes.append(a.shape)
+            return evaluate.sorted_prefix_costs(levels, a, p)
+
+        monkeypatch.setattr(fitters, "sorted_prefix_costs", spy)
+        blocked = erm_sS(data, p, mode="integer-grid")
+        assert len(shapes) == 18 and all(gaps * cells <= 2**14 for gaps, cells in shapes)
+        shapes.clear()
+        monkeypatch.setattr(fitters, "_WINDOW_BLOCK_CELLS", 2**30)
+        whole = erm_sS(data, p, mode="integer-grid")
+        assert shapes == [(71, 4000)]
+        assert blocked == whole
+        if zeros:
+            assert blocked.policy == SsPolicy(0.0, 0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -635,25 +674,27 @@ def per_restart_erm_St(data, p, opts):
     )
 
 
-def meshgrid_lexsort_erm_sS(data, p):
-    """erm_sS(mode="integer-grid") as a meshgrid of every integer (s, S) pair,
-    sorted by (risk, gap, S)."""
+def exact_total_erm_sS(data, p):
+    """erm_sS(mode="integer-grid") by brute force: every integer (s, S) pair's
+    total cost, simulate's per-period losses summed as Fractions, with ties
+    to the smaller gap, then the smaller S."""
     lo, hi, capped = p.ss_bounds()
-    s_lo, s_hi = math.ceil(lo), math.floor(hi)
-    if s_hi < s_lo:
+    axis = range(math.ceil(lo), math.floor(hi) + 1)
+    rows = data.as_matrix().tolist()
+    best, count = None, 0
+    for S in (S for S in axis if S >= 0):
+        for s in (s for s in axis if s <= S):
+            policy = SsPolicy(float(s), float(S))
+            total = sum(Fraction(v) for row in rows
+                        for v in simulate(policy, row, p, unchecked=True).per_period_loss.tolist())
+            count += 1
+            if best is None or (total, S - s, S) < best[0]:
+                best = ((total, S - s, S), policy)
+    if best is None:
         raise ValueError("empty integer (s, S) grid")
-    s_grid, S_grid = np.meshgrid(
-        np.arange(s_lo, s_hi + 1, dtype=float),
-        np.arange(max(s_lo, 0), s_hi + 1, dtype=float),
-        indexing="ij",
-    )
-    keep = s_grid <= S_grid
-    s_vals, S_vals = s_grid[keep], S_grid[keep]
-    risks = ss_losses_grid(s_vals, S_vals, data.as_matrix(), p).mean(axis=1)
-    k = np.lexsort((S_vals, S_vals - s_vals, risks))[0]
-    policy = SsPolicy(float(s_vals[k]), float(S_vals[k]))
+    policy = best[1]
     return FitResult(policy, dataset_risk(policy, data, p), "integer-grid",
-                     {"candidate_count": int(len(s_vals)), "capped_bounds": capped})
+                     {"candidate_count": count, "capped_bounds": capped})
 
 
 def per_row_erm_sS(data, p):
