@@ -50,6 +50,7 @@ from .fitters import (
 )
 from .perm import build_marginals, perm_fit, product_partition
 from .shatter import (
+    check_margin,
     discretization_gap,
     gen_sS_prime_shatter,
     gen_st_K_shatter,
@@ -314,6 +315,8 @@ def _cmd_perm(args: argparse.Namespace) -> int:
 
 
 def _cmd_shatter(args: argparse.Namespace) -> int:
+    if args.gamma is not None:
+        check_margin(args.gamma)
     if args.construction == "st":
         if args.T is None:
             raise ValueError("--T is required for --construction st")

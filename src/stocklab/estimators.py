@@ -117,6 +117,8 @@ def ge_estimate(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if n_train < 1:
+        raise ValueError("n_train must be >= 1")
     atoms = support_atoms(model)
     pmfs = marginal_pmfs(model) if atoms is None and policy_class == "base-stock" else None
     # a finite support or exact pmfs make the true side the same in every rep

@@ -164,6 +164,14 @@ def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.nda
     1 .. T order anything that arrives in time, so the last L levels are
     never read.
 
+    The kernel runs period-major: the scores live in one (T, n_policies, N)
+    buffer, so each running-max step is an in-place operation on contiguous
+    (n_policies, N) slices, and the cost is computed in that buffer with one
+    work array.  The sum over periods is still taken on a
+    (n_policies, N, T) contiguous copy: numpy sums 8 or more terms on
+    a contiguous axis through 8 partial accumulators, not left to right,
+    and the losses keep the floats of that order.
+
     A first order S^1 - x1 in (0, ``ORDER_EPS``] is placed here, and
     :func:`~stocklab.core.simulate` drops it, so until simulate's first
     order the level sits above simulate's by at most ``ORDER_EPS``.  A
@@ -176,13 +184,27 @@ def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.nda
     if lv.ndim != 2 or lv.shape[1] != horizon:
         raise ValueError(f"levels must have shape (n_policies, T + L = {horizon})")
     pre = prefix_sums(D)
-    scores = lv[:, None, : p.T] + pre[None, :, : p.T]
-    m = np.maximum.accumulate(np.maximum(scores, p.x1), axis=2)
-    ends = m - pre[None, :, p.L + 1 : horizon + 1]
-    total = cost_array(ends, p).sum(axis=2)
+    m = np.empty((p.T, len(lv), n))
+    np.add(lv[:, : p.T].T[:, :, None], pre[:, : p.T].T[:, None, :], out=m)
+    np.maximum(m, p.x1, out=m)
+    for t in range(1, p.T):
+        np.maximum(m[t - 1], m[t], out=m[t])
+    work = np.empty_like(m)
     if p.K > 0:
-        prev = np.concatenate([np.full((len(lv), n, 1), p.x1), m[:, :, : p.T - 1]], axis=2)
-        total += p.K * (m - prev > ORDER_EPS).sum(axis=2)
+        # a period orders when its running max rises above the last one
+        np.subtract(m[0], p.x1, out=work[0])
+        np.subtract(m[1:], m[:-1], out=work[1:])
+        orders = (work > ORDER_EPS).sum(axis=0)
+    # m becomes the end-of-period levels, then cost_array of them, in place
+    m -= pre[:, p.L + 1 : horizon + 1].T[:, None, :]
+    np.minimum(m, 0.0, out=work)
+    work *= p.b
+    np.maximum(m, 0.0, out=m)
+    m *= p.h
+    m -= work
+    total = m.transpose(1, 2, 0).copy().sum(axis=2)
+    if p.K > 0:
+        total += p.K * orders
     return total / p.T
 
 

@@ -38,6 +38,13 @@ SUBSET_CAP = 16
 _SHATTER_CELLS = 1 << 12
 
 
+def check_margin(gamma: float) -> float:
+    """Return the margin ``gamma``, or raise unless it is a finite number >= 0."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"margin must be a finite number >= 0, got {gamma}")
+    return gamma
+
+
 @dataclass(frozen=True)
 class ShatterInstance:
     """A candidate shattered dataset with witnesses and a subset-to-policy map.
@@ -67,8 +74,7 @@ class ShatterInstance:
     def __post_init__(self) -> None:
         if len(self.witnesses) != len(self.dataset):
             raise ValueError("one witness per sample required")
-        if self.gamma < 0:
-            raise ValueError("margin must be nonnegative")
+        check_margin(self.gamma)
         if self.high_side not in ("in", "out"):
             raise ValueError("high_side must be 'in' or 'out'")
 
@@ -116,7 +122,7 @@ def verify_shattering(
     m = inst.size
     if m > cap:
         raise BudgetError(f"{m} samples imply 2^{m} subsets, above the cap {cap}")
-    g = inst.gamma if gamma is None else gamma
+    g = inst.gamma if gamma is None else check_margin(gamma)
     D = inst.dataset.as_matrix()
     if not inst.unchecked:
         # surface bound violations early on a representative subset

@@ -269,6 +269,16 @@ class TestShatter:
         assert main(["shatter", "--construction", "st", "--verify"]) == 1
         assert "--T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["-1", "nan", "inf"])
+    def test_bad_margin_rejected(self, capsys, gamma):
+        assert main(["shatter", "--construction", "ss-prime", "--m", "3",
+                     "--gamma", gamma, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: margin must be a finite number >= 0, got {float(gamma)}"
+        ]
+
 
 class TestRademacherAndGap:
     def test_rademacher(self, demand_csv, capsys):
@@ -282,6 +292,12 @@ class TestRademacherAndGap:
                      "--n-train", "5", "--reps", "3", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("meanGE ")
+
+    def test_ge_mode_rejects_empty_training_sets(self, capsys):
+        assert main(["rademacher", "--ge", "--T", "3", "--n-train", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: n_train must be >= 1"]
 
     def test_gap(self, capsys):
         assert main(["gap", "--M", "2"]) == 0

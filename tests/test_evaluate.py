@@ -150,6 +150,42 @@ class TestBatchLossesMatchSimulate:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
+    def test_st_grid_bytes_match_policy_major_formula(self, data):
+        # the running-max formula on (policies, paths, periods) arrays, summed
+        # over a contiguous period axis: T >= 8 crosses numpy's pairwise sum
+        def policy_major(lv, D, p):
+            pre = evaluate.prefix_sums(D)
+            scores = lv[:, None, : p.T] + pre[None, :, : p.T]
+            m = np.maximum.accumulate(np.maximum(scores, p.x1), axis=2)
+            ends = m - pre[None, :, p.L + 1 : p.horizon + 1]
+            total = evaluate.cost_array(ends, p).sum(axis=2)
+            if p.K > 0:
+                prev = np.concatenate([np.full((len(lv), len(D), 1), p.x1), m[:, :, :-1]], axis=2)
+                total += p.K * (m - prev > ORDER_EPS).sum(axis=2)
+            return total / p.T
+
+        T = data.draw(st.integers(1, 20))
+        L = data.draw(st.integers(0, 2))
+        p = SystemParams(T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 9.0)),
+                         K=data.draw(st.one_of(st.just(0.0), st.floats(0.01, 7.0))), U=4.0,
+                         x1=data.draw(st.sampled_from([-2.0, -0.5, -1e-13, 0.0, 1.0])))
+        n = data.draw(st.integers(1, 6))
+        cell = st.one_of(st.integers(0, 4).map(float), st.floats(0.001, 4.0))
+        D = np.asarray(data.draw(st.lists(cell, min_size=n * (T + L), max_size=n * (T + L))))
+        D = D.reshape(n, T + L)
+        n_pol = data.draw(st.integers(1, 40))
+        level = st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0))
+        levels = np.asarray(data.draw(st.lists(
+            level, min_size=n_pol * (T + L), max_size=n_pol * (T + L),
+        ))).reshape(n_pol, T + L)
+        got = st_losses_grid(levels, D, p)
+        assert got.tobytes() == policy_major(levels, D, p).tobytes()
+        if T >= 8:
+            for row, lv in zip(got, levels):
+                assert row.tobytes() == st_losses(lv, D, p).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
     def test_block_rows_match_one_policy_losses_call_each(self, data):
         # each row is its policy's one-row kernel call: base-stock levels take
         # the closed form at x1 <= 0 (dust-sized first orders included) and

@@ -59,6 +59,14 @@ class TestSpikeInstance:
             verify_shattering(gen_st_shatter(17))
         assert verify_shattering(gen_st_shatter(17), cap=17).ok
 
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
+    def test_margin_must_be_finite_and_nonnegative(self, gamma):
+        inst = gen_st_shatter(3)
+        with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+            dataclasses.replace(inst, gamma=gamma)
+        with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+            verify_shattering(inst, gamma=gamma)
+
 
 class TestFixedCostInstance:
     def test_loss_table(self):
