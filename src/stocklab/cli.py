@@ -31,6 +31,7 @@ from .core import (
     SsPolicy,
     SystemParams,
     delta_breakpoints,
+    demand_matrix,
     read_demands_csv,
     reorder_schedule,
     simulate,
@@ -290,6 +291,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_perm(args: argparse.Namespace) -> int:
     data = read_demands_csv(args.data)
     p = _system_from_args(args, args.policy_class == "ss")
+    demand_matrix(data, p)  # the rows need T + L periods, as fit's do
     pmfs = build_marginals(data)
     result = perm_fit(pmfs, p, args.policy_class)
     if args.policy_class == "ss" and not all(np.array_equal(f, pmfs[0]) for f in pmfs[1:]):

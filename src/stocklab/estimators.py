@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetError, Dataset, SystemParams, demand_matrix
-from .demand import DemandModel, draw, make_rng, marginal_pmfs, support_atoms
+from .core import Dataset, SystemParams, demand_matrix
+from .demand import DemandModel, draw, make_rng
 from .evaluate import (
+    ModelRisk,
     base_stock_kinks,
     base_stock_loss_matrix,
     class_losses,
+    class_risks,
     exact_base_stock_levels,
-    exact_base_stock_risk,
     grid_axis,
     policy_grid,
 )
@@ -119,8 +120,9 @@ def ge_estimate(
         raise ValueError("reps must be >= 1")
     if n_train < 1:
         raise ValueError("n_train must be >= 1")
-    atoms = support_atoms(model)
-    pmfs = marginal_pmfs(model) if atoms is None and policy_class == "base-stock" else None
+    true_side = ModelRisk(model, p)  # the model's atoms and pmfs, its periods checked
+    atoms = true_side.atoms
+    pmfs = true_side.pmfs if atoms is None and policy_class == "base-stock" else None
     # a finite support or exact pmfs make the true side the same in every rep
     fixed = atoms is not None or pmfs is not None
     if policy_class == "base-stock":
@@ -132,9 +134,7 @@ def ge_estimate(
         ]
     elif policy_class in ("ss", "st"):
         lo, hi = fit_ss_bounds(p)[:2] if policy_class == "ss" else (0.0, fit_cap(p.level_cap()))
-        grid = policy_grid(policy_class, grid_axis(lo, hi, grid_step, GE_GRID_BUDGET), p)
-        if grid.count > GE_GRID_BUDGET:
-            raise BudgetError(f"{policy_class} grid of {grid.count} points exceeds the budget")
+        grid = policy_grid(policy_class, grid_axis(lo, hi, grid_step, GE_GRID_BUDGET), p, GE_GRID_BUDGET)
         n_paths = max(n_train, eval_samples if atoms is None else len(atoms))
         chunks = lambda D, D_eval: grid.chunks(n_paths)
     else:
@@ -142,10 +142,8 @@ def ge_estimate(
     score = lambda chunk, X: class_losses(policy_class, chunk, X, p)
     block = 1
     if fixed:
-        if pmfs is not None:
-            true_risks = exact_base_stock_risk(kinks, pmfs, p)
-        else:
-            true_risks = np.concatenate([score(c, atoms).mean(axis=1) for c in chunks(None, atoms)])
+        true_risks = (class_risks("base-stock", kinks, pmfs, p) if pmfs is not None else
+                      np.concatenate([score(c, atoms).mean(axis=1) for c in chunks(None, atoms)]))
         widest = len(next(iter(chunks(None, atoms))))
         block = max(1, _GE_CELLS // (n_train * max(p.horizon, widest)))
     values: list[float] = []

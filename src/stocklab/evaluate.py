@@ -276,15 +276,10 @@ def policy_losses(policy: Policy, D: np.ndarray, p: SystemParams) -> np.ndarray:
     return block_losses([policy], D, p)[0]
 
 
-def block_losses(policies: Sequence[Policy], D: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Losses of a block of policies on every row of D, shape (n_policies, N).
-
-    The one dispatch from policies to kernels: each class in the block is
-    scored by :func:`class_losses`, in one call, or for per-period levels in
-    calls of at most ``_POLICY_BLOCK_CELLS`` cells.  A base-stock level from
-    x1 > 0, where its closed form fails, is scored as levels S, ..., S.  Each
-    row is computed on its own, so a policy gets the same floats in any block.
-    """
+def _class_points(policies: Sequence[Policy], p: SystemParams) -> Iterator[tuple[str, list[int], np.ndarray]]:
+    """The one map from policies to class points: each class in the block with
+    its policies' rows and points.  A base-stock level from x1 > 0, where its
+    closed forms fail, is the point of levels S, ..., S."""
     groups: dict[str, list] = {}  # class -> (row, point) of each of its policies
     for i, policy in enumerate(policies):
         if isinstance(policy, BaseStock):
@@ -296,13 +291,20 @@ def block_losses(policies: Sequence[Policy], D: np.ndarray, p: SystemParams) -> 
         else:
             raise TypeError(f"unknown policy type {type(policy)!r}")
         groups.setdefault(cls, []).append((i, point))
-    out = np.empty((len(policies), len(D)))
     for cls, members in groups.items():
         rows, points = zip(*members)
-        points = np.array(points, dtype=float)
+        yield cls, list(rows), np.array(points, dtype=float)
+
+
+def block_losses(policies: Sequence[Policy], D: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Losses of a block of policies on every row of D, shape (n_policies, N): one :func:`class_losses`
+    call per class, per-period levels in calls of at most ``_POLICY_BLOCK_CELLS`` cells.  Each
+    row is computed on its own, so a policy gets the same floats in any block."""
+    out = np.empty((len(policies), len(D)))
+    for cls, rows, points in _class_points(policies, p):
         step = max(1, _POLICY_BLOCK_CELLS // D.size) if cls == "st" else len(rows)
         for i in range(0, len(rows), step):
-            out[list(rows[i : i + step])] = class_losses(cls, points[i : i + step], D, p)
+            out[rows[i : i + step]] = class_losses(cls, points[i : i + step], D, p)
     return out
 
 
@@ -571,6 +573,21 @@ def class_losses(policy_class: str, points: np.ndarray, D: np.ndarray, p: System
     raise ValueError(f"unknown policy class {policy_class!r}")
 
 
+def class_risks(policy_class: str, points: np.ndarray, pmfs: Sequence[np.ndarray], p: SystemParams) -> np.ndarray:
+    """Exact risks of one class's points under independent integer demands, one pmf
+    per period, shape (n,): by :func:`exact_base_stock_risk`, :func:`exact_ss_risks`,
+    or :func:`exact_st_risk` per row, each the float of a call on its own."""
+    if len(pmfs) != p.horizon:
+        raise ValueError(f"need {p.horizon} per-period pmfs")
+    if policy_class == "base-stock":
+        return exact_base_stock_risk(points, pmfs, p)
+    if policy_class == "ss":
+        return exact_ss_risks(points[:, 0], points[:, 1], pmfs, p)
+    if policy_class == "st":
+        return np.array([exact_st_risk(row, pmfs, p) for row in points])
+    raise ValueError(f"unknown policy class {policy_class!r}")
+
+
 class PolicyGrid(NamedTuple):
     """A policy class's parameter grid, as :func:`policy_grid` builds it."""
 
@@ -579,7 +596,7 @@ class PolicyGrid(NamedTuple):
     policy: Callable[[np.ndarray], Policy]
 
 
-def policy_grid(policy_class: str, axis: np.ndarray, p: SystemParams) -> PolicyGrid:
+def policy_grid(policy_class: str, axis: np.ndarray, p: SystemParams, budget: float = math.inf) -> PolicyGrid:
     """The grid of ``policy_class`` with its parameters on ``axis``, as every
     grid search reads it: ``count``, the number of points it scores, known
     before any is built; ``chunks(n_paths)``, the points in tie-break order
@@ -588,31 +605,31 @@ def policy_grid(policy_class: str, axis: np.ndarray, p: SystemParams) -> PolicyG
     (``base-stock``, one chunk); every pair s <= S with S >= 0 of
     :func:`ss_pairs` (``ss``, one (pairs, 2) chunk, built once); or the
     len(axis) ** T level vectors of :func:`st_level_grid` (``st``: the last
-    L levels never reach the loss)."""
+    L levels never reach the loss).  A grid of more than ``budget`` points
+    raises BudgetError before any point is built."""
     axis = np.asarray(axis, dtype=float)
     if policy_class == "base-stock":
-        return PolicyGrid(len(axis), lambda n_paths: [axis], lambda S: BaseStock(float(S)))
-    if policy_class == "ss":
+        grid = PolicyGrid(len(axis), lambda n_paths: [axis], lambda S: BaseStock(float(S)))
+    elif policy_class == "ss":
         # each S >= 0 on the axis pairs with every point at or below it
         count = int(np.searchsorted(np.sort(axis), axis[axis >= 0.0], side="right").sum())
         pairs = functools.cache(lambda: np.stack(ss_pairs(axis), axis=1))
-        return PolicyGrid(count, lambda n_paths: [pairs()],
+        grid = PolicyGrid(count, lambda n_paths: [pairs()],
                           lambda sS: SsPolicy(float(sS[0]), float(sS[1])))
-    if policy_class == "st":
-        return PolicyGrid(len(axis) ** p.T, lambda n_paths: st_level_grid(axis, p, n_paths),
+    elif policy_class == "st":
+        grid = PolicyGrid(len(axis) ** p.T, lambda n_paths: st_level_grid(axis, p, n_paths),
                           lambda levels: NonStationary(tuple(levels)))
-    raise ValueError(f"unknown policy class {policy_class!r}")
+    else:
+        raise ValueError(f"unknown policy class {policy_class!r}")
+    if grid.count > budget:
+        raise BudgetError(f"{policy_class} grid of {grid.count} points exceeds the budget {budget}")
+    return grid
 
 
 def exact_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
-    """Exact expected loss under independent integer demands with the given pmfs."""
-    if isinstance(policy, BaseStock):
-        return exact_base_stock_risk(policy.S, pmfs, p)
-    if isinstance(policy, SsPolicy):
-        return exact_ss_risk(policy, pmfs, p)
-    if isinstance(policy, NonStationary):
-        return exact_st_risk(policy.levels, pmfs, p)
-    raise TypeError(f"unknown policy type {type(policy)!r}")
+    """Exact expected loss under independent integer demands: the policy's row of :func:`class_risks`."""
+    ((cls, _, point),) = _class_points([policy], p)
+    return float(class_risks(cls, point, pmfs, p)[0])
 
 
 def finite_support_risk(policy: Policy, atoms: np.ndarray, p: SystemParams) -> float:
@@ -637,6 +654,8 @@ class ModelRisk:
         self, model: DemandModel, p: SystemParams, eval_samples: int = 2000,
         seed: int | tuple[int, ...] = 0,
     ):
+        if model.n_periods != p.horizon:
+            raise ValueError(f"demand model has {model.n_periods} periods, expected T + L = {p.horizon}")
         self.model = model
         self.p = p
         self.eval_samples = eval_samples
@@ -650,18 +669,24 @@ class ModelRisk:
         )
 
     def __call__(self, policy: Policy) -> float:
+        return float(self.risks([policy])[0])
+
+    def risks(self, policies: Sequence[Policy]) -> np.ndarray:
+        """Risks of a block of policies, each the float of a call on its own."""
         if self.mode == "exact":
-            return exact_risk(policy, self.pmfs, self.p)
+            out = np.empty(len(policies))
+            for cls, rows, points in _class_points(policies, self.p):
+                out[rows] = class_risks(cls, points, self.pmfs, self.p)
+            return out
         if self.eval_paths is None:
             warnings.warn(
-                f"{type(policy).__name__} policy has no exact risk under this demand "
-                f"model; its risk is estimated from {self.eval_samples} Monte-Carlo "
-                "paths, not exact",
+                "this demand model has no exact risk; risks are estimated from "
+                f"{self.eval_samples} Monte-Carlo paths, not exact",
                 RuntimeWarning,
                 stacklevel=2,
             )
             self.eval_paths = draw(self.model, self.eval_samples, self.seed).as_matrix()
-        return float(policy_losses(policy, self.eval_paths, self.p).mean())
+        return block_losses(policies, self.eval_paths, self.p).mean(axis=1)
 
 
 def enumerate_product_risk(

@@ -6,7 +6,8 @@ aggregates per-instance means into unweighted cross-instance means, and
 returns metric records ready for CSV/SVG emission.  One ``ModelRisk`` per
 instance evaluates risks: exactly whenever the demand model admits it
 (finite support or independent integer marginals), otherwise on one shared
-Monte-Carlo evaluation set.
+Monte-Carlo evaluation set; a cell's fits of one class, or one side of a
+product-fit comparison, are scored by one ``ModelRisk.risks`` call.
 """
 
 from __future__ import annotations
@@ -288,13 +289,13 @@ def _cell_risks(
 ) -> dict[str, list[float]]:
     """One sweep cell: draw its ``dataset_reps`` datasets of n paths, fit
     each class over all of them (one ``_fits`` call per class), check every
-    class's rep-0 fit against random policies, and score every fit."""
+    class's rep-0 fit against random policies, and score each class's fits."""
     p = evaluator.p
     datasets = [draw(evaluator.model, n, draw_key + (rep,)) for rep in range(cfg.dataset_reps)]
     fits = {c: _fits(c, datasets, p, cfg) for c in cfg.classes}
     for c in cfg.classes:
         _sanity_check_fit(fits[c][0], c, datasets[0], p, check_key)
-    return {c: [evaluator(fit.policy) for fit in fits[c]] for c in cfg.classes}
+    return {c: evaluator.risks([fit.policy for fit in fits[c]]).tolist() for c in cfg.classes}
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +451,9 @@ def run_erm_vs_perm(cfg: ExperimentConfig) -> list[MetricsRecord]:
                 evaluator = ModelRisk(model, p, cfg.eval_samples, (cfg.seed, 53, inst))
                 datasets = [draw(model, int(value), (cfg.seed, 59, inst, idx, rep))
                             for rep in range(cfg.dataset_reps)]
-            erm = [evaluator(fit.policy) for fit in _fits("st", datasets, p, cfg)]
-            perm = [evaluator(perm_fit(build_marginals(data), p, "st").policy) for data in datasets]
+            erm = evaluator.risks([fit.policy for fit in _fits("st", datasets, p, cfg)])
+            perm = evaluator.risks([perm_fit(build_marginals(data), p, "st").policy
+                                    for data in datasets])
             denom = float(np.mean(perm))
             if denom <= 0:
                 raise ValueError(

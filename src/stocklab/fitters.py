@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     ORDER_EPS,
     BaseStock,
-    BudgetError,
     Dataset,
     NonStationary,
     Policy,
@@ -32,7 +31,6 @@ from .core import (
 )
 from .demand import make_rng
 from .evaluate import (
-    PolicyGrid,
     base_stock_fractile,
     check_closed_form_x1,
     class_losses,
@@ -278,7 +276,7 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
         if not np.all(D == np.rint(D)):
             raise ValueError("integer-grid mode requires integer demands")
         axis = integer_ss_axis(p)
-        count = budgeted_grid("ss", axis, p).count
+        count = policy_grid("ss", axis, p, GRID_BUDGET).count
         if not count:
             raise ValueError("empty (s, S) grid")
         policy = _integer_ss_pick(axis, D, p)
@@ -535,15 +533,6 @@ def erm_St_batch(
 # ---------------------------------------------------------------------------
 
 
-def budgeted_grid(policy_class: str, axis: np.ndarray, p: SystemParams) -> PolicyGrid:
-    """The class's grid on ``axis`` (:func:`~stocklab.evaluate.policy_grid`);
-    raises BudgetError, before any point is built, past ``GRID_BUDGET`` points."""
-    grid = policy_grid(policy_class, axis, p)
-    if grid.count > GRID_BUDGET:
-        raise BudgetError(f"{policy_class} grid of {grid.count} points exceeds the budget {GRID_BUDGET}")
-    return grid
-
-
 def grid_search(
     policy_class: str, axis: np.ndarray, D: np.ndarray, p: SystemParams
 ) -> tuple[Policy, float, int]:
@@ -553,9 +542,9 @@ def grid_search(
     Each chunk is scored by one :func:`~stocklab.evaluate.class_losses`
     call, and a later chunk's point wins only by a strictly smaller risk, so
     the pick is the first minimum in the grid's tie-break order.  Raises
-    BudgetError as :func:`budgeted_grid` does.
+    BudgetError, before any point is built, past ``GRID_BUDGET`` points.
     """
-    grid = budgeted_grid(policy_class, axis, p)
+    grid = policy_grid(policy_class, axis, p, GRID_BUDGET)
     best, best_risk = None, math.inf
     for chunk in grid.chunks(len(D)):
         risks = class_losses(policy_class, chunk, D, p).mean(axis=1)

@@ -21,21 +21,20 @@ from .core import (
     BudgetError,
     Dataset,
     NonStationary,
-    Policy,
     SsPolicy,
     SystemParams,
 )
+from . import fitters
 from .evaluate import (
+    class_risks,
     cost_array,
     exact_base_stock_levels,
-    exact_base_stock_risk,
     exact_risk,
-    exact_ss_risks,
     lead_pmf,
+    policy_grid,
 )
 from .fitters import (
     FitResult,
-    budgeted_grid,
     fit_cap,
     fit_ss_bounds,
     integer_ss_axis,
@@ -161,9 +160,8 @@ def solve_dp(
 # ---------------------------------------------------------------------------
 
 
-def perm_risk(policy: Policy, pmfs: Sequence[np.ndarray], p: SystemParams) -> float:
-    """Exact product-distribution risk of a policy (DP policy evaluation)."""
-    return exact_risk(policy, pmfs, p)
+# the exact product-distribution risk of a policy, under the name the benchmark imports
+perm_risk = exact_risk
 
 
 def perm_fit(
@@ -174,13 +172,12 @@ def perm_fit(
     class.  The bounds are checked as the data fitters check them.
 
     ``st`` is the backward DP (K = 0): its targets are the DP argmins over
-    the integers in [0, H] and its risk the DP root value.  ``ss`` scores
-    every integer pair in the bounds (x1 at most Hlo) with
-    :func:`exact_ss_risks`, and raises BudgetError past the grid searches'
-    ``GRID_BUDGET`` pairs; ``base-stock`` scores every kink of the exact risk
-    curve in [0, H].  ``eoq`` pins the square-root gap at the pmf mean and
-    approximates the best S on a 0.05 grid of [0, H + gap].  Each search
-    takes the first minimum: the smaller gap, then the smaller S.
+    the integers in [0, H] and its risk the DP root value.  The others score their
+    points by one :func:`class_risks` call and take the first minimum, the smaller
+    gap, then the smaller S: ``ss`` every integer pair in the bounds (x1 at most Hlo),
+    past the grid searches' ``GRID_BUDGET`` pairs a BudgetError; ``base-stock`` every
+    kink of the exact risk curve in [0, H]; ``eoq`` the square-root gap at the pmf
+    mean, with S on a 0.05 grid of [0, H + gap].
     """
     if policy_class == "st":
         sol = solve_dp(pmfs, p, fit_cap(p.level_cap()))
@@ -189,26 +186,21 @@ def perm_fit(
                          method="backward-dp", diagnostics={"grid": [sol.grid_lo, sol.grid_hi]})
     if policy_class == "base-stock":
         fit_cap(p.level_cap())
-        S = exact_base_stock_levels(pmfs, p)
-        risks = exact_base_stock_risk(S, pmfs, p)
-        j = int(np.argmin(risks))
-        policy: Policy = BaseStock(float(S[j]))
+        points = exact_base_stock_levels(pmfs, p)
+    elif policy_class == "ss":
+        lo = fit_ss_bounds(p)[0]
+        if p.x1 > lo:
+            raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
+        (points,) = policy_grid("ss", integer_ss_axis(p), p, fitters.GRID_BUDGET).chunks(1)
+    elif policy_class == "eoq":
+        mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
+        gap = square_root_gap(mu, p)
+        S = np.arange(0.0, fit_cap(p.level_cap()) + gap + 1e-9, 0.05)
+        points = np.stack([S - gap, S], axis=1)
     else:
-        if policy_class == "ss":
-            lo = fit_ss_bounds(p)[0]
-            if p.x1 > lo:
-                raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
-            (pairs,) = budgeted_grid("ss", integer_ss_axis(p), p).chunks(1)
-            s, S = pairs.T
-        elif policy_class == "eoq":
-            mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
-            gap = square_root_gap(mu, p)
-            S = np.arange(0.0, fit_cap(p.level_cap()) + gap + 1e-9, 0.05)
-            s = S - gap
-        else:
-            raise ValueError(f"unknown policy class {policy_class!r}")
-        risks = exact_ss_risks(s, S, pmfs, p)
-        j = int(np.argmin(risks))
-        policy = SsPolicy(float(s[j]), float(S[j]))
+        raise ValueError(f"unknown policy class {policy_class!r}")
+    risks = class_risks("base-stock" if policy_class == "base-stock" else "ss", points, pmfs, p)
+    j = int(np.argmin(risks))
+    policy = BaseStock(float(points[j])) if points.ndim == 1 else SsPolicy(*map(float, points[j]))
     return FitResult(policy=policy, in_sample_risk=float(risks[j]),
                      method=f"exact-{policy_class}-search")

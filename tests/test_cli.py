@@ -215,6 +215,15 @@ class TestPerm:
             assert main(argv) == 0
             assert capsys.readouterr().out.splitlines()[0] == f"policy {policy}"
 
+    @pytest.mark.parametrize("policy_class", ["ss", "st"])
+    def test_period_count_checked_as_fit_checks_it(self, demand_csv, capsys, policy_class):
+        # the rows 3,7 and 2,5 have two periods; at T = 1 the ss fit used period 1 only
+        assert main(["perm", "--class", policy_class, "--data", demand_csv, "--T", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: dataset has 2 periods per sequence, expected T + L = 1"]
+
     def test_nonstationary_ss_warning_is_one_line(self, tmp_path):
         path = tmp_path / "demands.csv"
         root = os.path.dirname(os.path.dirname(stocklab.__file__))

@@ -307,10 +307,17 @@ class TestGeEstimate:
         p = params(T=3, U=6.0)
         model = IndependentNormals((2.0, 3.0, 1.0), (1.0, 2.0, 1.0), cap=6.0, integerize=True)
         calls = []
-        monkeypatch.setattr(estimators, "exact_base_stock_risk",
-                            lambda S, *a: calls.append(len(S)) or evaluate.exact_base_stock_risk(S, *a))
+        monkeypatch.setattr(estimators, "class_risks",
+                            lambda c, S, *a: calls.append(len(S)) or evaluate.class_risks(c, S, *a))
         ge_estimate(model, 5, p, reps=20, seed=1)
         assert calls == [7]
+
+    @pytest.mark.parametrize("policy_class", ["base-stock", "ss", "st"])
+    def test_model_periods_checked(self, policy_class):
+        # a three-period support at T = 2 was scored on its first periods
+        p = params(T=2, U=8.0, Hlo=-2.0, x1=-2.0)
+        with pytest.raises(ValueError, match="has 3 periods, expected T \\+ L = 2"):
+            ge_estimate(FiniteSupport([[3.0, 7.0, 1.0]]), 3, p, policy_class, reps=2)
 
     def test_st_grid_counts_the_first_T_levels(self, monkeypatch):
         # the last L levels never reach the loss: at T = 2, L = 2 the grid

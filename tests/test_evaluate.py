@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from stocklab.core import (
     ORDER_EPS,
     BaseStock,
+    BudgetError,
     Dataset,
     NonStationary,
     SsPolicy,
@@ -18,12 +20,13 @@ from stocklab.core import (
     simulate,
 )
 from stocklab import evaluate
-from stocklab.demand import FiniteSupport, IndependentNormals, draw
+from stocklab.demand import FiniteSupport, IndependentNormals, draw, marginal_pmfs
 from stocklab.evaluate import (
     ModelRisk,
     base_stock_kinks,
     base_stock_loss_matrix,
     block_losses,
+    class_risks,
     dataset_risk,
     enumerate_product_risk,
     exact_base_stock_risk,
@@ -33,6 +36,7 @@ from stocklab.evaluate import (
     exact_st_risk,
     finite_support_risk,
     lead_pmf,
+    policy_grid,
     policy_losses,
     ss_losses_grid,
     ss_pairs,
@@ -749,3 +753,143 @@ class TestExactSsSearch:
         for (s, S), risk in zip(pairs, got):
             want = enumerate_product_risk(SsPolicy(s, S), pmfs, p)
             assert risk == pytest.approx(want, rel=0, abs=1e-12), (s, S)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def switch_risk(risk, policy):
+    """A ModelRisk's one-policy risk by a switch on the policy type: each
+    type's own exact kernel, or the mean of its losses on the paths."""
+    if risk.mode != "exact":
+        return float(policy_losses(policy, risk.eval_paths, risk.p).mean())
+    if isinstance(policy, BaseStock):
+        return exact_base_stock_risk(policy.S, risk.pmfs, risk.p)
+    if isinstance(policy, SsPolicy):
+        return exact_ss_risk(policy, risk.pmfs, risk.p)
+    return exact_st_risk(policy.levels, risk.pmfs, risk.p)
+
+
+class TestBlockRisks:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_block_matches_one_policy_calls(self, data):
+        # in every mode a block's risks are the one-policy calls, bit for bit,
+        # and the floats of each policy type's own kernel: exact blocks group
+        # by class through one class_risks call each, and the others take row
+        # means of one block_losses call
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        p = SystemParams(T=T, L=L, h=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         b=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
+                         K=data.draw(st.sampled_from([0.0, 0.7, 2.0])), U=4.0,
+                         x1=data.draw(st.sampled_from([-2.0, -0.5, 0.0])))
+        mode = data.draw(st.sampled_from(["exact", "finite-support", "mc"]))
+        moments = st.tuples(quarters(0, 4), st.sampled_from([0.0, 0.3, 1.0, 2.0]))
+        if mode == "finite-support":
+            cell = st.one_of(st.integers(0, 4).map(float), st.floats(0.001, 4.0))
+            model = FiniteSupport(data.draw(st.lists(
+                st.lists(cell, min_size=T + L, max_size=T + L), min_size=1, max_size=5)))
+        else:
+            means, stds = zip(*data.draw(st.lists(moments, min_size=T + L, max_size=T + L)))
+            model = IndependentNormals(means, stds, cap=4.0, integerize=mode == "exact")
+        level = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0))
+        policies = {
+            "base-stock": level.map(BaseStock),
+            "ss": st.tuples(level, level).map(lambda v: SsPolicy(min(v) - 1.0, max(v))),
+            "st": st.lists(level, min_size=T + L, max_size=T + L).map(NonStationary),
+        }
+        kind = data.draw(st.sampled_from(["base-stock", "ss", "st", "mixed"]))
+        policy = st.one_of(*policies.values()) if kind == "mixed" else policies[kind]
+        block = data.draw(st.lists(policy, min_size=1, max_size=5))
+        block += data.draw(st.lists(st.sampled_from(block), max_size=3))  # repeats
+        risk = ModelRisk(model, p, eval_samples=7, seed=(5, 2))
+        assert risk.mode == mode
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if mode == "mc" else "error")
+            got = risk.risks(block)
+            alone = [risk(pol) for pol in block]
+        assert got.shape == (len(block),)
+        assert hexes(got) == hexes(alone)
+        assert hexes(got) == hexes(switch_risk(risk, pol) for pol in block)
+        if mode == "exact":
+            assert hexes(got) == hexes(exact_risk(pol, risk.pmfs, p) for pol in block)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_class_rows_match_the_one_policy_kernels(self, data):
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        p = SystemParams(T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 3.0)),
+                         K=data.draw(st.sampled_from([0.0, 1.5])), U=4.0,
+                         x1=data.draw(st.sampled_from([-2.0, -0.5, 0.0])))
+        pmfs = pmf_lists(data, T + L, 5)
+        level = st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 5.0))
+        S = np.asarray(data.draw(st.lists(level, min_size=1, max_size=6)))
+        assert hexes(class_risks("base-stock", S, pmfs, p)) == hexes(
+            exact_base_stock_risk(float(v), pmfs, p) for v in S)
+        pairs = np.asarray(data.draw(st.lists(
+            st.tuples(level, level).map(lambda v: (min(v) - 1.0, max(v))), min_size=1, max_size=6)))
+        assert hexes(class_risks("ss", pairs, pmfs, p)) == hexes(
+            exact_ss_risk(SsPolicy(s, S_), pmfs, p) for s, S_ in pairs)
+        rows = np.asarray(data.draw(st.lists(
+            st.lists(level, min_size=T + L, max_size=T + L), min_size=1, max_size=4)))
+        got = class_risks("st", rows, pmfs, p)
+        assert hexes(got) == hexes(exact_st_risk(row, pmfs, p) for row in rows)
+        assert hexes(got) == hexes(exact_risk(NonStationary(tuple(r)), pmfs, p) for r in rows)
+
+    def test_base_stock_from_positive_x1_scored_as_its_levels(self):
+        # the closed form needs x1 <= 0; the exact side scores S, ..., S as
+        # the empirical side does
+        p = SystemParams(T=3, U=4.0, x1=1.0)
+        pmfs = [np.array([0.5, 0.5])] * 3
+        got = exact_risk(BaseStock(2.0), pmfs, p)
+        assert got == exact_st_risk([2.0, 2.0, 2.0], pmfs, p)
+        assert got == pytest.approx(enumerate_product_risk(BaseStock(2.0), pmfs, p), rel=0, abs=1e-12)
+        atoms = FiniteSupport(list(itertools.product([0.0, 1.0], repeat=3)))
+        assert ModelRisk(atoms, p)(BaseStock(2.0)) == pytest.approx(got, rel=0, abs=1e-12)
+        model = IndependentNormals((0.5,) * 3, (0.0,) * 3, cap=4.0)
+        assert ModelRisk(model, p).risks([BaseStock(2.0), BaseStock(0.0)]).tolist() == [
+            exact_st_risk([2.0] * 3, marginal_pmfs(model), p),
+            exact_st_risk([0.0] * 3, marginal_pmfs(model), p)]
+
+    def test_period_counts_checked(self):
+        p = SystemParams(T=2, U=8.0)
+        pmf = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="expected T \\+ L = 2"):
+            ModelRisk(FiniteSupport([[3.0, 7.0, 1.0]]), p)
+        with pytest.raises(ValueError, match="expected T \\+ L = 2"):
+            ModelRisk(FiniteSupport([[3.0]]), p)
+        with pytest.raises(ValueError, match="need 2 per-period pmfs"):
+            exact_risk(BaseStock(4.0), [pmf] * 3, p)
+        with pytest.raises(ValueError, match="need 2 per-period pmfs"):
+            class_risks("ss", np.array([[1.0, 3.0]]), [pmf], p)
+
+    def test_monte_carlo_warning_names_the_model_once(self):
+        p = SystemParams(T=2, U=20.0)
+        model = IndependentNormals((10.0,) * 2, (5.0,) * 2, integerize=False)
+        risk = ModelRisk(model, p, eval_samples=30)
+        block = [SsPolicy(5.0, 12.0), BaseStock(12.0), NonStationary((12.0, 11.0))]
+        with pytest.warns(RuntimeWarning) as caught:
+            risk.risks(block)
+            risk.risks(block[::-1])
+            risk(block[0])
+        assert len(caught) == 1
+        assert str(caught[0].message) == ("this demand model has no exact risk; risks are "
+                                          "estimated from 30 Monte-Carlo paths, not exact")
+
+
+class TestPolicyGridBudget:
+    @pytest.mark.parametrize("policy_class, count", [("base-stock", 5), ("ss", 12), ("st", 25)])
+    def test_counted_against_the_budget_before_any_point_is_built(self, monkeypatch, policy_class, count):
+        # the integers in [-2, 2]: S = 0, 1, 2 pair with 3, 4, 5 points; at T = 2, 5^2 vectors
+        p = SystemParams(T=2, L=1, U=4.0)
+        axis = np.arange(-2.0, 3.0)
+        assert policy_grid(policy_class, axis, p, count).count == count
+        built = []
+        monkeypatch.setattr(evaluate, "ss_pairs", lambda a: built.append(a))
+        monkeypatch.setattr(evaluate, "st_level_grid", lambda *a: built.append(a))
+        with pytest.raises(BudgetError, match=f"{policy_class} grid of {count} points exceeds the budget {count - 1}"):
+            policy_grid(policy_class, axis, p, count - 1)
+        assert built == []

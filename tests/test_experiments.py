@@ -127,7 +127,7 @@ class TestEvaluator:
             evaluator(NonStationary((12.5, 11.0, 10.0)))
             evaluator(BaseStock(12.0))
         assert len(caught) == 1
-        assert "NonStationary" in str(caught[0].message)
+        assert "this demand model" in str(caught[0].message)
         assert "estimated" in str(caught[0].message)
 
     def test_fractional_fit_scored_exactly_under_integer_model(self):

@@ -23,6 +23,7 @@ from stocklab.evaluate import (
     exact_risk,
     exact_ss_risks,
     exact_st_risk,
+    ss_pairs,
 )
 from stocklab import fitters
 from stocklab.fitters import erm_St, square_root_gap
@@ -302,6 +303,50 @@ class TestPermFit:
     def test_non_integer_support_rejected(self):
         with pytest.raises(ValueError, match="integer demands"):
             build_marginals(Dataset.from_matrix([[0.5]]))
+
+
+def two_path_fit(pmfs, p, policy_class):
+    """perm_fit's base-stock, ss and eoq searches as two exact kernels: the
+    levels by exact_base_stock_risk, the pairs by exact_ss_risks."""
+    if policy_class == "base-stock":
+        S = exact_base_stock_levels(pmfs, p)
+        risks = exact_base_stock_risk(S, pmfs, p)
+        j = int(np.argmin(risks))
+        return BaseStock(float(S[j])), float(risks[j])
+    if policy_class == "ss":
+        lo, hi, _ = p.ss_bounds()
+        s, S = ss_pairs(np.arange(math.ceil(lo), math.floor(hi) + 1.0))
+    else:
+        mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
+        gap = square_root_gap(mu, p)
+        S = np.arange(0.0, p.level_cap() + gap + 1e-9, 0.05)
+        s = S - gap
+    risks = exact_ss_risks(s, S, pmfs, p)
+    j = int(np.argmin(risks))
+    return SsPolicy(float(s[j]), float(S[j])), float(risks[j])
+
+
+class TestPermFitParity:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_picks_and_risks_of_the_two_kernel_searches(self, data):
+        # one class_risks call per search gives the floats of the two kernels
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 1))
+        Hlo = float(data.draw(st.integers(-3, 0)))
+        p = params(T=T, L=L, h=data.draw(st.floats(0.1, 2.0)), b=data.draw(st.floats(0.1, 9.0)),
+                   K=data.draw(st.sampled_from([0.0, 1.5, 4.0])), U=4.0,
+                   H=float(data.draw(st.integers(1, 6))), Hlo=Hlo,
+                   x1=Hlo - data.draw(st.sampled_from([0.0, 0.5])))
+        n = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(st.integers(0, 4).map(float), min_size=T + L,
+                                           max_size=T + L), min_size=n, max_size=n))
+        pmfs = build_marginals(Dataset.from_matrix(rows))
+        for policy_class in ("base-stock", "ss", "eoq"):
+            fit = perm_fit(pmfs, p, policy_class)
+            policy, risk = two_path_fit(pmfs, p, policy_class)
+            assert fit.policy == policy, policy_class
+            assert fit.in_sample_risk.hex() == risk.hex(), policy_class
 
 
 class TestPermRisk:
