@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Dataset, SystemParams
+from .core import ORDER_EPS, Dataset, SystemParams
 
 RNG_NAME = "numpy-PCG64"
 
@@ -54,6 +54,12 @@ class IndependentNormals:
             raise ValueError("means and stds must have equal length")
         if self.cap <= 0:
             raise ValueError("cap must be positive")
+        if not self.integerize:
+            for t, (mu, sd) in enumerate(zip(self.means, self.stds)):
+                if sd == 0 and 0 < min(mu, self.cap) <= ORDER_EPS:
+                    raise ValueError(
+                        f"period {t + 1} can only draw {min(mu, self.cap):g}: a demand "
+                        f"must be 0 or larger than ORDER_EPS = {ORDER_EPS:g}")
 
     @property
     def n_periods(self) -> int:
@@ -111,16 +117,21 @@ def truncated_normal_pmf(mu: float, sigma: float, cap: int) -> np.ndarray:
     """Probability mass over {0, ..., cap} of a clamped-and-rounded normal.
 
     The normal cdf is ``scipy.special.ndtr``, imported here so that importing
-    stocklab does not load ``scipy.stats``.
+    stocklab does not load ``scipy.stats``.  A deviation too small to move
+    mu + 8 sigma off mu in floating point gives the point mass that
+    :func:`draw` produces, at the clamped mean rounded half to even: the cdf
+    would split a mean on a rounding edge, such as 2.5, in halves.
     """
-    if sigma == 0:
+    if sigma == 0 or mu + 8 * sigma == mu - 8 * sigma:
         pmf = np.zeros(cap + 1)
         pmf[int(np.rint(np.clip(mu, 0, cap)))] = 1.0
         return pmf
     from scipy.special import ndtr
 
     edges = np.arange(cap + 2) - 0.5
-    cdf = ndtr((edges - mu) / sigma)
+    # a subnormal sigma sends the far edges to +-inf, whose cdf is 0 or 1
+    with np.errstate(over="ignore"):
+        cdf = ndtr((edges - mu) / sigma)
     pmf = np.diff(cdf)
     pmf[0] = cdf[1]
     pmf[-1] = 1.0 - cdf[-2]

@@ -514,7 +514,8 @@ def _gap_risks(
         post[0] += due
         wait = np.convolve(post, lps[t - 1])
         fold[: len(wait)] += wait
-        post = np.convolve(post, pmfs[t - 1])[:size]
+        # with no lead time the lead demand is this period's demand
+        post = (wait if p.L == 0 else np.convolve(post, pmfs[t - 1]))[:size]
     total = _expected_cost_of_level(S, fold, p)
     if p.K > 0:
         total += p.K * (reorders + (S - p.x1 > ORDER_EPS))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     BaseStock,
@@ -88,7 +89,12 @@ def product_partition(n: int, periods: int) -> list[list[tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class DpSolution:
-    """Backward-induction output over the integer position grid."""
+    """Backward-induction output over the integer position grid.
+
+    ``grid_lo`` is min(x1, 0): the value function is constant at and below
+    it, so the DP keeps no position lower.  ``grid_hi`` is the highest
+    position kept.
+    """
 
     risk: float
     order_up_to: tuple[int, ...]
@@ -111,6 +117,26 @@ def solve_dp(
     makes the solution the best policy of the per-period class within its
     level bounds: the cost-to-go W is convex, so every position below the
     target still orders up to it.
+
+    The grid starts at min(x1, 0).  Every target is at least 0: with a cap
+    by construction, and without one and with b > 0 because W then falls
+    strictly as y rises to 0 from below, where the expected cost-to-go is
+    constant.  Each period sets V to W[target] below the target, so V is one
+    constant at and below the grid bottom, and a demand that takes the
+    position below it reads V there.  So the targets, the risk and W on the
+    grid are those of a grid reaching down to min(x1, 0) - (T + L) umax.
+    With b = 0 and no cap, W is flat at and below 0, and the target is its
+    first minimum there, the grid bottom: min(x1, 0) here and
+    (T + L) umax lower on the deeper grid, with one risk on both.
+
+    The expected costs are still one matrix-vector product per period over
+    that deeper grid, whose rows below min(x1, 0) are dropped: a BLAS
+    product may round a row differently with the number of rows it is
+    given, and this keeps every expected cost, so every risk and target,
+    the float it has always been.  The cost matrix is Toeplitz in (level,
+    demand), so it is built once per call and lead-pmf length as one
+    contiguous copy of a strided view over the costs of its levels: one
+    buffer, and no full-size temporaries.
     """
     if len(pmfs) != p.horizon:
         raise ValueError(f"need {p.horizon} per-period pmfs")
@@ -119,33 +145,34 @@ def solve_dp(
     if p.K != 0:
         raise ValueError("the backward DP finds order-up-to targets, which need K = 0")
     umax = max(len(f) - 1 for f in pmfs)
-    bottom = min(int(p.x1), 0) - p.horizon * umax
+    bottom = min(int(p.x1), 0)
     top = max((p.L + 1) * umax, int(p.x1)) + 1
-    grid = np.arange(bottom, top + 1)
-    size = len(grid)
+    size = top - bottom + 1
+    depth = p.horizon * umax
     # the grid indices a target may take: all, or the integers in [0, cap]
     span = slice(0, size) if cap is None else slice(-bottom, math.floor(cap) - bottom + 1)
+    # shifts[k, i]: the index of position i less a demand of k, floored at the bottom
+    shifts = np.maximum(np.arange(size)[None, :] - np.arange(umax + 1)[:, None], 0)
+    costs: dict[int, np.ndarray] = {}
     V = np.zeros(size)
     levels: list[int] = []
     for t in range(p.T, 0, -1):
         lead = lead_pmf(pmfs, t, p.L)
-        diffs = grid[:, None] - np.arange(len(lead))[None, :]
-        Ec = cost_array(diffs, p) @ lead / p.T
-        if t == p.T:
-            EV = np.zeros(size)
-        else:
-            f = pmfs[t - 1]
-            EV = np.zeros(size)
-            for k, fk in enumerate(f):
-                if fk == 0.0:
-                    continue
-                shifted = np.concatenate([np.full(k, V[0]), V[:-k]]) if k else V
-                EV += fk * shifted
-        W = Ec + EV
+        m = len(lead)
+        if m not in costs:
+            # row r, column k: the cost of level bottom - depth + r - k, which
+            # is c[m - 1 + r - k]; the strided view reads only inside c
+            c = cost_array(np.arange(bottom - depth - m + 1, top + 1), p)
+            view = as_strided(c[m - 1 :], (depth + size, m), (c.strides[0], -c.strides[0]))
+            costs[m] = np.ascontiguousarray(view)
+        Ec = (costs[m] @ lead)[depth:] / p.T
+        f = np.asarray(pmfs[t - 1], dtype=float)
+        # numpy sums over the leading axis row by row, so in demand order
+        W = Ec + (f[:, None] * V[shifts[: len(f)]]).sum(axis=0)
         j = span.start + int(np.argmin(W[span]))
-        levels.append(int(grid[j]))
-        V = W.copy()
-        V[:j] = W[j]
+        levels.append(bottom + j)
+        W[:j] = W[j]
+        V = W
     levels.reverse()
     return DpSolution(
         risk=float(V[int(p.x1) - bottom]),

@@ -416,6 +416,19 @@ class TestExperiment:
             if "Hlo" in bound else "error: fitting needs a finite level cap H >= 0, got inf"
         ]
 
+    def test_model_of_dust_demands_rejected_when_built(self, tmp_path, capsys):
+        # sigma0 = 0 and a mean in (0, ORDER_EPS]: no draw could pass Dataset
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "oos-vs-N-St", "sweep": [2], "system": {"T": 2},
+            "hyper": {"mu0": 1e-13, "sigma0": 0.0, "integerize": False},
+            "instance_count": 1, "dataset_reps": 1,
+        }))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: period 1 can only draw ") and err.count("\n") == 1, err
+        assert "ORDER_EPS" in err
+
     def test_bad_config_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

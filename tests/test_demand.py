@@ -116,6 +116,29 @@ def test_pmf_sums_to_one():
         assert np.all(pmf >= 0)
 
 
+@pytest.mark.parametrize("mu", [0.0, 2.3, 2.5])
+def test_subnormal_deviation_pmf_is_the_law_of_draw(mu):
+    # mu + 5e-324 z rounds to mu, so every draw is rint(mu), and 2.5 is 2:
+    # the pmf is that point mass, computed with no overflow warning
+    model = IndependentNormals((mu,), (5e-324,), cap=4.0)
+    (pmf,) = marginal_pmfs(model)
+    data = draw(model, 10_000, seed=6).as_matrix()
+    assert np.array_equal(np.bincount(data[:, 0].astype(int), minlength=5) / 10_000, pmf)
+
+
+@pytest.mark.parametrize("mean,cap", [(1.5e-171, 20.0), (1e-12, 20.0), (3.0, 1e-13)])
+def test_continuous_model_that_only_draws_dust_rejected(mean, cap):
+    # a zero deviation draws the clamped mean in every path, and Dataset
+    # rejects a demand in (0, ORDER_EPS]
+    with pytest.raises(ValueError, match="period 2 can only draw .*ORDER_EPS"):
+        IndependentNormals((1.0, mean), (1.0, 0.0), cap=cap, integerize=False)
+    rounded = IndependentNormals((1.0, mean), (1.0, 0.0), cap=cap)
+    assert np.all(draw(rounded, 20, seed=3).as_matrix()[:, 1] == 0.0)
+    for fine in (0.0, -1.0, 2e-12):
+        continuous = IndependentNormals((1.0, fine), (1.0, 0.0), integerize=False)
+        assert np.all(draw(continuous, 20, seed=3).as_matrix()[:, 1] == max(fine, 0.0))
+
+
 def test_marginal_pmfs_match_empirical():
     model = IndependentNormals((5.0, 12.0), (2.5, 7.5), cap=20.0)
     pmfs = marginal_pmfs(model)

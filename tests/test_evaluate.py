@@ -597,6 +597,34 @@ def double_loop_best_ss(pmfs, p):
     return SsPolicy(float(S - gap), float(S)), risk
 
 
+def two_convolution_ss_risks(s_vals, S_vals, pmfs, p):
+    """exact_ss_risks of policies with x1 <= s, each propagated on its own
+    with the lead demand and the next period's demand convolved in turn."""
+    lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
+    umax = max(len(f) for f in pmfs) - 1
+    risks = []
+    for s, S in zip(s_vals, S_vals):
+        gap = int(max(evaluate._reorder_offsets(S, s), 1.0))
+        size = gap + umax + 1
+        post = np.zeros(size)
+        post[0] = 1.0
+        fold = np.zeros(size + max(len(lp) for lp in lps) - 1)
+        reorders = 0.0
+        for t in range(1, p.T + 1):
+            due = post[gap:].sum()
+            reorders += due
+            post[gap:] = 0.0
+            post[0] += due
+            wait = np.convolve(post, lps[t - 1])
+            fold[: len(wait)] += wait
+            post = np.convolve(post, pmfs[t - 1])[:size]
+        total = evaluate._expected_cost_of_level(S, fold, p)[0]
+        if p.K > 0:
+            total += p.K * (reorders + (S - p.x1 > ORDER_EPS))
+        risks.append(total / p.T)
+    return risks
+
+
 class TestExactSsSearch:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -656,6 +684,26 @@ class TestExactSsSearch:
         curve = exact_base_stock_risk(levels, pmfs, p0)
         alone = [exact_base_stock_risk(S, pmfs, p0) for S in levels]
         assert [float(r).hex() for r in curve] == [r.hex() for r in alone]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_one_convolution_per_period_without_lead_time(self, data):
+        # at L = 0 the lead demand is the period's demand, so its one
+        # convolution also gives the next period's positions
+        T = data.draw(st.integers(1, 6))
+        x1 = data.draw(st.one_of(st.integers(-3, 2).map(float), st.floats(-3.0, 2.0)))
+        p = SystemParams(
+            T=T, L=0, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 9.0)),
+            K=data.draw(st.sampled_from([0.0, 0.7, 4.0])), U=12.0, x1=x1,
+        )
+        pmfs = pmf_lists(data, T, 9)
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            s = x1 + data.draw(st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 6.0)))
+            pairs.append((s, max(s, 0.0) + data.draw(st.floats(0.0, 8.0))))
+        s_vals, S_vals = np.array(pairs).T
+        got = exact_ss_risks(s_vals, S_vals, pmfs, p)
+        assert hexes(got) == hexes(two_convolution_ss_risks(s_vals, S_vals, pmfs, p))
 
     def test_all_ties_pick_the_first_pair_without_the_lattice(self, monkeypatch):
         # h = b = K = 0: every pair has risk 0, so the first pair in ss_pairs

@@ -17,12 +17,14 @@ from stocklab.core import (
     simulate,
 )
 from stocklab.evaluate import (
+    cost_array,
     enumerate_product_risk,
     exact_base_stock_levels,
     exact_base_stock_risk,
     exact_risk,
     exact_ss_risks,
     exact_st_risk,
+    lead_pmf,
     ss_pairs,
 )
 from stocklab import fitters
@@ -370,6 +372,47 @@ class TestPermRisk:
         assert enumerate_product_risk(pol, pmfs, p) == pytest.approx(want)
 
 
+def deep_grid_dp(pmfs, p, cap=None):
+    """The backward DP of solve_dp on a grid reaching (T + L) umax below
+    min(x1, 0), with one shifted copy of V per demand value: (risk, targets)."""
+    umax = max(len(f) - 1 for f in pmfs)
+    bottom = min(int(p.x1), 0) - p.horizon * umax
+    top = max((p.L + 1) * umax, int(p.x1)) + 1
+    grid = np.arange(bottom, top + 1)
+    size = len(grid)
+    span = slice(0, size) if cap is None else slice(-bottom, math.floor(cap) - bottom + 1)
+    V = np.zeros(size)
+    levels = []
+    for t in range(p.T, 0, -1):
+        lead = lead_pmf(pmfs, t, p.L)
+        diffs = grid[:, None] - np.arange(len(lead))[None, :]
+        Ec = cost_array(diffs, p) @ lead / p.T
+        EV = np.zeros(size)
+        if t < p.T:
+            for k, fk in enumerate(pmfs[t - 1]):
+                if fk == 0.0:
+                    continue
+                EV += fk * (np.concatenate([np.full(k, V[0]), V[:-k]]) if k else V)
+        W = Ec + EV
+        j = span.start + int(np.argmin(W[span]))
+        levels.append(int(grid[j]))
+        V = W.copy()
+        V[:j] = W[j]
+    levels.reverse()
+    return float(V[int(p.x1) - bottom]), tuple(levels)
+
+
+def uneven_pmfs(data, n):
+    """n pmfs of lengths 1 to 21, with zero masses among them."""
+    pmfs = []
+    for _ in range(n):
+        w = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]),
+                               min_size=1, max_size=21))
+        w = np.asarray(w) if sum(w) > 0 else np.ones(len(w))
+        pmfs.append(w / w.sum())
+    return pmfs
+
+
 class TestOptimalDp:
     def test_newsvendor(self):
         p = params(T=1)
@@ -402,6 +445,57 @@ class TestOptimalDp:
             levels = tuple(float(v) for v in sol.order_up_to) + (0.0,) * p.L
             achieved = exact_risk(NonStationary(levels), pmfs, p)
             assert achieved == pytest.approx(sol.risk, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_deep_grid_dp(self, data):
+        # costs such as 0.3 round, so a product over fewer rows could move them
+        cap_kind = data.draw(st.sampled_from(["none", "zero", "fractional", "level-cap"]))
+        b = data.draw(st.floats(0.0 if cap_kind != "none" else 0.1, 9.0))
+        p = params(T=data.draw(st.integers(1, 12)), L=data.draw(st.integers(0, 2)),
+                   h=data.draw(st.floats(0.0, 3.0)), b=b, U=6.0,
+                   x1=float(data.draw(st.sampled_from([-25, -3, 0, 2, 5]))))
+        pmfs = uneven_pmfs(data, p.horizon)
+        cap = {"none": None, "zero": 0.0, "level-cap": p.level_cap(),
+               "fractional": data.draw(st.floats(0.0, 25.0))}[cap_kind]
+        sol = solve_dp(pmfs, p, cap)
+        risk, targets = deep_grid_dp(pmfs, p, cap)
+        assert sol.risk.hex() == risk.hex()
+        assert sol.order_up_to == targets
+        assert sol.grid_lo == min(int(p.x1), 0)
+
+    @pytest.mark.parametrize("seed", [425, 524, 604, 632, 1526])
+    def test_expected_costs_keep_the_deep_product(self, seed):
+        # on these instances a product over the kept rows alone rounds some
+        # expected cost differently from the product over the deep grid
+        rng = np.random.default_rng(seed)
+        p = params(T=int(rng.integers(1, 13)), L=int(rng.integers(0, 3)), h=0.3, b=3.0,
+                   U=20.0, x1=float(rng.choice([-25, -3, 0, 2, 5])))
+        pmfs = []
+        for _ in range(p.horizon):
+            w = rng.uniform(0, 1, int(rng.integers(1, 22)))
+            w[rng.uniform(0, 1, len(w)) < 0.2] = 0.0
+            pmfs.append(w / w.sum() if w.sum() > 0 else np.ones(len(w)) / len(w))
+        for cap in (None, 19.5):
+            sol = solve_dp(pmfs, p, cap)
+            risk, targets = deep_grid_dp(pmfs, p, cap)
+            assert (sol.risk.hex(), sol.order_up_to) == (risk.hex(), targets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_uncapped_without_backlog_cost_keeps_the_risk(self, data):
+        # with b = 0 and no cap the cost-to-go is flat below 0, and the
+        # target there is the first minimum: the bottom of each DP's own
+        # grid.  So only the risk is the deep grid's; a target may move
+        # from that grid's bottom to min(x1, 0).
+        p = params(T=data.draw(st.integers(1, 12)), L=data.draw(st.integers(0, 2)),
+                   h=data.draw(st.floats(0.0, 3.0)), b=0.0, U=6.0,
+                   x1=float(data.draw(st.sampled_from([-25, -3, 0, 2, 5]))))
+        pmfs = uneven_pmfs(data, p.horizon)
+        sol = solve_dp(pmfs, p)
+        risk, targets = deep_grid_dp(pmfs, p)
+        assert sol.risk.hex() == risk.hex()
+        assert all(a == b or a == sol.grid_lo for a, b in zip(sol.order_up_to, targets))
 
     def test_dp_beats_integer_level_enumeration(self):
         # oracle: exhaustive search over integer level vectors at K=0
