@@ -42,6 +42,9 @@ class IndependentNormals:
     The law of independent per-period demand: an i.i.d. model repeats one
     mean and one deviation, and a zero deviation puts all of a period's mass
     on the clamped, rounded mean.  ``integerize=False`` skips the rounding.
+    Construction rejects a NaN mean, a negative or NaN deviation, a cap that
+    is not positive and finite, and a continuous model that can only draw
+    0 or dust (positive demands at most ``ORDER_EPS``).
     """
 
     means: tuple[float, ...]
@@ -52,14 +55,19 @@ class IndependentNormals:
     def __post_init__(self) -> None:
         if len(self.means) != len(self.stds):
             raise ValueError("means and stds must have equal length")
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
+        if not 0 < self.cap < math.inf:
+            raise ValueError(f"cap must be positive and finite, got {self.cap!r}")
+        for t, (mu, sd) in enumerate(zip(self.means, self.stds)):
+            if math.isnan(mu) or not sd >= 0:
+                raise ValueError(f"period {t + 1} needs a mean that is a number and a "
+                                 f"deviation >= 0, got {mu!r} and {sd!r}")
         if not self.integerize:
+            dust = f"a demand must be 0 or larger than ORDER_EPS = {ORDER_EPS:g}"
             for t, (mu, sd) in enumerate(zip(self.means, self.stds)):
                 if sd == 0 and 0 < min(mu, self.cap) <= ORDER_EPS:
-                    raise ValueError(
-                        f"period {t + 1} can only draw {min(mu, self.cap):g}: a demand "
-                        f"must be 0 or larger than ORDER_EPS = {ORDER_EPS:g}")
+                    raise ValueError(f"period {t + 1} can only draw {min(mu, self.cap):g}: {dust}")
+            if self.cap <= ORDER_EPS and max(self.stds, default=0) > 0:
+                raise ValueError(f"cap {self.cap:g} leaves no positive draw: {dust}")
 
     @property
     def n_periods(self) -> int:

@@ -3,7 +3,8 @@
 For the stationary base-stock class both the sign-weighted supremum and the
 true-minus-empirical-risk supremum are piecewise linear in the level, so the
 suprema are exact once evaluated on the union of all kink points.  Other
-classes fall back to a parameter grid and are flagged approximate.
+classes fall back to a parameter grid and are flagged approximate.  The
+true side of the generalization error is the demand model's exact risk.
 """
 
 from __future__ import annotations
@@ -93,80 +94,63 @@ def ge_estimate(
     p: SystemParams,
     policy_class: str = "base-stock",
     reps: int = 100,
-    eval_samples: int = 2000,
     seed: int = 0,
     grid_step: float = 1.0,
 ) -> GeReport:
     """Mean over dataset replications of sup_policy (true risk - empirical risk).
 
-    For the base-stock class the supremum is exact: both risks are piecewise
-    linear in the level and every kink of either is a candidate.  For the
-    reorder-point and per-period-level classes the supremum is taken over a
-    parameter grid and the report is flagged approximate.
+    The true risks are the model's exact ones, computed once per call: the
+    mean loss over the atoms of a finite support, or the :func:`class_risks`
+    of independent integer demands (the exact base-stock curve, the (s, S)
+    lattice risks, and the lattice kernel per row of per-period levels).  A
+    model with neither, a continuous model or a fractional cap, raises
+    ValueError.  For the base-stock class the supremum is exact: the
+    candidates are the true curve's kinks, which hold every kink of a draw
+    from the model (a block that breaks this raises), and both risks are
+    linear between them.  The reorder-point and per-period-level classes take
+    the supremum over a parameter grid, and the report is flagged approximate.
 
-    Every class runs one loop over blocks of reps.  A block stacks its reps'
-    training paths, drawn under keys ``(seed, rep, 0)``, and scores each
-    chunk of candidates on them in one kernel call; each rep's value is the
-    max over chunks of its true minus empirical risks, the floats of scoring
-    the rep alone.  When the model fixes the true side (a finite support, or
-    exact pmfs for the base-stock class), the true risks are computed once
-    per call: the base-stock candidates are then the true curve's kinks,
-    which hold every kink of a draw from the model (a block that breaks this
-    raises).  Otherwise each rep is a block of its own with a fresh
-    Monte-Carlo evaluation sample, key ``(seed, rep, 1)``, and the
-    base-stock candidates are the kinks of both draws.
+    One loop runs over blocks of reps, each about 2^13 path x
+    max(T + L, widest chunk) cells.  A block stacks its reps' training paths,
+    drawn under keys ``(seed, rep, 0)``, and scores each chunk of candidates
+    on them in one kernel call; each rep's value is the max over chunks of
+    its true minus empirical risks, the floats of scoring the rep alone.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if n_train < 1:
         raise ValueError("n_train must be >= 1")
     true_side = ModelRisk(model, p)  # the model's atoms and pmfs, its periods checked
-    atoms = true_side.atoms
-    pmfs = true_side.pmfs if atoms is None and policy_class == "base-stock" else None
-    # a finite support or exact pmfs make the true side the same in every rep
-    fixed = atoms is not None or pmfs is not None
+    if true_side.mode == "mc":
+        raise ValueError("ge_estimate needs exact true risks, and this demand model has "
+                         "neither a finite support nor integer per-period pmfs")
+    atoms, pmfs = true_side.atoms, true_side.pmfs
     if policy_class == "base-stock":
-        if fixed:
-            kinks = base_stock_kinks(atoms, p) if pmfs is None else exact_base_stock_levels(pmfs, p)
-        # a Monte-Carlo true side takes every kink of the true and the empirical curve
-        chunks = lambda D, D_eval: [
-            kinks if fixed else np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
-        ]
+        kinks = base_stock_kinks(atoms, p) if pmfs is None else exact_base_stock_levels(pmfs, p)
+        candidates = lambda: [kinks]
     elif policy_class in ("ss", "st"):
         lo, hi = fit_ss_bounds(p)[:2] if policy_class == "ss" else (0.0, fit_cap(p.level_cap()))
         grid = policy_grid(policy_class, grid_axis(lo, hi, grid_step, GE_GRID_BUDGET), p, GE_GRID_BUDGET)
-        n_paths = max(n_train, eval_samples if atoms is None else len(atoms))
-        chunks = lambda D, D_eval: grid.chunks(n_paths)
+        candidates = lambda: grid.chunks(n_train if atoms is None else max(n_train, len(atoms)))
     else:
         raise ValueError(f"unknown policy class {policy_class!r}")
-    score = lambda chunk, X: class_losses(policy_class, chunk, X, p)
-    block = 1
-    if fixed:
-        true_risks = (class_risks("base-stock", kinks, pmfs, p) if pmfs is not None else
-                      np.concatenate([score(c, atoms).mean(axis=1) for c in chunks(None, atoms)]))
-        widest = len(next(iter(chunks(None, atoms))))
-        block = max(1, _GE_CELLS // (n_train * max(p.horizon, widest)))
+    true_risks = [class_risks(policy_class, chunk, pmfs, p) if atoms is None
+                  else class_losses(policy_class, chunk, atoms, p).mean(axis=1)
+                  for chunk in candidates()]
+    block = max(1, _GE_CELLS // (n_train * max(p.horizon, len(true_risks[0]))))
     values: list[float] = []
     for lo in range(0, reps, block):
         n_reps = min(block, reps - lo)
         D = np.concatenate(
             [draw(model, n_train, (seed, rep, 0)).as_matrix() for rep in range(lo, lo + n_reps)]
         )
-        D_eval = atoms if fixed else draw(model, eval_samples, (seed, lo, 1)).as_matrix()
-        if fixed and policy_class == "base-stock":
-            if not np.isin(base_stock_kinks(D, p), kinks).all():
-                raise AssertionError(
-                    f"a draw in reps {lo}..{lo + n_reps - 1} has a kink off the true risk curve"
-                )
+        if policy_class == "base-stock" and not np.isin(base_stock_kinks(D, p), kinks).all():
+            raise AssertionError(
+                f"a draw in reps {lo}..{lo + n_reps - 1} has a kink off the true risk curve"
+            )
         best = np.full(n_reps, -np.inf)
-        done = 0  # candidates scored so far: where this chunk's fixed true risks start
-        for chunk in chunks(D, D_eval):
-            if fixed:
-                true = true_risks[done : done + len(chunk)]
-            else:
-                true = score(chunk, D_eval).mean(axis=1)
-            done += len(chunk)
-            emp = score(chunk, D).reshape(len(chunk), n_reps, n_train).mean(axis=2)
+        for chunk, true in zip(candidates(), true_risks):
+            emp = class_losses(policy_class, chunk, D, p).reshape(len(chunk), n_reps, n_train).mean(axis=2)
             best = np.maximum(best, (true[:, None] - emp).max(axis=0))
         values.extend(best.tolist())
     arr = np.asarray(values)
@@ -177,4 +161,3 @@ def ge_estimate(
         values=tuple(values),
         exact_sup=policy_class == "base-stock",
     )
-

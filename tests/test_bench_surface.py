@@ -2,13 +2,15 @@
 
 ``bench/tracing.py`` wraps ``stocklab.<module>.<function>`` for each entry of
 ``TARGETS``, and ``bench/workloads.py`` imports stocklab names and looks up
-lab calls on ``stocklab`` at run time.  A removed or renamed function would
-only surface in a benchmark run; these tests catch it in the test suite.
+lab calls on ``stocklab`` at run time.  A removed or renamed function, or a
+lab call whose arguments its function no longer binds, would only surface
+in a benchmark run; these tests catch it in the test suite.
 The bench files are loaded by path and left unchanged.
 """
 
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 
@@ -42,12 +44,15 @@ def test_workload_lab_calls_resolve(monkeypatch):
     looked_up = []
 
     def record(name, *args, **kwargs):
-        looked_up.append(name)
+        looked_up.append((name, args, kwargs))
         return lambda: None
 
     monkeypatch.setattr(workloads, "_lab_call", record)
     workloads.complexity_operations(0)
     assert looked_up
-    for name in looked_up:
-        assert callable(getattr(stocklab, name, None)), f"stocklab.{name}"
+    for name, args, kwargs in looked_up:
+        func = getattr(stocklab, name, None)
+        assert callable(func), f"stocklab.{name}"
+        # a removed or renamed keyword fails here, not in a benchmark run
+        inspect.signature(func).bind(*args, **kwargs)
 

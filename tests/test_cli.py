@@ -302,6 +302,15 @@ class TestRademacherAndGap:
         out = capsys.readouterr().out
         assert out.startswith("meanGE ")
 
+    @pytest.mark.parametrize("kind", ["ee-vs-T", "oos-vs-N-St", "oos-vs-N-sS",
+                                      "erm-vs-perm-ind", "erm-vs-perm-corr"])
+    def test_ge_mode_runs_every_model_kind(self, kind, capsys):
+        # every sampled model has integer pmfs or a finite support: exact true risks
+        assert main(["rademacher", "--ge", "--model-kind", kind, "--T", "2", "--U", "20",
+                     "--n-train", "5", "--reps", "3", "--seed", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("meanGE ") and captured.err == ""
+
     def test_ge_mode_rejects_empty_training_sets(self, capsys):
         assert main(["rademacher", "--ge", "--T", "3", "--n-train", "0"]) == 1
         captured = capsys.readouterr()

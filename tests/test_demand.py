@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import stocklab
-from stocklab.core import SystemParams
+from stocklab.core import ORDER_EPS, SystemParams
 from stocklab.demand import (
     DemandModel,
     FiniteSupport,
@@ -137,6 +138,39 @@ def test_continuous_model_that_only_draws_dust_rejected(mean, cap):
     for fine in (0.0, -1.0, 2e-12):
         continuous = IndependentNormals((1.0, fine), (1.0, 0.0), integerize=False)
         assert np.all(draw(continuous, 20, seed=3).as_matrix()[:, 1] == max(fine, 0.0))
+
+
+@pytest.mark.parametrize("means,stds,message", [
+    ((5.0,), (-1.0,), "period 1 needs .* deviation >= 0, got 5.0 and -1.0"),
+    ((5.0, 1.0), (1.0, math.nan), "period 2 needs .* deviation >= 0, got 1.0 and nan"),
+    ((1.0, math.nan), (1.0, 1.0), "period 2 needs a mean that is a number"),
+], ids=["negative-std", "nan-std", "nan-mean"])
+@pytest.mark.parametrize("integerize", [True, False])
+def test_model_rejects_a_mean_or_deviation_that_is_no_law(means, stds, message, integerize):
+    # a negative deviation gave marginal_pmfs negative "masses", read by the
+    # exact risks, while draw raised numpy's own error
+    with pytest.raises(ValueError, match=message):
+        IndependentNormals(means, stds, cap=8.0, integerize=integerize)
+
+
+@pytest.mark.parametrize("cap", [math.inf, math.nan, 0.0, -1.0])
+def test_model_rejects_a_cap_that_is_not_positive_and_finite(cap):
+    # an infinite or NaN cap crashed marginal_pmfs in int(cap)
+    with pytest.raises(ValueError, match="cap must be positive and finite"):
+        IndependentNormals((5.0,), (1.0,), cap=cap)
+
+
+@pytest.mark.parametrize("cap", [1e-13, ORDER_EPS])
+def test_continuous_model_whose_cap_leaves_only_dust_rejected(cap):
+    # with a positive deviation a continuous draw lands in [0, cap], and
+    # Dataset rejects every positive demand at most ORDER_EPS
+    with pytest.raises(ValueError, match=f"cap {cap:g} leaves no positive draw: .*ORDER_EPS"):
+        IndependentNormals((0.0, 3.0), (0.0, 1.0), cap=cap, integerize=False)
+    # zero deviations at a mean <= 0 draw only 0, and rounding draws only 0
+    zero = IndependentNormals((0.0, -1.0), (0.0, 0.0), cap=cap, integerize=False)
+    rounded = IndependentNormals((0.0, 3.0), (0.0, 1.0), cap=cap)
+    for model in (zero, rounded):
+        assert np.all(draw(model, 20, seed=3).as_matrix() == 0.0)
 
 
 def test_marginal_pmfs_match_empirical():

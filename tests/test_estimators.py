@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stocklab import estimators, evaluate
-from stocklab.core import ORDER_EPS, BaseStock, BudgetError, Dataset, SystemParams, simulate
+from stocklab.core import (
+    ORDER_EPS,
+    BaseStock,
+    BudgetError,
+    Dataset,
+    NonStationary,
+    SsPolicy,
+    SystemParams,
+    simulate,
+)
 from stocklab.demand import (
     FiniteSupport,
     IndependentNormals,
@@ -16,7 +25,14 @@ from stocklab.demand import (
     marginal_pmfs,
     support_atoms,
 )
-from stocklab.evaluate import st_losses
+from stocklab.evaluate import (
+    ModelRisk,
+    enumerate_product_risk,
+    exact_ss_risk,
+    exact_st_risk,
+    ss_losses_grid,
+    st_losses,
+)
 from stocklab.estimators import (
     base_stock_kinks,
     base_stock_loss_matrix,
@@ -121,11 +137,9 @@ class TestGeEstimate:
     def test_grid_classes_flagged_approximate(self):
         p = params(T=2, U=4.0, Hlo=-4.0, x1=-4.0)
         model = IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.0)
-        rep = ge_estimate(model, 3, p, policy_class="ss", reps=3, seed=8,
-                          eval_samples=200)
+        rep = ge_estimate(model, 3, p, policy_class="ss", reps=3, seed=8)
         assert not rep.exact_sup
-        rep = ge_estimate(model, 3, p, policy_class="st", reps=2, seed=9,
-                          eval_samples=200)
+        rep = ge_estimate(model, 3, p, policy_class="st", reps=2, seed=9)
         assert not rep.exact_sup
 
     @pytest.mark.parametrize("policy_class,kw,message", [
@@ -140,7 +154,7 @@ class TestGeEstimate:
         kw = dict(dict(p=params(T=2, U=4.0, Hlo=-4.0, x1=-4.0)), **kw)
         model = IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.0)
         with pytest.raises(ValueError, match=message):
-            ge_estimate(model, 3, policy_class=policy_class, reps=1, eval_samples=20, **kw)
+            ge_estimate(model, 3, policy_class=policy_class, reps=1, **kw)
 
     def test_ss_grid_keeps_no_point_past_the_bound(self, monkeypatch):
         # arange(-4, 5.1) reaches 5, past H = 4.6; the pairs are counted
@@ -153,11 +167,11 @@ class TestGeEstimate:
         monkeypatch.setattr(evaluate, "ss_pairs", lambda a: seen.append(a.tolist()) or pairs(a))
         n_pairs = len(pairs(axis)[0])
         monkeypatch.setattr(estimators, "GE_GRID_BUDGET", n_pairs)
-        ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20)
+        ge_estimate(model, 3, p, policy_class="ss", reps=1)
         assert seen == [axis.tolist()]
         monkeypatch.setattr(estimators, "GE_GRID_BUDGET", n_pairs - 1)
         with pytest.raises(BudgetError):
-            ge_estimate(model, 3, p, policy_class="ss", reps=1, eval_samples=20)
+            ge_estimate(model, 3, p, policy_class="ss", reps=1)
         assert len(seen) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -175,10 +189,13 @@ class TestGeEstimate:
             atoms = data.draw(st.lists(st.tuples(*[cell] * (T + L)), min_size=1, max_size=4))
             model = FiniteSupport(tuple(atoms))
         else:
-            model = IndependentNormals((1.5,) * (T + L), (1.0,) * (T + L), cap=3.0,
-                                       integerize=data.draw(st.booleans()))
+            # integer demands: the true side is the lattice kernel per row
+            mu = data.draw(st.lists(st.floats(0.0, 3.0), min_size=T + L, max_size=T + L))
+            sd = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                    min_size=T + L, max_size=T + L))
+            model = IndependentNormals(tuple(mu), tuple(sd), cap=3.0)
         step = data.draw(st.sampled_from([0.5, 1.0]))
-        kw = dict(policy_class="st", reps=2, eval_samples=30, grid_step=step,
+        kw = dict(policy_class="st", reps=2, grid_step=step,
                   seed=data.draw(st.integers(0, 9)))
         n_train = data.draw(st.integers(1, 4))
         got = ge_estimate(model, n_train, p, **kw)
@@ -188,10 +205,10 @@ class TestGeEstimate:
     def test_st_chunks_match_one_chunk(self, monkeypatch):
         p = params(T=2, L=1, h=0.5, b=2.0, U=3.0, H=2.0)
         model = IndependentNormals((1.5,) * 3, (1.0,) * 3, cap=3.0)
-        kw = dict(policy_class="st", reps=3, eval_samples=40, grid_step=0.5, seed=4)
+        kw = dict(policy_class="st", reps=3, grid_step=0.5, seed=4)
         whole = ge_estimate(model, 3, p, **kw)
-        # 120 cells over 40 eval paths x 2 periods: one combination per chunk
-        monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 120)
+        # 6 cells over 3 training paths x 2 periods: one combination per chunk
+        monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 6)
         chunked = ge_estimate(model, 3, p, **kw)
         assert chunked == whole
         assert list(chunked.values) == product_loop_ge_st(model, 3, p, **kw)
@@ -206,31 +223,95 @@ class TestGeEstimate:
                    K=data.draw(st.sampled_from([0.0, 1.5])), U=4.0,
                    x1=data.draw(st.sampled_from([0.0, -1e-13, -2.0])), H=2.0, Hlo=-2.0)
         if data.draw(st.booleans()):
-            # integer draws have exact pmfs; continuous ones a Monte-Carlo true side
+            # integer draws: the true side is the model's pmfs, for every class
             mu = data.draw(st.lists(st.floats(0.0, 4.0), min_size=T + L, max_size=T + L))
-            model = IndependentNormals(tuple(mu), (1.5,) * (T + L), cap=4.0,
-                                       integerize=data.draw(st.booleans()))
-            policy_class = "base-stock"
+            model = IndependentNormals(tuple(mu), (1.5,) * (T + L), cap=4.0)
         else:
             cell = st.one_of(st.integers(0, 4).map(float),
                              st.floats(0.0, 4.0).filter(lambda v: v == 0.0 or v > ORDER_EPS))
             atoms = data.draw(st.lists(st.tuples(*[cell] * (T + L)), min_size=1, max_size=5))
             model = FiniteSupport(tuple(atoms))
-            policy_class = data.draw(st.sampled_from(["base-stock", "ss", "st"]))
-        kw = dict(policy_class=policy_class, reps=4, eval_samples=30, grid_step=1.0,
+        policy_class = data.draw(st.sampled_from(["base-stock", "ss", "st"]))
+        kw = dict(policy_class=policy_class, reps=4, grid_step=1.0,
                   seed=data.draw(st.integers(0, 9)))
         n_train = data.draw(st.integers(1, 4))
         got = ge_estimate(model, n_train, p, **kw)
         if policy_class == "st":
             want = product_loop_ge_st(model, n_train, p, **kw)
         else:
-            want = rescored_ge(model, n_train, p, policy_class, kw["reps"], kw["seed"],
-                               kw["eval_samples"])
+            want = rescored_ge(model, n_train, p, policy_class, kw["reps"], kw["seed"])
         assert [v.hex() for v in got.values] == [v.hex() for v in want]
         with mock.patch.object(estimators, "_GE_CELLS", 1):  # one rep per block
             assert ge_estimate(model, n_train, p, **kw) == got
         with mock.patch.object(estimators, "_GE_CELLS", 1 << 40):  # one block of every rep
             assert ge_estimate(model, n_train, p, **kw) == got
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_grid_classes_are_exact_risks_less_kernel_means(self, data):
+        # each rep's value is the max over the grid of a policy's one-policy
+        # exact risk less the kernel's mean loss on the rep's own training
+        # paths, by float.hex; on the first two reps it is also the value of
+        # simulate alone (the product support enumerated, and the training
+        # paths), within 1e-9
+        policy_class = data.draw(st.sampled_from(["ss", "st"]))
+        T = data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(0, 2))
+        p = params(T=T, L=L, h=data.draw(st.sampled_from([0.5, 1.0])),
+                   b=data.draw(st.sampled_from([1.0, 3.0])),
+                   K=data.draw(st.sampled_from([0.0, 1.5])) if policy_class == "ss" else 0.0,
+                   U=2.0, x1=-float(data.draw(st.integers(0, 2))), H=2.0, Hlo=-2.0)
+        mu = data.draw(st.lists(st.floats(0.0, 2.0), min_size=T + L, max_size=T + L))
+        sd = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=T + L, max_size=T + L))
+        model = IndependentNormals(tuple(mu), tuple(sd), cap=2.0)
+        step = data.draw(st.sampled_from([0.5, 1.0]))
+        n_train, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 9))
+        got = ge_estimate(model, n_train, p, policy_class, reps=3, seed=seed, grid_step=step)
+        pmfs = marginal_pmfs(model)
+        if policy_class == "ss":
+            axis = np.arange(p.Hlo, p.H + step / 2, step)
+            policies = [SsPolicy(s, S) for s in axis for S in axis if s <= S and S >= 0]
+            true = [exact_ss_risk(pol, pmfs, p) for pol in policies]
+            kernel = lambda pol, D: ss_losses_grid([pol.s], [pol.S], D, p)[0]
+        else:
+            axis = np.arange(0.0, p.H + step / 2, step)
+            policies = [NonStationary(levels + (0.0,) * L)
+                        for levels in itertools.product(axis.tolist(), repeat=T)]
+            true = [exact_st_risk(pol.levels, pmfs, p) for pol in policies]
+            kernel = lambda pol, D: st_losses(np.array(pol.levels), D, p)
+        for rep, value in enumerate(got.values):
+            D = draw(model, n_train, (seed, rep, 0)).as_matrix()
+            want = max(float(t - kernel(pol, D).mean()) for pol, t in zip(policies, true))
+            assert value.hex() == want.hex()
+            if rep < 2:
+                simulated = max(
+                    enumerate_product_risk(pol, pmfs, p)
+                    - np.mean([simulate(pol, row, p, unchecked=True).avg_loss for row in D])
+                    for pol in policies)
+                assert value == pytest.approx(simulated, abs=1e-9)
+
+    @pytest.mark.parametrize("policy_class", ["base-stock", "ss", "st"])
+    def test_training_draws_are_the_only_draws(self, monkeypatch, policy_class):
+        # the true side comes from the pmfs: no evaluation sample is drawn
+        p = params(T=2, L=1, U=4.0, Hlo=-2.0, x1=-2.0, H=3.0)
+        model = IndependentNormals((1.0, 3.0, 2.0), (1.5,) * 3, cap=4.0)
+        keys = []
+        monkeypatch.setattr(estimators, "draw",
+                            lambda m, n, key: keys.append((n, key)) or draw(m, n, key))
+        ge_estimate(model, 3, p, policy_class, reps=5, seed=7)
+        assert keys == [(3, (7, rep, 0)) for rep in range(5)]
+
+    @pytest.mark.parametrize("policy_class", ["base-stock", "ss", "st"])
+    @pytest.mark.parametrize("model", [
+        IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.0, integerize=False),
+        IndependentNormals((2.0,) * 2, (1.0,) * 2, cap=4.5),
+    ], ids=["continuous", "fractional-cap"])
+    def test_model_without_exact_risks_rejected(self, monkeypatch, model, policy_class):
+        p = params(T=2, U=4.0, Hlo=-2.0, x1=-2.0)
+        assert ModelRisk(model, p).mode == "mc"
+        monkeypatch.setattr(estimators, "draw", mock.Mock(side_effect=AssertionError("drawn")))
+        with pytest.raises(ValueError, match="neither a finite support nor integer per-period pmfs"):
+            ge_estimate(model, 3, p, policy_class, reps=2)
 
     @pytest.mark.parametrize("policy_class", ["ss", "st"])
     def test_grid_class_reps_stack_on_a_finite_support(self, monkeypatch, policy_class):
@@ -245,7 +326,7 @@ class TestGeEstimate:
         scored = getattr(evaluate, kernel)
         monkeypatch.setattr(evaluate, kernel,
                             lambda *a: paths.append(len(a[-2])) or scored(*a))
-        kw = dict(policy_class=policy_class, reps=reps, eval_samples=30, grid_step=1.0, seed=2)
+        kw = dict(policy_class=policy_class, reps=reps, grid_step=1.0, seed=2)
         got = ge_estimate(model, n_train, p, **kw)
         assert paths == [len(support_atoms(model)), reps * n_train]
         if policy_class == "st":
@@ -333,44 +414,42 @@ class TestGeEstimate:
             ge_estimate(model, 3, p, "st", reps=2)
 
 
-def product_loop_ge_st(model, n_train, p, policy_class, reps, eval_samples, grid_step, seed):
-    """ge_estimate(..., "st") by two st_losses calls per combination of all
-    T + L levels in itertools.product order."""
+def product_loop_ge_st(model, n_train, p, policy_class, reps, grid_step, seed):
+    """ge_estimate(..., "st") by one true risk and one st_losses call per rep
+    for every combination of all T + L levels, in itertools.product order: the
+    mean loss over the atoms, or exact_st_risk under the model's pmfs."""
     assert policy_class == "st"
     axis = np.arange(0.0, p.level_cap() + grid_step / 2, grid_step)
-    atoms = support_atoms(model)
+    atoms, pmfs = support_atoms(model), marginal_pmfs(model)
+    combos = [np.asarray(combo) for combo in itertools.product(axis, repeat=p.horizon)]
+    true = [st_losses(lv, atoms, p).mean() if atoms is not None else exact_st_risk(lv, pmfs, p)
+            for lv in combos]
     values = []
     for rep in range(reps):
         D = draw(model, n_train, (seed, rep, 0)).as_matrix()
-        D_eval = atoms if atoms is not None else draw(model, eval_samples, (seed, rep, 1)).as_matrix()
-        best = -math.inf
-        for combo in itertools.product(axis, repeat=p.horizon):
-            lv = np.asarray(combo)
-            best = max(best, float(st_losses(lv, D_eval, p).mean() - st_losses(lv, D, p).mean()))
-        values.append(best)
+        values.append(max(float(t - st_losses(lv, D, p).mean()) for lv, t in zip(combos, true)))
     return values
 
 
-def rescored_ge(model, n_train, p, policy_class, reps, seed, eval_samples=None):
+def rescored_ge(model, n_train, p, policy_class, reps, seed):
     """ge_estimate's per-rep values for the base-stock class or (s, S) pairs
-    on a unit grid, with every rep's true risks scored in a call of their own.
-    A base-stock model with neither a support nor pmfs takes its true side
-    from an ``eval_samples``-path draw under key (seed, rep, 1)."""
-    atoms = support_atoms(model)
+    on a unit grid, with the true risks scored apart from its blocks: over
+    the atoms, or exactly under the model's pmfs, one (s, S) pair at a time
+    and the base-stock candidates of each rep in a call of their own."""
+    atoms, pmfs = support_atoms(model), marginal_pmfs(model)
+    if policy_class == "ss":
+        s, S = evaluate.ss_pairs(evaluate.grid_axis(p.Hlo, p.H, 1.0))
+        if atoms is None:
+            true = np.array([exact_ss_risk(SsPolicy(*pair), pmfs, p) for pair in zip(s, S)])
+        else:
+            true = evaluate.ss_losses_grid(s, S, atoms, p).mean(axis=1)
     values = []
     for rep in range(reps):
         D = draw(model, n_train, (seed, rep, 0)).as_matrix()
         if policy_class == "ss":
-            s, S = evaluate.ss_pairs(evaluate.grid_axis(p.Hlo, p.H, 1.0))
-            true = evaluate.ss_losses_grid(s, S, atoms, p).mean(axis=1)
             emp = evaluate.ss_losses_grid(s, S, D, p).mean(axis=1)
         else:
-            pmfs = marginal_pmfs(model)
-            if atoms is None and pmfs is None:
-                D_eval = draw(model, eval_samples, (seed, rep, 1)).as_matrix()
-                cands = np.union1d(base_stock_kinks(D, p), base_stock_kinks(D_eval, p))
-                true = base_stock_loss_matrix(cands, D_eval, p).mean(axis=1)
-            elif atoms is None:
+            if atoms is None:
                 cands = np.union1d(base_stock_kinks(D, p), evaluate.exact_base_stock_levels(pmfs, p))
                 true = evaluate.exact_base_stock_risk(cands, pmfs, p)
             else:
