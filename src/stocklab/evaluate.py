@@ -136,21 +136,24 @@ def base_stock_kinks(D: np.ndarray, p: SystemParams) -> np.ndarray:
     return np.unique(cands[(cands >= 0.0) & (cands <= hi)])
 
 
-def base_stock_fractile(D: np.ndarray, p: SystemParams) -> float:
-    """The critical fractile of the M pooled lead-time demand sums, the
-    smallest level in [0, H] that minimizes a base-stock level's summed
-    holding and backlog cost against them: the k-th smallest sum, capped at
-    H, for the least integer k with h k >= b (M - k), or 0 when k = 0.  k is
-    found in exact arithmetic on the floats h and b, so a tie goes to the
-    smaller level.  With x1 <= 0 and K = 0 it is the base-stock ERM; x1 is
-    not read.
+def critical_fractile(a: np.ndarray, lo, hi, p: SystemParams) -> np.ndarray:
+    """Row-wise critical fractile: for each row of ``a``, shape (rows, m), the
+    smallest level in [lo, hi] (scalars or one per row) that minimizes
+    sum_j c(level - a[i, j]), the k-th smallest entry clipped into [lo, hi]
+    for the least integer k with h k >= b (m - k), or lo when k = 0.  k is
+    found in exact arithmetic on h and b, so a tie goes to the smaller level.
     """
-    sums = lead_demand_sums(D, p.L).ravel()
     h, b = Fraction(p.h), Fraction(p.b)
-    k = math.ceil(b * len(sums) / (h + b)) if h + b > 0 else 0
-    if k == 0:
-        return 0.0
-    return float(min(np.partition(sums, k - 1)[k - 1], p.level_cap()))
+    k = math.ceil(b * a.shape[1] / (h + b)) if h + b > 0 else 0
+    kth = np.partition(a, k - 1, axis=1)[:, k - 1] if k else np.full(len(a), -np.inf)
+    return np.clip(kth, lo, hi)
+
+
+def base_stock_fractile(D: np.ndarray, p: SystemParams) -> float:
+    """The :func:`critical_fractile` in [0, H] of the pooled lead-time demand
+    sums: the base-stock ERM when x1 <= 0 and K = 0 (x1 is not read)."""
+    sums = lead_demand_sums(D, p.L).reshape(1, -1)
+    return float(critical_fractile(sums, 0.0, p.level_cap(), p)[0])
 
 
 def st_losses_grid(levels: np.ndarray, D: np.ndarray, p: SystemParams) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The one-dimensional fitters are exact: the empirical risk is piecewise
 linear in the level parameter, so its critical fractile, or the best of its
-kinks, is a global minimizer.  The reorder-point fitter enumerates gap intervals (between
-consecutive-demand-sum breakpoints) within which the reorder schedule of
+kinks, is a global minimizer.  The reorder-point fitter takes one clamped
+critical fractile per class of gaps within which the reorder schedule of
 every sample is frozen.  The per-period-level fitter is a multi-start
 cyclic coordinate descent whose line searches are themselves exact.
 """
@@ -31,15 +31,16 @@ from .core import (
 )
 from .demand import make_rng
 from .evaluate import (
+    _BLOCK_CELLS,
     base_stock_fractile,
     check_closed_form_x1,
     class_losses,
+    critical_fractile,
     dataset_risk,
     grid_axis,
     lead_demand_sums,
     policy_grid,
     prefix_sums,
-    sorted_prefix_costs,
     ss_losses_grid,
     st_losses,
     st_losses_grid,
@@ -65,8 +66,8 @@ ST_JITTER = 0.05
 # Most points a grid search scores before it raises BudgetError.
 GRID_BUDGET = 2_000_000
 
-# Gap x path x period cells per sorted_prefix_costs call of the integer
-# (s, S) search: its temporaries stay at a few hundred KiB.
+# Gap x path x period cells per block of order windows that the (s, S) fits
+# score: their temporaries stay at a few hundred KiB.
 _WINDOW_BLOCK_CELLS = 1 << 14
 
 
@@ -127,14 +128,9 @@ def erm_base_stock(data: Dataset, p: SystemParams) -> FitResult:
     fit_cap(p.level_cap())
     check_closed_form_x1(p)
     S = base_stock_fractile(D, p)
-    if p.K > 0 and -p.x1 <= ORDER_EPS < S - p.x1:
-        # N T (risk(S) - risk(0)) is the cost at S less that at 0 over the M
-        # lead-time demand sums a, (h + b) sum_{a <= S} (S - a) - b M S,
-        # plus the K each of the N paths pays for S's first order
-        a = [Fraction(v) for v in lead_demand_sums(D, p.L).ravel().tolist()]
-        at, h, b = Fraction(S), Fraction(p.h), Fraction(p.b)
-        if (h + b) * sum(at - v for v in a if v <= at) - b * len(a) * at + Fraction(p.K) * len(D) >= 0:
-            S = 0.0
+    if p.K > 0 and -p.x1 <= ORDER_EPS < S - p.x1 and _skips_first_order(
+            lead_demand_sums(D, p.L), 0.0, S, len(D), p):
+        S = 0.0
     policy = BaseStock(S)
     return FitResult(policy, dataset_risk(policy, data, p), "critical-fractile")
 
@@ -202,13 +198,10 @@ def erm_eoq_base_stock(data: Dataset, p: SystemParams) -> FitResult:
 
 def _order_windows(served: np.ndarray, D: np.ndarray, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """The demand windows and charged reorders of (s, S) policies that order
-    in period 1, from their reorder schedules ``served``, shape (gaps, N, T)
-    (:func:`~stocklab.core.reorder_schedule`).
-
-    Period t's level is S less window ``[g, i, t - 1]``, the demand from the
+    in period 1, from their reorder schedules ``served``, shape (gaps, N, T):
+    period t's level is S less window ``[g, i, t - 1]``, the demand from the
     order that serves t through t + L, read off one prefix-sum array; entry
-    g of the second array counts the orders after period 1 that pay K.
-    """
+    g of the second array counts the orders after period 1 that pay K."""
     pre = prefix_sums(D)
     windows = pre[:, p.L + 1 : p.T + p.L + 1] - pre[np.arange(len(D))[:, None], served - 1]
     # an order in period t >= 2 is charged if the demand since the last order
@@ -220,52 +213,76 @@ def _order_windows(served: np.ndarray, D: np.ndarray, p: SystemParams) -> tuple[
     return windows, reorders
 
 
-def _integer_ss_pick(axis: np.ndarray, D: np.ndarray, p: SystemParams) -> SsPolicy:
-    """The first (s, S) pair on the integer ``axis``, in ``ss_pairs``' (gap, S)
-    order, of the smallest total cost on the paths of D (x1 at most every s).
+def _skips_first_order(a: np.ndarray, low: float, level: float, n: int, p: SystemParams) -> bool:
+    """Whether ``low``, whose n paths place no first order, costs at most
+    ``level`` and its n first-order K's against the values a, in exact
+    arithmetic: sum c(S - a) is (h + b) sum_{a <= S} (S - a) - b m S + const."""
+    a, lo, S = [Fraction(v) for v in np.ravel(a).tolist()], Fraction(low), Fraction(level)
+    rise = sum(S - v for v in a if v <= S) - sum(lo - v for v in a if v <= lo)
+    return (Fraction(p.h) + Fraction(p.b)) * rise - Fraction(p.b) * len(a) * (S - lo) + Fraction(p.K) * n >= 0
 
-    Every pair orders in period 1, so its schedule depends only on its gap
-    g: one :func:`~stocklab.core.reorder_schedule` call gives every gap's,
-    and one :func:`~stocklab.evaluate.sorted_prefix_costs` call per block of
-    at most ``_WINDOW_BLOCK_CELLS`` gap x path x period cells (or of one gap)
-    scores every S >= 0 on the axis against the block's windows; the cells
-    with s = S - g off the axis are masked.  On integer demands the totals are
-    exact for dyadic h, b and K, so the pick is the first exact minimum.
+
+def _gap_class_picks(gaps: np.ndarray, lows: np.ndarray, hi: float, D: np.ndarray, p: SystemParams,
+                     above: tuple[float, np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+    """Each (s, S) gap class's smallest S in [lowest S, hi] of the least total
+    cost on the paths of D (x1 at most every s): the levels, their holding
+    and backlog costs (:func:`~stocklab.evaluate.sorted_prefix_costs`'
+    floats), their charged orders, and the count of levels scored.
+
+    Class c orders with gap ``gaps[c]``; its lowest S is ``lows[c]`` or,
+    with ``above = (lo, offsets)``, a smaller window w <= hi with
+    w - lo > offsets[c].  Every pair orders in period 1, so its schedule
+    depends only on its gap and its cost in S is sum c(S - w) over its
+    windows w: only their critical fractile, clamped into [lowest S, hi],
+    and the lowest S, the one level that can skip the first order's K, are
+    scored, compared exactly; the lowest wins a tie.  One
+    :func:`~stocklab.core.reorder_schedule` call covers ``_BLOCK_CELLS``
+    cells, and ``_order_windows`` blocks of ``_WINDOW_BLOCK_CELLS``.
     """
-    S = axis[axis >= 0.0]
-    gaps = axis - axis[0]
-    served = reorder_schedule(gaps, D, p)
-    first = len(D) * (S - p.x1 > ORDER_EPS)
-    block = max(1, _WINDOW_BLOCK_CELLS // (len(D) * p.T))
-    best = (math.inf, 0.0, 0.0)  # (total, gap, S)
+    n, m = len(D), len(D) * p.T
+    block = max(1, _WINDOW_BLOCK_CELLS // m)
+    chunk = block * max(1, _BLOCK_CELLS // (block * m))
+    levels, costs, charges = np.empty(len(gaps)), np.empty(len(gaps)), np.empty(len(gaps), dtype=np.intp)
+    scored = 0
     for j in range(0, len(gaps), block):
-        windows, reorders = _order_windows(served[j : j + block], D, p)
-        g = gaps[j : j + block, None]
-        totals = sorted_prefix_costs(S, windows.reshape(len(g), -1), p)
+        if j % chunk == 0:
+            served = reorder_schedule(gaps[j : j + chunk], D, p)
+        windows, reorders = _order_windows(served[j % chunk : j % chunk + block], D, p)
+        rows = np.sort(windows.reshape(len(windows), -1), axis=1)
+        low = lows[j : j + block]
+        if above is not None:
+            ok = (rows <= hi) & (rows - above[0] > above[1][j : j + block, None])
+            low = np.minimum(low, np.where(ok, rows, np.inf).min(axis=1))
+        S = critical_fractile(rows, low, hi, p)
+        scored += len(S) + int((S > low).sum())
         if p.K > 0:
-            totals += p.K * (reorders[:, None] + first[None, :])
-        totals[S[None, :] - g < axis[0]] = math.inf
-        row, col = np.unravel_index(np.argmin(totals), totals.shape)
-        # a later block's pair wins only by a strictly smaller total
-        if totals[row, col] < best[0]:
-            best = (totals[row, col], g[row, 0], S[col])
-    _, gap, level = best
-    return SsPolicy(float(level - gap), float(level))
+            for i in np.flatnonzero((low - p.x1 <= ORDER_EPS) & (S - p.x1 > ORDER_EPS)):
+                if _skips_first_order(rows[i], low[i], S[i], n, p):
+                    S[i] = low[i]
+        # h (S k - prefix[k]) on the k windows below S, b (sum - prefix[k] - S (m - k)) on the rest
+        k = (rows < S[:, None]).sum(axis=1)
+        prefix = prefix_sums(rows)
+        below = prefix[np.arange(len(rows)), k]
+        costs[j : j + block] = p.h * (S * k - below) + p.b * ((prefix[:, -1] - below) - S * (m - k))
+        charges[j : j + block] = reorders + n * (S - p.x1 > ORDER_EPS)
+        levels[j : j + block] = S
+    return levels, costs, charges, scored
 
 
 def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     """Global empirical risk minimizer over reorder-point policies.
 
-    ``exact`` mode enumerates gap intervals between demand-sum breakpoints;
-    within an interval every sample's reorder schedule is frozen and the risk
-    is convex piecewise-linear in S with kinks at the in-window demand sums.
-    ``integer-grid`` mode searches the (s, S) pairs on the integers in the
-    bounds, the points ``grid_oracle("ss", 1.0)`` searches, by their order
-    windows (``_integer_ss_pick``), and requires integer-valued demands; its
-    ``candidate_count`` is the pair count, checked against ``GRID_BUDGET``
-    before any pair is scored.  Ties break toward the smallest gap, then the
-    smallest S: exactly in ``integer-grid`` mode, whose totals are exact for
-    dyadic h, b and K.
+    Both modes score classes of gaps that share every sample's reorder
+    schedule, by one clamped critical fractile each (``_gap_class_picks``).
+    ``exact`` mode has one class per gap interval (a, b] between demand-sum
+    breakpoints, whose lowest S is the least of 0, H, Hlo + a + 1e-9 and the
+    windows that leave s >= Hlo; ``candidate_count`` counts the levels
+    scored.  ``integer-grid`` mode, for integer demands, has one class per
+    gap of the integer pairs in the bounds, ``grid_oracle("ss", 1.0)``'s
+    points; ``candidate_count`` is their count, checked against
+    ``GRID_BUDGET`` first.  Ties go to the smallest gap, then the smallest S:
+    exactly within a class, and in ``integer-grid`` mode, whose totals are
+    exact for dyadic h, b and K, across classes too.
     """
     lo, hi, capped = fit_ss_bounds(p)
     if p.x1 > lo:
@@ -279,70 +296,35 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
         count = policy_grid("ss", axis, p, GRID_BUDGET).count
         if not count:
             raise ValueError("empty (s, S) grid")
-        policy = _integer_ss_pick(axis, D, p)
+        gaps = axis - axis[0]
+        levels, costs, charges, _ = _gap_class_picks(gaps, np.maximum(axis, 0.0), axis[-1], D, p)
+        g = int(np.argmin(costs + p.K * charges))
+        policy = SsPolicy(float(levels[g] - gaps[g]), float(levels[g]))
         return FitResult(policy, dataset_risk(policy, data, p), "integer-grid",
                          {"candidate_count": count, "capped_bounds": capped})
 
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    delta_cap = hi - lo
-    bps = delta_breakpoints(D, p)
-    ends = bps[(bps > 0.0) & (bps < delta_cap)].tolist() + [delta_cap]
-    starts = [0.0] + ends[:-1]
-    # (a, b, rep): the gap-0 interval, then one between each pair of adjacent
-    # points of 0, the breakpoints below delta_cap, and delta_cap
-    intervals = [(0.0, 0.0, 0.0)] + [
-        (a, b, (a + b) / 2.0) for a, b in zip(starts, ends) if b > a
-    ]
-
-    n = len(D)
-    scale = n * p.T
-    # at most 2^16 interval x path x period cells per block bound the memory
-    block = max(1, 2**16 // scale)
-    best: tuple[float, float, float] | None = None  # (risk, delta, S)
-    n_cands = 0
-    for j in range(0, len(intervals), block):
-        chunk = intervals[j : j + block]
-        served = reorder_schedule(np.array([rep for _, _, rep in chunk]), D, p)
-        windows, reorders = _order_windows(served, D, p)
-        for (a, b, rep), win, n_later in zip(chunk, windows, reorders):
-            win = win.ravel()
-            cands = np.unique(
-                np.concatenate([win, [0.0, hi, min(max(lo + a + 1e-9, 0.0), hi)]])
-            )
-            cands = cands[(cands >= 0.0) & (cands <= hi)]
-            # feasibility: some gap in the interval must satisfy s = S - gap >= lo
-            feasible = cands - lo > a if a > 0 or b > 0 else cands - lo >= 0
-            cands = cands[feasible]
-            if not len(cands):
-                continue
-            n_cands += len(cands)
-            risks = sorted_prefix_costs(cands, win[None, :], p)[0] / scale
-            if p.K > 0:
-                risks = risks + p.K * (n_later + n * (cands - p.x1 > ORDER_EPS)) / scale
-            # only the interval's first minimizer can improve
-            k = int(np.argmin(risks))
-            S = float(cands[k])
-            delta = 0.0 if rep == 0.0 else min(rep, S - lo)
-            cand = (float(risks[k]), delta, S)
-            if best is None or cand < best:
-                best = cand
-
-    if best is None:
+    # the gap-0 class, then one class per interval (a, b] between adjacent
+    # edges: 0, the breakpoints between 0 and hi - lo, and hi - lo
+    edges = np.unique(np.clip(np.append(delta_breakpoints(D, p), [0.0, hi - lo]), 0.0, hi - lo))
+    a, reps = np.append(0.0, edges[:-1]), np.append(0.0, (edges[:-1] + edges[1:]) / 2.0)
+    # S is feasible if a gap of the class leaves s = S - gap >= lo: S - lo > a,
+    # or S - lo >= 0 at gap 0; a class with a feasible S has H among them
+    offsets = np.append(np.nextafter(0.0, -1.0), a[1:])
+    fixed = np.stack([np.zeros_like(a), np.full_like(a, hi), np.clip(lo + a + 1e-9, 0.0, hi)], axis=1)
+    lows = np.where(fixed - lo > offsets[:, None], fixed, np.inf).min(axis=1)
+    live = np.flatnonzero(lows < np.inf)
+    if not len(live):
         raise ValueError("no feasible (s, S) candidate")
-    _, delta, S = best
-    policy = SsPolicy(S - delta, S)
-    return FitResult(
-        policy=policy,
-        in_sample_risk=dataset_risk(policy, data, p),
-        method="gap-interval-enumeration",
-        diagnostics={
-            "candidate_count": n_cands,
-            "interval_count": len(intervals),
-            "capped_bounds": capped,
-        },
-    )
+    levels, costs, charges, scored = _gap_class_picks(reps[live], lows[live], hi, D, p, (lo, offsets[live]))
+    c = int(np.argmin(costs / (len(D) * p.T) + p.K * charges / (len(D) * p.T)))
+    S = float(levels[c])
+    # the class's gap, but no s below lo: S - (S - lo) can round below it
+    policy = SsPolicy(S if live[c] == 0 else max(S - float(reps[live[c]]), lo), S)
+    return FitResult(policy, dataset_risk(policy, data, p), "gap-interval-enumeration",
+                     {"candidate_count": scored, "interval_count": len(reps), "capped_bounds": capped})
 
 
 # ---------------------------------------------------------------------------

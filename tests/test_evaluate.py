@@ -2,11 +2,12 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stocklab.core import (
@@ -27,6 +28,7 @@ from stocklab.evaluate import (
     base_stock_loss_matrix,
     block_losses,
     class_risks,
+    critical_fractile,
     dataset_risk,
     enumerate_product_risk,
     exact_base_stock_risk,
@@ -406,6 +408,45 @@ def base_stock_cases(draw_, min_K=0.0):
     demand = st.one_of(st.just(0.0), st.floats(1e-6, 8.0))
     cells = draw_(st.lists(demand, min_size=n * (T + L), max_size=n * (T + L)))
     return p, np.asarray(cells).reshape(n, T + L)
+
+
+def brute_fractile(row, lo, hi, h, b):
+    """The smallest level of row's entries and lo, hi in [lo, hi] that
+    minimizes sum_j c(level - row[j]), every cost summed as Fractions."""
+    def cost(level):
+        return sum(Fraction(h) * max(Fraction(level) - Fraction(v), 0)
+                   + Fraction(b) * max(Fraction(v) - Fraction(level), 0) for v in row)
+    levels = sorted({v for v in row + [lo, hi] if lo <= v <= hi})
+    costs = [cost(v) for v in levels]
+    return levels[costs.index(min(costs))]
+
+
+class TestCriticalFractile:
+    # quarter steps give ties among the entries; the bounds reach past them
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 5).flatmap(lambda m: st.lists(
+               st.lists(st.integers(0, 32).map(lambda v: v / 4), min_size=m, max_size=m),
+               min_size=1, max_size=4)),
+           h=st.sampled_from([0.0, 0.5, 1.0, 2.5, 0.1]), b=st.sampled_from([0.0, 0.5, 1.0, 9.0, 0.3]),
+           bounds=st.lists(st.tuples(st.integers(-8, 48), st.integers(-8, 48)).map(
+               lambda v: (min(v) / 4, max(v) / 4)), min_size=1, max_size=4),
+           per_row=st.booleans())
+    @example(rows=[[1.0, 2.0, 3.0]], h=0.0, b=1.0, bounds=[(0.0, 8.0)], per_row=False)
+    @example(rows=[[1.0, 2.0, 3.0]], h=1.0, b=0.0, bounds=[(0.5, 8.0)], per_row=False)
+    @example(rows=[[1.0, 2.0, 3.0, 4.0]], h=1.0, b=1.0, bounds=[(0.0, 8.0)], per_row=False)
+    @example(rows=[[1.0, 2.0], [3.0, 0.0]], h=1.0, b=9.0, bounds=[(5.0, 8.0)], per_row=False)
+    @example(rows=[[1.0, 6.0, 7.0]], h=1.0, b=9.0, bounds=[(0.0, 2.5)], per_row=False)
+    def test_matches_brute_force(self, rows, h, b, bounds, per_row):
+        p = SystemParams(T=1, L=0, h=h, b=b, U=1.0)
+        a = np.array(rows)
+        if per_row:
+            lo, hi = (np.array([bounds[i % len(bounds)][j] for i in range(len(a))]) for j in (0, 1))
+        else:
+            lo, hi = np.full(len(a), bounds[0][0]), np.full(len(a), bounds[0][1])
+        got = critical_fractile(a, lo if per_row else lo[0], hi if per_row else hi[0], p)
+        assert got.shape == (len(a),)
+        for i, row in enumerate(rows):
+            assert got[i] == brute_fractile(row, lo[i], hi[i], h, b)
 
 
 class TestBaseStockKernel:

@@ -310,18 +310,19 @@ class TestErmSs:
         data = Dataset.from_matrix(D)
         p = params(T=20, h=1.0, b=9.0, K=18.0, U=20.0, H=45.0, Hlo=-25.0, x1=-25.0)
         shapes = []
+        order_windows = fitters._order_windows
 
-        def spy(levels, a, p):
-            shapes.append(a.shape)
-            return evaluate.sorted_prefix_costs(levels, a, p)
+        def spy(served, D, p):
+            shapes.append(served.shape)
+            return order_windows(served, D, p)
 
-        monkeypatch.setattr(fitters, "sorted_prefix_costs", spy)
+        monkeypatch.setattr(fitters, "_order_windows", spy)
         blocked = erm_sS(data, p, mode="integer-grid")
-        assert len(shapes) == 18 and all(gaps * cells <= 2**14 for gaps, cells in shapes)
+        assert len(shapes) == 18 and all(math.prod(shape) <= 2**14 for shape in shapes)
         shapes.clear()
         monkeypatch.setattr(fitters, "_WINDOW_BLOCK_CELLS", 2**30)
         whole = erm_sS(data, p, mode="integer-grid")
-        assert shapes == [(71, 4000)]
+        assert shapes == [(71, 200, 20)]
         assert blocked == whole
         if zeros:
             assert blocked.policy == SsPolicy(0.0, 0.0)
@@ -357,6 +358,15 @@ class TestErmSs:
             want.policy.s.hex(), want.policy.S.hex())
         assert got.in_sample_risk.hex() == want.in_sample_risk.hex()
         assert got.diagnostics == want.diagnostics
+
+    def test_exact_keeps_s_at_the_reorder_point_bound(self):
+        # (-4.23, 5.29) and (-6, 3.12) tie; S - (S - Hlo) = 3.12 - 9.12 rounds to
+        # -6.000000000000001, and an s below x1 = Hlo places no first order
+        data = Dataset.from_matrix([[3.12, 0.0, 0.0, 3.92, 0.0], [1.51, 0.84, 2.94, 0.37, 0.0]])
+        p = params(T=5, h=1.0, b=1.0, K=3.0, U=6.0, Hlo=-6.0, x1=-6.0)
+        fit = erm_sS(data, p, mode="exact")
+        assert fit.policy == SsPolicy(-6.0, 3.12)
+        assert fit.in_sample_risk == pytest.approx(2.347, abs=1e-12)
 
     def test_rejects_infinite_reorder_point_bound(self):
         data = Dataset.from_matrix([[3.0, 7.0]])
@@ -699,7 +709,9 @@ def exact_total_erm_sS(data, p):
 
 def per_row_erm_sS(data, p):
     """erm_sS(mode="exact") row by row: Python running sums give every row's
-    gap breakpoints and, per gap interval, its reorder times and windows."""
+    gap breakpoints and, per gap interval, its reorder times and windows;
+    the interval's candidates are scored in exact arithmetic, and the
+    intervals compared by their picks' float risks."""
     D = data.as_matrix()
     lo, hi, capped = p.ss_bounds()
     if not math.isfinite(lo) or not math.isfinite(hi):
@@ -745,24 +757,35 @@ def per_row_erm_sS(data, p):
         cands = cands[cands - lo > a if a > 0 or b > 0 else cands - lo >= 0]
         if not len(cands):
             continue
-        n_cands += len(cands)
         risks = evaluate.sorted_prefix_costs(cands, windows[None, :], p)[0] / scale
+        if rep == 0.0:
+            later = int((D[:, : p.T - 1] > ORDER_EPS).sum())
+        else:
+            later = n_orders - n
+        # every candidate's holding and backlog cost summed as Fractions; the
+        # interval's pick is its smallest exact minimizer with the K's
+        costs = [sum((Fraction(p.h) * max(Fraction(S) - Fraction(w), 0)
+                      + Fraction(p.b) * max(Fraction(w) - Fraction(S), 0)
+                      for w in windows.tolist()), Fraction(0))
+                 for S in cands.tolist()]
+        totals = [cost + Fraction(p.K) * (later + n * (S - p.x1 > ORDER_EPS))
+                  for cost, S in zip(costs, cands.tolist())]
+        k = totals.index(min(totals))
+        # erm_sS scores the lowest candidate and the smallest minimizer of
+        # the cost, the windows' critical fractile clamped above it
+        n_cands += 1 + (costs.index(min(costs)) > 0)
         if p.K > 0:
             first = (cands - p.x1 > ORDER_EPS).astype(float)
-            if rep == 0.0:
-                later = float((D[:, : p.T - 1] > ORDER_EPS).sum())
-            else:
-                later = n_orders - n
             risks = risks + p.K * (later + n * first) / scale
-        k = int(np.argmin(risks))
         S = float(cands[k])
-        cand = (float(risks[k]), 0.0 if rep == 0.0 else min(rep, S - lo), S)
+        cand = (float(risks[k]), 0.0 if rep == 0.0 else min(rep, S - lo), S, rep)
         if best is None or cand < best:
             best = cand
     if best is None:
         raise ValueError("no feasible (s, S) candidate")
-    _, delta, S = best
-    policy = SsPolicy(S - delta, S)
+    _, _, S, rep = best
+    # s = S - rep, or lo when the interval's gap reaches S - lo
+    policy = SsPolicy(S if rep == 0.0 else max(S - rep, lo), S)
     return FitResult(policy, dataset_risk(policy, data, p), "gap-interval-enumeration",
                      {"candidate_count": n_cands, "interval_count": len(intervals),
                       "capped_bounds": capped})
