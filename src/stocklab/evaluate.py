@@ -474,14 +474,10 @@ def exact_ss_risks(
     plus lead demand, which prices every S at once, each on its own.  Any
     other policy (``s < x1 != S``) goes through the lattice kernel.  So a
     policy gets the same float in any batch as on its own, and (S, S) and
-    (S - 1, S) at ``x1 == S``, one policy, get one float.
+    (S - 1, S) at ``x1 == S``, one policy, get one float.  That is what lets
+    :func:`exact_ss_argmin` rescore only the pairs its screen keeps.
     """
-    s = np.asarray(s_values, dtype=float)
-    S = np.asarray(S_values, dtype=float)
-    if s.shape != S.shape or s.ndim != 1:
-        raise ValueError("s_values and S_values must be 1-D arrays of one length")
-    if np.any(s > S) or np.any(S < 0):
-        raise ValueError("every policy needs 0 <= S and s <= S")
+    s, S = _ss_arrays(s_values, S_values)
     risks = np.empty(len(S))
     early = (s >= p.x1) | (S == p.x1)
     for i in np.flatnonzero(~early):
@@ -495,6 +491,17 @@ def exact_ss_risks(
             sel = early & (gaps == gap)
             risks[sel] = _gap_risks(int(gap), S[sel], pmfs, lps, p)
     return risks
+
+
+def _ss_arrays(s_values: np.ndarray, S_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, S) policies given as parallel arrays, as float arrays, checked."""
+    s = np.asarray(s_values, dtype=float)
+    S = np.asarray(S_values, dtype=float)
+    if s.shape != S.shape or s.ndim != 1:
+        raise ValueError("s_values and S_values must be 1-D arrays of one length")
+    if np.any(s > S) or np.any(S < 0):
+        raise ValueError("every policy needs 0 <= S and s <= S")
+    return s, S
 
 
 def _gap_risks(
@@ -523,6 +530,145 @@ def _gap_risks(
     if p.K > 0:
         total += p.K * (reorders + (S - p.x1 > ORDER_EPS))
     return total / p.T
+
+
+# The (s, S) screen rescores exactly every pair whose screened risk lies
+# within this relative distance of the least screened risk.
+_SCREEN_RTOL = 1e-9
+
+# Output columns per block of the screen's batched convolutions.
+_SCREEN_TILE = 32
+
+
+def _gap_rounding_bound(T: int, width: int, m: int, scale: float) -> tuple[float, float]:
+    """``(gamma, floor)``: a risk r of the gap propagation over T periods, on at
+    most ``width`` offsets with pmfs of at most ``m`` points, and costs and K
+    at most ``scale`` in all, is computed within gamma r + floor of its true
+    value, in any summation order: by :func:`_gap_risks` and by the screen.
+
+    Every term is a nonnegative mass times a nonnegative cost, so a rounding
+    scales the terms it touches by 1 + d with |d| <= u = 2^-53, and a value
+    whose every term passes at most n roundings is off by at most
+    gamma = n u / (1 - n u) relatively.  Each period a mass passes the
+    reorder sum and the order (at most width roundings), one convolution per
+    pmf (2 m) and the fold (1); the cost, its product, the sum over the fold,
+    the K charges and the division by T add fewer than width + 2 m + 2 more.
+    So n <= (T + 1) (width + 2 m + 2).  A product below the normal range is
+    off by at most 2^-1075 absolutely instead; a risk takes fewer than
+    n width such products, each scaled by at most ``scale`` after.
+    """
+    n = (T + 1) * (width + 2 * m + 2)
+    u = 2.0**-53
+    return n * u / (1.0 - n * u), n * width * scale * 2.0**-1074
+
+
+def _rows_convolve(rows: np.ndarray, gaps: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``np.convolve(rows[c], f)`` for every row c, whose mass lies below
+    offset ``gaps[c]`` (ascending): each block of ``_SCREEN_TILE`` output
+    columns is one product of the rows that reach it with one band of f."""
+    n, width = rows.shape
+    k = len(f)
+    out = np.zeros((n, width + k - 1))
+    # band[i, j] = f[k - 1 + j - i]: the weight of block input i in block output j
+    padded = np.zeros(2 * _SCREEN_TILE + k - 2)
+    padded[_SCREEN_TILE - 1 : _SCREEN_TILE - 1 + k] = f
+    band = padded[np.subtract.outer(np.arange(_SCREEN_TILE + k - 2, -1, -1), -np.arange(_SCREEN_TILE))]
+    for c0 in range(0, out.shape[1], _SCREEN_TILE):
+        first = c0 - k + 1  # the first input column that reaches the block
+        lo, hi = max(first, 0), min(c0 + _SCREEN_TILE, width)
+        r0 = int(np.searchsorted(gaps, lo, side="right"))  # the rows with mass at lo or past it
+        cols = min(_SCREEN_TILE, out.shape[1] - c0)
+        out[r0:, c0 : c0 + cols] = rows[r0:, lo:hi] @ band[lo - first : hi - first, :cols]
+    return out
+
+
+def _fold_gap_classes(
+    classes: np.ndarray, umax: int, m: int, pmfs: Sequence[np.ndarray], lps: list[np.ndarray],
+    p: SystemParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The folded masses and the reorders of :func:`_gap_risks` for every gap
+    class in ``classes`` (ascending), in one propagation: row c of one
+    (classes, offsets) array is class c's mass, and each period one masked
+    reorder step and one :func:`_rows_convolve` per pmf move every row."""
+    width = int(classes[-1]) + umax + 1
+    post = np.zeros((len(classes), width))
+    post[:, 0] = 1.0  # every path orders up to S in period 1
+    fold = np.zeros((len(classes), width + m - 1))
+    reorders = np.zeros(len(classes))
+    # 1 at the offsets where a class reorders, and 0 below them
+    due = (np.arange(width) >= classes[:, None]).astype(float)
+    stay = 1.0 - due
+    for t in range(p.T):
+        ordered = (post * due).sum(axis=1)
+        reorders += ordered
+        post *= stay
+        post[:, 0] += ordered
+        wait = _rows_convolve(post, classes, lps[t])
+        fold[:, : wait.shape[1]] += wait
+        post = (wait if p.L == 0 else _rows_convolve(post, classes, pmfs[t]))[:, :width]
+    return fold, reorders
+
+
+def _screen_ss_risks(
+    gaps: np.ndarray, S: np.ndarray, pmfs: Sequence[np.ndarray], lps: list[np.ndarray],
+    p: SystemParams,
+) -> tuple[np.ndarray, float, float]:
+    """The risks :func:`_gap_risks` gives the pairs of first reorder offsets
+    ``gaps`` (>= 1) and levels S, and the :func:`_gap_rounding_bound` of both
+    computations.  The gap classes are folded together
+    (:func:`_fold_gap_classes`), in blocks of about ``_BLOCK_CELLS`` masses,
+    and each block prices every (class, S) pair in one product with the
+    costs c(S - j).  The floats differ from the exact kernel's.
+    """
+    classes, row = np.unique(gaps.astype(np.intp), return_inverse=True)
+    levels, col = np.unique(S, return_inverse=True)
+    umax = max(len(f) for f in pmfs) - 1
+    m = max(len(lp) for lp in lps)
+    width = int(classes[-1]) + umax + 1
+    costs = cost_array(levels[None, :] - np.arange(width + m - 1)[:, None], p)
+    priced = np.empty((len(classes), len(levels)))
+    reorders = np.empty(len(classes))
+    block = max(1, _BLOCK_CELLS // width)
+    for c in range(0, len(classes), block):
+        fold, reorders[c : c + block] = _fold_gap_classes(classes[c : c + block], umax, m, pmfs, lps, p)
+        priced[c : c + block] = fold @ costs[: fold.shape[1]]
+    total = priced[row, col]
+    if p.K > 0:
+        total += p.K * (reorders[row] + (S - p.x1 > ORDER_EPS))
+    scale = float(costs.max(initial=0.0)) + p.K + 1.0
+    return total / p.T, *_gap_rounding_bound(p.T, width, m, scale)
+
+
+def exact_ss_argmin(
+    s_values: np.ndarray, S_values: np.ndarray, pmfs: Sequence[np.ndarray], p: SystemParams
+) -> tuple[int, float, int]:
+    """The first least :func:`exact_ss_risks` risk of (s, S) policies with
+    x1 <= s, in the order given: its index, its risk and the number of
+    policies scored exactly.
+
+    One batched propagation screens every policy (:func:`_screen_ss_risks`).
+    Only those whose screened risk lies within a relative ``_SCREEN_RTOL``
+    of the least screened risk are scored by :func:`exact_ss_risks`, which
+    gives each the float it has in any batch.  Both computations are within
+    the :func:`_gap_rounding_bound` of the true risk, far inside that
+    tolerance (the keep rule widens to the bound if it ever is not), so
+    every policy that ties the least exact risk is rescored, and the pick
+    and its risk are those of scoring every policy exactly.
+    """
+    s, S = _ss_arrays(s_values, S_values)
+    if len(pmfs) != p.horizon:
+        raise ValueError(f"need {p.horizon} per-period pmfs")
+    if np.any(s < p.x1):
+        raise ValueError("the screened (s, S) search needs x1 <= s")
+    lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
+    screened, gamma, floor = _screen_ss_risks(np.maximum(_reorder_offsets(S, s), 1.0), S, pmfs, lps, p)
+    # r^ <= rho^2 min r^ + (rho + 1)^2 floor for every pair that ties the least exact risk
+    rho = (1.0 + gamma) / (1.0 - gamma)
+    rtol = max(_SCREEN_RTOL, rho * rho - 1.0)
+    keep = np.flatnonzero(screened <= screened.min() * (1.0 + rtol) + (rho + 1.0) ** 2 * floor)
+    risks = exact_ss_risks(s[keep], S[keep], pmfs, p)
+    i = int(np.argmin(risks))
+    return int(keep[i]), float(risks[i]), len(keep)
 
 
 def grid_axis(lo: float, hi: float, step: float, max_points: float = math.inf) -> np.ndarray:

@@ -275,9 +275,10 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     Both modes score classes of gaps that share every sample's reorder
     schedule, by one clamped critical fractile each (``_gap_class_picks``).
     ``exact`` mode has one class per gap interval (a, b] between demand-sum
-    breakpoints, whose lowest S is the least of 0, H, Hlo + a + 1e-9 and the
-    windows that leave s >= Hlo; ``candidate_count`` counts the levels
-    scored.  ``integer-grid`` mode, for integer demands, has one class per
+    breakpoints, whose lowest S is the least of 0, H, Hlo + a + 1e-9 (Hlo
+    itself at gap 0, all clipped into [0, H]) and the windows that leave
+    s >= Hlo; ``candidate_count`` counts the levels scored.
+    ``integer-grid`` mode, for integer demands, has one class per
     gap of the integer pairs in the bounds, ``grid_oracle("ss", 1.0)``'s
     points; ``candidate_count`` is their count, checked against
     ``GRID_BUDGET`` first.  Ties go to the smallest gap, then the smallest S:
@@ -313,7 +314,9 @@ def erm_sS(data: Dataset, p: SystemParams, mode: str = "exact") -> FitResult:
     # S is feasible if a gap of the class leaves s = S - gap >= lo: S - lo > a,
     # or S - lo >= 0 at gap 0; a class with a feasible S has H among them
     offsets = np.append(np.nextafter(0.0, -1.0), a[1:])
-    fixed = np.stack([np.zeros_like(a), np.full_like(a, hi), np.clip(lo + a + 1e-9, 0.0, hi)], axis=1)
+    # the least S over the bound: lo itself at gap 0, lo + a + 1e-9 past it
+    above = np.clip(lo + a + np.append(0.0, np.full(len(a) - 1, 1e-9)), 0.0, hi)
+    fixed = np.stack([np.zeros_like(a), np.full_like(a, hi), above], axis=1)
     lows = np.where(fixed - lo > offsets[:, None], fixed, np.inf).min(axis=1)
     live = np.flatnonzero(lows < np.inf)
     if not len(live):

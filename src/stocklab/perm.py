@@ -31,6 +31,7 @@ from .evaluate import (
     cost_array,
     exact_base_stock_levels,
     exact_risk,
+    exact_ss_argmin,
     lead_pmf,
     policy_grid,
 )
@@ -199,12 +200,16 @@ def perm_fit(
     class.  The bounds are checked as the data fitters check them.
 
     ``st`` is the backward DP (K = 0): its targets are the DP argmins over
-    the integers in [0, H] and its risk the DP root value.  The others score their
-    points by one :func:`class_risks` call and take the first minimum, the smaller
-    gap, then the smaller S: ``ss`` every integer pair in the bounds (x1 at most Hlo),
-    past the grid searches' ``GRID_BUDGET`` pairs a BudgetError; ``base-stock`` every
-    kink of the exact risk curve in [0, H]; ``eoq`` the square-root gap at the pmf
-    mean, with S on a 0.05 grid of [0, H + gap].
+    the integers in [0, H] and its risk the DP root value.  The others take the
+    first minimum of their points' exact risks, the smaller gap, then the smaller
+    S.  ``ss`` has every integer pair in the bounds (x1 at most Hlo), past the grid
+    searches' ``GRID_BUDGET`` pairs a BudgetError: :func:`exact_ss_argmin` screens
+    them all in one batched propagation and scores exactly only those near the
+    least screened risk, for the pick and risk of scoring every pair; its
+    diagnostics count the ``pairs`` and those ``rescored``.  ``base-stock`` scores
+    every kink of the exact risk curve in [0, H], and ``eoq`` the square-root gap
+    at the pmf mean with S on a 0.05 grid of [0, H + gap], in one
+    :func:`class_risks` call each.
     """
     if policy_class == "st":
         sol = solve_dp(pmfs, p, fit_cap(p.level_cap()))
@@ -219,6 +224,9 @@ def perm_fit(
         if p.x1 > lo:
             raise ValueError(f"x1={p.x1} must not exceed the reorder-point bound {lo}")
         (points,) = policy_grid("ss", integer_ss_axis(p), p, fitters.GRID_BUDGET).chunks(1)
+        j, risk, rescored = exact_ss_argmin(points[:, 0], points[:, 1], pmfs, p)
+        return FitResult(policy=SsPolicy(*map(float, points[j])), in_sample_risk=risk,
+                         method="exact-ss-search", diagnostics={"pairs": len(points), "rescored": rescored})
     elif policy_class == "eoq":
         mu = sum(float(np.arange(len(f)) @ f) for f in pmfs) / len(pmfs)
         gap = square_root_gap(mu, p)

@@ -759,6 +759,7 @@ class TestExactSsSearch:
         assert (s[0], S[0]) == (0.0, 0.0)
         fit = perm_fit(pmfs, p, "ss")
         assert (fit.policy, fit.in_sample_risk) == (SsPolicy(0.0, 0.0), 0.0)
+        assert fit.diagnostics == {"pairs": len(s), "rescored": len(s)}  # the screen keeps every pair
         assert calls == []
         # the pairs with s < x1 are the ones scored on the lattice
         first_min_ss(pmfs[:2], replace(p, T=2, x1=-23.0))
@@ -842,6 +843,117 @@ class TestExactSsSearch:
         for (s, S), risk in zip(pairs, got):
             want = enumerate_product_risk(SsPolicy(s, S), pmfs, p)
             assert risk == pytest.approx(want, rel=0, abs=1e-12), (s, S)
+
+
+def screen_bound_holds(pmfs, p, s, S):
+    """Every pair's screened risk is within the stated rounding bound of its
+    exact_ss_risks float, and that bound sits inside the screen's tolerance."""
+    gaps = np.maximum(evaluate._reorder_offsets(S, s), 1.0)
+    lps = [lead_pmf(pmfs, t, p.L) for t in range(1, p.T + 1)]
+    screened, gamma, floor = evaluate._screen_ss_risks(gaps, S, pmfs, lps, p)
+    exact = exact_ss_risks(s, S, pmfs, p)
+    # |r^ - r~| <= 2 (gamma r + floor), and r <= (r~ + floor) / (1 - gamma)
+    slack = 2.0 * (gamma * (exact + floor) / (1.0 - gamma) + floor)
+    assert np.all(np.abs(screened - exact) <= slack), np.max(np.abs(screened - exact) - slack)
+    assert ((1.0 + gamma) / (1.0 - gamma)) ** 2 - 1.0 < evaluate._SCREEN_RTOL
+
+
+class TestScreenedSsSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_pick_is_the_unscreened_first_minimum(self, data):
+        # ties from zero cost rates, K = 0, point-mass or zero-laden pmfs,
+        # and symmetric pmfs with h = b, whose tied levels two sums of one
+        # value round apart; small blocks split the gap classes and narrow
+        # ones the batched convolutions
+        T = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 30)))
+        L = data.draw(st.integers(0, 2))
+        Hlo = float(data.draw(st.integers(-6, 3)))
+        rate = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 9.0]), st.floats(0.0, 10.0))
+        h = data.draw(rate)
+        symmetric = data.draw(st.booleans())
+        p = SystemParams(T=T, L=L, h=h, b=h if symmetric else data.draw(rate),
+                         K=data.draw(st.one_of(st.sampled_from([0.0, 1.5, 18.0]), st.floats(0.0, 20.0))),
+                         U=4.0, H=float(data.draw(st.integers(max(int(Hlo), 0), 8))), Hlo=Hlo,
+                         x1=Hlo - data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+        pmfs = pmf_lists(data, T + L, data.draw(st.integers(1, 5)))
+        if symmetric:
+            pmfs = [(f + f[::-1]) / (f + f[::-1]).sum() for f in pmfs]
+        with mock.patch.object(evaluate, "_SCREEN_TILE", data.draw(st.sampled_from([1, 3, 32]))), \
+                mock.patch.object(evaluate, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 40, 1 << 20]))):
+            fit = perm_fit(pmfs, p, "ss")
+        policy, risk = first_min_ss(pmfs, p)
+        assert fit.policy == policy
+        assert fit.in_sample_risk.hex() == risk.hex()
+        pairs = len(ss_pairs(np.arange(Hlo, p.H + 1.0))[0])
+        assert fit.diagnostics["pairs"] == pairs
+        assert 1 <= fit.diagnostics["rescored"] <= pairs
+
+    def test_symmetric_ties_keep_the_first_level(self):
+        # a pmf symmetric about a half-integer, and h = b: the middle levels
+        # tie exactly, and sums of one value in two orders round them apart
+        weights = [0.1, 0.35, 0.7, 1.0, 0.3]
+        p = SystemParams(T=1, h=1.0, b=1.0, K=0.0, U=4.0, H=6.0, Hlo=0.0, x1=0.0)
+        for T, half, mid in itertools.product([1, 2], itertools.product(weights, repeat=2), [[], [0.2]]):
+            w = np.array([*half, *mid, *half[::-1]])
+            pmfs = [w / w.sum()] * T
+            fit = perm_fit(pmfs, replace(p, T=T), "ss")
+            policy, risk = first_min_ss(pmfs, replace(p, T=T))
+            assert (fit.policy, fit.in_sample_risk.hex()) == (policy, risk.hex()), (T, half, mid)
+
+    def test_one_pair_rescored_without_ties(self):
+        # the fixed-cost-crossing system: 2,231 pairs on 70 gap classes
+        pmfs = [rand_pmf(np.random.default_rng(t), 21) for t in range(20)]
+        p = SystemParams(T=20, h=1.0, b=9.0, K=18.0, U=20.0, x1=-25.0, H=45.0, Hlo=-25.0)
+        fit = perm_fit(pmfs, p, "ss")
+        assert fit.diagnostics == {"pairs": 2231, "rescored": 1}
+        assert (fit.policy, fit.in_sample_risk) == first_min_ss(pmfs, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_screen_is_within_the_rounding_bound(self, data):
+        T = data.draw(st.integers(1, 40))
+        L = data.draw(st.integers(0, 2))
+        Hlo = float(data.draw(st.integers(-12, 2)))
+        p = SystemParams(T=T, L=L, h=data.draw(st.floats(0.0, 10.0)), b=data.draw(st.floats(0.0, 10.0)),
+                         K=data.draw(st.floats(0.0, 20.0)), U=6.0,
+                         H=float(data.draw(st.integers(max(int(Hlo), 0), 12))), Hlo=Hlo,
+                         x1=Hlo - data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+        weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
+        pmfs = [np.asarray(w) / sum(w) for w in (data.draw(weights) for _ in range(T + L))]
+        s, S = ss_pairs(np.arange(Hlo, p.H + 1.0))
+        with mock.patch.object(evaluate, "_SCREEN_TILE", data.draw(st.sampled_from([2, 32]))):
+            screen_bound_holds(pmfs, p, s, S)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fractional_pairs_pick_the_first_exact_minimum(self, data):
+        # any pairs with x1 <= s, on any grid: the pick and its risk are
+        # those of scoring every pair exactly
+        T = data.draw(st.integers(1, 6))
+        L = data.draw(st.integers(0, 2))
+        x1 = data.draw(quarters(-3, 1))
+        p = SystemParams(T=T, L=L, h=data.draw(st.floats(0.0, 2.0)), b=data.draw(st.floats(0.0, 9.0)),
+                         K=data.draw(st.sampled_from([0.0, 0.7, 4.0])), U=4.0, x1=x1)
+        pmfs = pmf_lists(data, T + L, 5)
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 20))):
+            s = x1 + data.draw(st.one_of(quarters(0, 4), st.floats(0.0, 4.0)))
+            pairs.append((s, max(s, 0.0) + data.draw(st.one_of(quarters(0, 6), st.floats(0.0, 6.0)))))
+        s_vals, S_vals = np.array(pairs).T
+        risks = exact_ss_risks(s_vals, S_vals, pmfs, p)
+        j, risk, rescored = evaluate.exact_ss_argmin(s_vals, S_vals, pmfs, p)
+        assert (j, risk.hex()) == (int(np.argmin(risks)), float(risks.min()).hex())
+        assert 1 <= rescored <= len(pairs)
+        screen_bound_holds(pmfs, p, s_vals, S_vals)
+
+    def test_rejects_a_pair_below_x1(self):
+        p = SystemParams(T=2, U=3.0, x1=-1.0)
+        pmfs = [np.array([0.5, 0.5])] * 2
+        with pytest.raises(ValueError, match="x1 <= s"):
+            evaluate.exact_ss_argmin(np.array([-2.0]), np.array([1.0]), pmfs, p)
+        with pytest.raises(ValueError, match="per-period pmfs"):
+            evaluate.exact_ss_argmin(np.array([0.0]), np.array([1.0]), pmfs[:1], p)
 
 
 def hexes(values):

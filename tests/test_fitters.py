@@ -368,6 +368,14 @@ class TestErmSs:
         assert fit.policy == SsPolicy(-6.0, 3.12)
         assert fit.in_sample_risk == pytest.approx(2.347, abs=1e-12)
 
+    def test_exact_scores_the_reorder_point_bound_at_gap_zero(self):
+        # at gap 0, S = Hlo leaves s = Hlo and is feasible; every pair costs 0
+        data = Dataset.from_matrix([[0.0]])
+        p = params(T=1, h=0.0, b=0.0, K=0.0, Hlo=1.0, x1=1.0)
+        fit = erm_sS(data, p, mode="exact")
+        assert fit.policy == SsPolicy(1.0, 1.0)
+        assert fit.in_sample_risk == 0.0
+
     def test_rejects_infinite_reorder_point_bound(self):
         data = Dataset.from_matrix([[3.0, 7.0]])
         fits = (
@@ -750,9 +758,9 @@ def per_row_erm_sS(data, p):
             for tj, tnext in zip(times, times[1:] + [p.T + 1]):
                 windows.append(prefix[tj + p.L : tnext + p.L] - prefix[tj - 1])
         windows = np.concatenate(windows)
-        cands = np.unique(
-            np.concatenate([windows, [0.0, hi, min(max(lo + a + 1e-9, 0.0), hi)]])
-        )
+        # the least S over the bound: lo itself at gap 0
+        bound = lo + a + (0.0 if rep == 0.0 else 1e-9)
+        cands = np.unique(np.concatenate([windows, [0.0, hi, min(max(bound, 0.0), hi)]]))
         cands = cands[(cands >= 0.0) & (cands <= hi)]
         cands = cands[cands - lo > a if a > 0 or b > 0 else cands - lo >= 0]
         if not len(cands):
